@@ -6,16 +6,19 @@ Conventions used throughout the package:
   accept stacked states of shape ``(..., d)`` and broadcast over the leading
   axes; the Monte-Carlo harness relies on this to advance whole batches of
   sample paths in single vectorized steps.
-* ``f`` maps ``(..., d) -> (..., d)`` and ``g`` maps ``(..., d) -> (..., d, m)``
-  where column ``i`` of the ``d x m`` block is the diffusion vector paired
-  with the i-th Wiener component.
+* ``f`` maps ``(..., d) -> (..., d)``.  The diffusion is stored factored:
+  ``g`` maps ``(..., d) -> (..., d)`` pointwise amplitudes and the constant
+  ``d x m`` matrix ``S`` mixes the Wiener components, so the diffusion
+  matrix is ``g(y)[..., :, None] * S`` and column ``i`` of it is the
+  diffusion vector paired with the i-th Wiener component.  The step maps
+  never form that matrix: they take ``g(y) dW`` as ``g(y) * (S dW)``.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Literal, Optional, Sequence
 
 import numpy as np
@@ -37,7 +40,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SdeProblem:
-    """An autonomous Ito SDE ``dX = [A X + f(X)] dt + g(X) dW``.
+    """An autonomous Ito SDE ``dX = [A X + f(X)] dt + diag(g(X)) S dW``.
 
     Parameters
     ----------
@@ -49,8 +52,11 @@ class SdeProblem:
     f
         Nonlinear drift, ``(..., d) -> (..., d)``.
     g
-        Diffusion, ``(..., d) -> (..., d, m)``; column ``i`` multiplies
-        ``dW_i``.
+        Diffusion amplitudes, ``(..., d) -> (..., d)``.
+    S
+        Constant ``d x m`` noise matrix.  The diffusion matrix is
+        ``g(y)[..., :, None] * S``; its column ``i`` multiplies ``dW_i``.
+        ``S2 = S**2`` is cached alongside for the column norms.
     df
         Optional Jacobian of ``f``, ``(..., d) -> (..., d, d)``.  Required by
         the drift-implicit scheme's Newton solver.
@@ -71,11 +77,13 @@ class SdeProblem:
     A: np.ndarray
     f: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
+    S: np.ndarray
     x0: np.ndarray
     t_end: float
     df: Optional[Callable[[np.ndarray], np.ndarray]] = None
     structure_hint: StructureHint = "dense"
     name: Optional[str] = None
+    S2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 1 or self.m < 1:
@@ -83,12 +91,17 @@ class SdeProblem:
         A = np.asarray(self.A, dtype=float)
         if A.shape != (self.d, self.d):
             raise ValueError(f"A must be {self.d}x{self.d}, got {A.shape}")
+        S = np.asarray(self.S, dtype=float)
+        if S.shape != (self.d, self.m):
+            raise ValueError(f"S must be {self.d}x{self.m}, got {S.shape}")
         x0 = np.asarray(self.x0, dtype=float)
         if x0.shape != (self.d,):
             raise ValueError(f"x0 must have shape ({self.d},), got {x0.shape}")
         if not self.t_end > 0:
             raise ValueError("t_end must be positive")
         object.__setattr__(self, "A", A)
+        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "S2", S**2)
         object.__setattr__(self, "x0", x0)
 
     def drift(self, y: np.ndarray) -> np.ndarray:

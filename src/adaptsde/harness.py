@@ -49,7 +49,6 @@ from .problems import gl_truncation_functions, problem_by_name
 from .schemes import (
     SCHEME_IDS,
     DIVERGENCE_THRESHOLD,
-    LinearSolver,
     NewtonConfig,
     solve,
     step_balanced,
@@ -57,7 +56,6 @@ from .schemes import (
     step_explicit_euler,
     step_fully_tamed,
     step_increment_tamed,
-    step_semi_implicit,
     step_truncated,
 )
 from .wiener import WienerPath
@@ -397,7 +395,6 @@ def _march_batch(
     dw: np.ndarray,
     lengths: np.ndarray,
     *,
-    solver: Optional[LinearSolver] = None,
     newton: Optional[NewtonConfig] = None,
     beta: float = 0.5,
     mu_inv=None,
@@ -414,12 +411,8 @@ def _march_batch(
     y = np.broadcast_to(problem.x0, (k, problem.d)).copy()
     diverged = np.zeros(k, dtype=bool)
     n_fallback = np.zeros(k, dtype=int)
-    if solver is None and scheme == "adaptive_semi_implicit":
-        solver = LinearSolver(problem)
 
-    if scheme == "adaptive_semi_implicit":
-        step = lambda ya, h, w: (step_semi_implicit(problem, ya, h, w, solver=solver), None)
-    elif scheme == "balanced":
+    if scheme == "balanced":
         step = lambda ya, h, w: (step_balanced(problem, ya, h, w), None)
     elif scheme == "increment_tamed":
         step = lambda ya, h, w: (step_increment_tamed(problem, ya, h, w), None)

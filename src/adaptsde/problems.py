@@ -17,7 +17,9 @@ part split out for the semi-implicit scheme:
   modes, yielding a stiff tridiagonal system of 100 coupled SDEs.
 
 All coefficient callables broadcast over leading axes (states of shape
-``(..., d)``), which the vectorized Monte-Carlo harness relies on.
+``(..., d)``), which the vectorized Monte-Carlo harness relies on.  Each
+diffusion is given factored, as pointwise amplitudes ``g(x)`` of shape
+``(..., d)`` times a constant noise matrix ``S`` (see :mod:`adaptsde.core`).
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def gbm(u0: float = 1.0, t_end: float = 1.0) -> SdeProblem:
         return np.zeros_like(x)
 
     def g(x):
-        return GBM_SIGMA * np.asarray(x)[..., None]
+        return GBM_SIGMA * np.asarray(x)
 
     def df(x):
         x = np.asarray(x)
@@ -70,6 +72,7 @@ def gbm(u0: float = 1.0, t_end: float = 1.0) -> SdeProblem:
         A=np.array([[GBM_R]]),
         f=f,
         g=g,
+        S=np.ones((1, 1)),
         df=df,
         x0=np.array([float(u0)]),
         t_end=t_end,
@@ -116,8 +119,7 @@ def fhn(epsilon: float, x0=(0.0, 0.0), t_end: float = 1.0) -> SdeProblem:
         return out
 
     def g(x):
-        x = np.asarray(x)
-        return np.broadcast_to(G0, x.shape[:-1] + (2, 2))
+        return np.broadcast_to(1.0, np.shape(x))
 
     def df(x):
         x = np.asarray(x)
@@ -137,6 +139,7 @@ def fhn(epsilon: float, x0=(0.0, 0.0), t_end: float = 1.0) -> SdeProblem:
         A=A,
         f=f,
         g=g,
+        S=G0,
         df=df,
         x0=np.asarray(x0, dtype=float),
         t_end=t_end,
@@ -157,7 +160,7 @@ def ginzburg_landau(t_end: float = 1.0) -> SdeProblem:
         return -a * np.asarray(x) ** 3
 
     def g(x):
-        return c * np.asarray(x)[..., None]
+        return c * np.asarray(x)
 
     def df(x):
         x = np.asarray(x)
@@ -169,6 +172,7 @@ def ginzburg_landau(t_end: float = 1.0) -> SdeProblem:
         A=np.array([[a * b]]),
         f=f,
         g=g,
+        S=np.ones((1, 1)),
         df=df,
         x0=np.array([2.0]),
         t_end=t_end,
@@ -225,8 +229,8 @@ def stoch_vol_32(t_end: float = 1.0) -> SdeProblem:
 
     def g(x):
         x = np.asarray(x)
-        n = np.sqrt(np.square(x).sum(axis=-1))
-        return n[..., None, None] ** 1.5 * B
+        n = np.sqrt(np.square(x).sum(axis=-1, keepdims=True))
+        return np.broadcast_to(n**1.5, x.shape)
 
     def df(x):
         x = np.asarray(x)
@@ -243,6 +247,7 @@ def stoch_vol_32(t_end: float = 1.0) -> SdeProblem:
         A=lam * mu * np.eye(2),
         f=f,
         g=g,
+        S=B,
         df=df,
         x0=np.array([1.0, 1.0]),
         t_end=t_end,
@@ -289,8 +294,7 @@ def spde_fd(
         return u**3 - lam_q * u**5
 
     def g(u):
-        u = np.asarray(u)
-        return sigma * (u**2)[..., None] * S
+        return sigma * np.asarray(u) ** 2
 
     def df(u):
         u = np.asarray(u)
@@ -306,6 +310,7 @@ def spde_fd(
         A=A,
         f=f,
         g=g,
+        S=S,
         df=df,
         x0=2.0 * np.sin(np.pi * xs),
         t_end=t_end,

@@ -3,8 +3,8 @@
 Every ``step_*`` function is a pure map ``(y, h, dW) -> y_next`` that
 broadcasts over leading axes: ``y`` of shape ``(..., d)``, ``dW`` of shape
 ``(..., m)``, and ``h`` either a scalar or an array of shape ``(...,)``.
-A step with ``h == 0`` and ``dW == 0`` returns ``y`` exactly, which the
-Monte-Carlo harness uses to pad ragged batches.
+A step with ``h == 0`` and ``dW == 0`` returns ``y`` exactly, so a
+zero-padded step leaves a state as it is.
 
 ``solve`` marches a single sample path from 0 to T and records the realized
 mesh.  Fixed-step schemes take a uniform step ``h``; the adaptive schemes
@@ -79,7 +79,8 @@ class LinearSolver:
 
     Dense operators get an LU factorization cached per step size (adaptive
     runs reuse the ``h_max`` factorization for most steps); tridiagonal ones
-    use a banded solve, and diagonal or scalar ones plain arithmetic.
+    go straight to LAPACK's ``gtsv``, and diagonal or scalar ones plain
+    arithmetic.
     ``solve_batch`` handles a different ``h`` per batch row, which the
     vectorized adaptive march needs.
     """
@@ -96,10 +97,12 @@ class LinearSolver:
         elif self.structure == "diagonal":
             self._diag = np.diagonal(self.A).copy()
         elif self.structure == "tridiagonal":
-            d = self.d
             self._sub = np.concatenate(([0.0], np.diagonal(self.A, -1)))
             self._dia = np.diagonal(self.A).copy()
             self._sup = np.concatenate((np.diagonal(self.A, 1), [0.0]))
+            self._dl = self._sub[1:]
+            self._du = self._sup[:-1]
+            self._gtsv = scipy.linalg.get_lapack_funcs("gtsv", (self._dia,))
 
     def solve(self, h: float, b: np.ndarray) -> np.ndarray:
         """Solve with one step size ``h`` for right-hand sides ``(..., d)``."""
@@ -109,14 +112,11 @@ class LinearSolver:
         if self.structure == "diagonal":
             return b / (1.0 - h * self._diag)
         if self.structure == "tridiagonal":
-            ab = np.zeros((3, self.d))
-            ab[0] = -h * self._sup
-            ab[0] = np.roll(ab[0], 1)
-            ab[1] = 1.0 - h * self._dia
-            ab[2] = np.roll(-h * self._sub, -1)
-            flat = np.atleast_2d(b.reshape(-1, self.d))
-            x = scipy.linalg.solve_banded((1, 1), ab, flat.T, check_finite=False).T
-            return x.reshape(b.shape)
+            flat = b.reshape(-1, self.d)
+            _, _, _, x, info = self._gtsv(-h * self._dl, 1.0 - h * self._dia, -h * self._du, flat.T)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"tridiagonal solve failed (LAPACK gtsv info={info})")
+            return x.T.reshape(b.shape)
         fact = self._lu_cache.get(h)
         if fact is None:
             M = np.eye(self.d) - h * self.A
@@ -194,10 +194,14 @@ class NewtonConfig:
 # -- one-step maps ----------------------------------------------------------
 
 
-def _g_dot_dw(problem: SdeProblem, y: np.ndarray, dW: np.ndarray) -> np.ndarray:
-    """``g(y) dW`` with broadcasting: (..., d, m) x (..., m) -> (..., d)."""
-    G = problem.g(y)
-    return np.einsum("...dm,...m->...d", G, dW)
+def _noise(problem: SdeProblem, amp: np.ndarray, dW) -> np.ndarray:
+    """``g(y) dW`` from the amplitudes ``amp = g(y)``: ``amp * (S dW)``, (..., d)."""
+    return amp * (np.asarray(dW) @ problem.S.T)
+
+
+def _col_norms(problem: SdeProblem, amp: np.ndarray) -> np.ndarray:
+    """Column norms ``||g_r(y)||`` of the diffusion matrix, shape (..., m)."""
+    return np.sqrt(np.square(amp) @ problem.S2)
 
 
 def step_semi_implicit(
@@ -210,7 +214,7 @@ def step_semi_implicit(
     """One step of ``(I - h A) Y' = Y + h f(Y) + g(Y) dW``."""
     if solver is None:
         solver = LinearSolver(problem)
-    rhs = y + _hcol(h, y) * problem.f(y) + _g_dot_dw(problem, y, dW)
+    rhs = y + _hcol(h, y) * problem.f(y) + _noise(problem, problem.g(y), dW)
     if np.ndim(h) == 0:
         return solver.solve(float(h), rhs)
     return solver.solve_batch(np.asarray(h), rhs)
@@ -223,16 +227,17 @@ def step_balanced(problem: SdeProblem, y: np.ndarray, h, dW: np.ndarray) -> np.n
     the state moves by no more than the raw Euler increment.
     """
     D = problem.drift(y)
-    G = problem.g(y)
-    noise_cols = G * np.asarray(dW)[..., None, :]  # (..., d, m), col r = g_r dW_r
-    num = _hcol(h, y) * D + noise_cols.sum(axis=-1)
-    denom = 1.0 + np.asarray(h) * _vnorm(D) + _vnorm(noise_cols, axis=-2).sum(axis=-1)
+    amp = problem.g(y)
+    dW = np.asarray(dW)
+    num = _hcol(h, y) * D + _noise(problem, amp, dW)
+    # ||g_r dW_r|| = |dW_r| ||g_r||
+    denom = 1.0 + np.asarray(h) * _vnorm(D) + (np.abs(dW) * _col_norms(problem, amp)).sum(axis=-1)
     return y + num / denom[..., None]
 
 
 def step_increment_tamed(problem: SdeProblem, y: np.ndarray, h, dW: np.ndarray) -> np.ndarray:
     """Tame the whole Euler increment: ``y + v / max(1, h ||v||)``."""
-    v = _hcol(h, y) * problem.drift(y) + _g_dot_dw(problem, y, dW)
+    v = _hcol(h, y) * problem.drift(y) + _noise(problem, problem.g(y), dW)
     denom = np.maximum(1.0, np.asarray(h) * _vnorm(v))
     return y + v / denom[..., None]
 
@@ -248,10 +253,10 @@ def step_fully_tamed(
     if not 0 < beta <= 1:
         raise ValueError("beta must lie in (0, 1]")
     D = problem.drift(y)
-    G = problem.g(y)
-    num = _hcol(h, y) * D + np.einsum("...dm,...m->...d", G, np.asarray(dW))
+    amp = problem.g(y)
+    num = _hcol(h, y) * D + _noise(problem, amp, dW)
     hb = np.asarray(h) ** beta
-    denom = 1.0 + hb * _vnorm(D) + hb * _vnorm(G, axis=-2).sum(axis=-1)
+    denom = 1.0 + hb * _vnorm(D) + hb * _col_norms(problem, amp).sum(axis=-1)
     return y + num / denom[..., None]
 
 
@@ -276,12 +281,12 @@ def step_truncated(
         bound = np.where(harr > 0, mu_inv(H(np.where(harr > 0, harr, 1.0))), np.inf)
     scale = np.where(r > 0, np.minimum(r, bound) / np.where(r > 0, r, 1.0), 0.0)
     z = scale[..., None] * y
-    return y + _hcol(h, y) * problem.drift(z) + _g_dot_dw(problem, z, dW)
+    return y + _hcol(h, y) * problem.drift(z) + _noise(problem, problem.g(z), dW)
 
 
 def step_explicit_euler(problem: SdeProblem, y: np.ndarray, h, dW: np.ndarray) -> np.ndarray:
     """Plain Euler-Maruyama: ``y + h (A y + f(y)) + g(y) dW``."""
-    return y + _hcol(h, y) * problem.drift(y) + _g_dot_dw(problem, y, dW)
+    return y + _hcol(h, y) * problem.drift(y) + _noise(problem, problem.g(y), dW)
 
 
 def step_drift_implicit(
@@ -301,7 +306,7 @@ def step_drift_implicit(
     if problem.df is None:
         raise ValueError("drift-implicit scheme needs problem.df (Jacobian of f)")
     newton = newton or NewtonConfig()
-    c = y + _g_dot_dw(problem, y, dW)
+    c = y + _noise(problem, problem.g(y), dW)
     if newton.predictor == "explicit_euler":
         x = step_explicit_euler(problem, y, h, dW)
     else:
@@ -346,7 +351,7 @@ def step_drift_implicit_batch(
     y = np.asarray(y, dtype=float)
     k, d = y.shape
     hv = np.broadcast_to(np.asarray(h, dtype=float), (k,))
-    c = y + _g_dot_dw(problem, y, dW)
+    c = y + _noise(problem, problem.g(y), dW)
     if newton.predictor == "explicit_euler":
         x = step_explicit_euler(problem, y, hv, dW)
     else:

@@ -26,7 +26,8 @@ def make_problem(A, d=None):
         m=1,
         A=np.asarray(A, dtype=float),
         f=lambda x: np.zeros_like(x),
-        g=lambda x: np.zeros(np.asarray(x).shape + (1,)),
+        g=lambda x: np.zeros_like(x),
+        S=np.zeros((d, 1)),
         x0=np.zeros(d),
         t_end=1.0,
     )
@@ -37,32 +38,43 @@ class TestSdeProblem:
         with pytest.raises(ValueError):
             make_problem(np.zeros((2, 3)), d=2)
         with pytest.raises(ValueError):
-            SdeProblem(d=0, m=1, A=np.zeros((0, 0)), f=None, g=None, x0=np.zeros(0), t_end=1.0)
+            SdeProblem(
+                d=0, m=1, A=np.zeros((0, 0)), f=None, g=None, S=np.zeros((0, 1)),
+                x0=np.zeros(0), t_end=1.0,
+            )
         with pytest.raises(ValueError):
             SdeProblem(
-                d=1, m=1, A=np.zeros((1, 1)), f=lambda x: x, g=lambda x: x[..., None],
+                d=1, m=1, A=np.zeros((1, 1)), f=lambda x: x, g=lambda x: x, S=np.ones((1, 1)),
                 x0=np.zeros(1), t_end=0.0,
             )
         with pytest.raises(ValueError):
             SdeProblem(
-                d=2, m=1, A=np.zeros((2, 2)), f=lambda x: x, g=lambda x: x[..., None],
+                d=2, m=1, A=np.zeros((2, 2)), f=lambda x: x, g=lambda x: x, S=np.ones((2, 1)),
                 x0=np.zeros(3), t_end=1.0,
             )
+        for S in (np.ones((1, 2)), np.ones((2, 2)), np.ones(2), np.ones((2, 1, 1))):
+            with pytest.raises(ValueError, match="S must be 2x1"):
+                SdeProblem(
+                    d=2, m=1, A=np.zeros((2, 2)), f=lambda x: x, g=lambda x: x, S=S,
+                    x0=np.zeros(2), t_end=1.0,
+                )
 
     def test_coefficients_coerced_to_float_arrays(self):
         p = SdeProblem(
-            d=2, m=1, A=[[1, 0], [0, 2]], f=lambda x: x, g=lambda x: x[..., None],
+            d=2, m=1, A=[[1, 0], [0, 2]], f=lambda x: x, g=lambda x: x, S=[[1], [2]],
             x0=[1, 2], t_end=1.0,
         )
-        assert p.A.dtype == float and p.x0.dtype == float
+        assert p.A.dtype == float and p.x0.dtype == float and p.S.dtype == float
         assert p.A.shape == (2, 2)
+        np.testing.assert_array_equal(p.S2, [[1.0], [4.0]])
 
     def test_drift_combines_linear_and_nonlinear_parts(self):
         p = SdeProblem(
             d=2, m=1,
             A=np.array([[1.0, 2.0], [0.0, -1.0]]),
             f=lambda x: x**2,
-            g=lambda x: np.zeros(np.asarray(x).shape + (1,)),
+            g=lambda x: np.zeros_like(x),
+            S=np.zeros((2, 1)),
             x0=np.zeros(2), t_end=1.0,
         )
         y = np.array([1.0, 3.0])

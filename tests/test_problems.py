@@ -18,6 +18,11 @@ from adaptsde.problems import (
 )
 
 
+def diffusion(p, x):
+    """The dense diffusion matrix ``g(x)[..., :, None] * S``, (..., d, m)."""
+    return p.g(x)[..., :, None] * p.S
+
+
 def numeric_jacobian(func, x, eps=1e-6):
     d = x.size
     out = np.empty((d, d))
@@ -35,7 +40,8 @@ class TestGbm:
         assert p.A[0, 0] == -8.0
         x = np.array([1.7])
         assert p.f(x)[0] == 0.0
-        assert p.g(x)[0, 0] == pytest.approx(3.0 * 1.7)
+        assert p.g(x).shape == (1,)
+        assert diffusion(p, x)[0, 0] == pytest.approx(3.0 * 1.7)
         assert p.x0[0] == 1.0
         assert p.structure_hint == "scalar"
         assert p.name == "gbm"
@@ -64,7 +70,7 @@ class TestFhn:
     def test_matrix_and_noise(self):
         p = fhn(0.5)
         np.testing.assert_allclose(p.A, [[2.0, 2.0], [-1.0, -0.01]])
-        G = p.g(np.array([0.3, -0.2]))
+        G = diffusion(p, np.array([0.3, -0.2]))
         np.testing.assert_allclose(G, [[0.05 / math.sqrt(0.5), 0.0], [0.0, 0.1]])
         assert p.name == "fhn05"
         assert fhn(0.1).name == "fhn01"
@@ -72,7 +78,8 @@ class TestFhn:
     def test_noise_is_additive(self):
         p = fhn(0.1)
         xs = np.random.default_rng(0).normal(size=(5, 2))
-        G = p.g(xs)
+        G = diffusion(p, xs)
+        assert G.shape == (5, 2, 2)
         for i in range(1, 5):
             np.testing.assert_array_equal(G[i], G[0])
 
@@ -129,7 +136,7 @@ class TestGinzburgLandau:
         for r in np.linspace(0.0, 50.0, 26):
             xs = np.linspace(-r, r, 41)[:, None] if r > 0 else np.zeros((1, 1))
             sup_drift = np.abs(p.drift(xs)).max()
-            sup_g = np.abs(p.g(xs)).max()
+            sup_g = np.abs(diffusion(p, xs)).max()
             mu_r = 0.2 * (1.0 + r**3)
             assert max(sup_drift, sup_g) <= mu_r + 1e-12
 
@@ -140,7 +147,8 @@ class TestStochVol:
         np.testing.assert_allclose(p.A, 2.5 * np.eye(2))
         np.testing.assert_allclose(p.f(np.array([3.0, 4.0])), [-37.5, -50.0])
         B = np.array([[2.0, 1.0], [1.0, 2.0]]) / math.sqrt(10.0)
-        np.testing.assert_allclose(p.g(np.array([1.0, 1.0])), 2.0**0.75 * B)
+        np.testing.assert_allclose(p.S, B)
+        np.testing.assert_allclose(diffusion(p, np.array([1.0, 1.0])), 2.0**0.75 * B)
         np.testing.assert_allclose(p.x0, [1.0, 1.0])
         assert p.structure_hint == "diagonal"
 
@@ -148,7 +156,7 @@ class TestStochVol:
         p = stoch_vol_32()
         z = np.zeros(2)
         np.testing.assert_array_equal(p.f(z), z)
-        np.testing.assert_array_equal(p.g(z), np.zeros((2, 2)))
+        np.testing.assert_array_equal(diffusion(p, z), np.zeros((2, 2)))
         np.testing.assert_array_equal(p.df(z), np.zeros((2, 2)))
 
     def test_drift_mean_reverts_through_unit_sphere(self):
@@ -184,7 +192,7 @@ class TestSpde:
         J = 9
         p = spde_fd(J=J)
         u = np.full(J - 1, 1.0)
-        G = p.g(u)
+        G = diffusion(p, u)
         xs = np.arange(1, J) / J
         for j in (1, 3, 7):
             np.testing.assert_allclose(
@@ -193,12 +201,13 @@ class TestSpde:
         # the highest mode vanishes identically on the grid
         np.testing.assert_allclose(G[:, J - 1], 0.0, atol=1e-13)
         # diffusion scales with u^2
-        np.testing.assert_allclose(p.g(2.0 * u), 4.0 * G, atol=1e-13)
+        np.testing.assert_allclose(diffusion(p, 2.0 * u), 4.0 * G, atol=1e-13)
 
     def test_mode_count_override(self):
         p = spde_fd(J=7, modes=3)
         assert p.m == 3
-        assert p.g(p.x0).shape == (6, 3)
+        assert p.S.shape == (6, 3)
+        assert diffusion(p, p.x0).shape == (6, 3)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -238,7 +247,7 @@ class TestGrowthRates:
         x = np.full(p.d, 1.0) / math.sqrt(p.d)
         s1, s2 = 1e3, 1e5
         fn = lambda s: np.linalg.norm(p.f(s * x))
-        gn = lambda s: np.linalg.norm(p.g(s * x))
+        gn = lambda s: np.linalg.norm(diffusion(p, s * x))
         slope_f = math.log(fn(s2) / fn(s1)) / math.log(s2 / s1)
         assert slope_f == pytest.approx(drift_pow, abs=1e-3)
         if noise_pow == 0.0:
@@ -249,8 +258,8 @@ class TestGrowthRates:
 
     def test_gbm_noise_is_linear(self):
         p = gbm()
-        assert np.linalg.norm(p.g(np.array([100.0]))) == pytest.approx(
-            100.0 * np.linalg.norm(p.g(np.array([1.0])))
+        assert np.linalg.norm(diffusion(p, np.array([100.0]))) == pytest.approx(
+            100.0 * np.linalg.norm(diffusion(p, np.array([1.0])))
         )
 
 

@@ -1,14 +1,23 @@
-"""Integrator tests: one-step worked examples, linear solver checks, and
-the solve() driver's bookkeeping."""
+"""Integrator tests: one-step worked examples, linear solver checks, the
+solve() driver's bookkeeping, and step-map properties over the catalog."""
 
 import math
 
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptsde.core import MeshConfig, SdeProblem
-from adaptsde.problems import gbm, ginzburg_landau, gl_truncation_functions, stoch_vol_32
+from adaptsde.problems import (
+    PROBLEM_NAMES,
+    gbm,
+    ginzburg_landau,
+    gl_truncation_functions,
+    problem_by_name,
+    stoch_vol_32,
+)
 from adaptsde.schemes import (
     ADAPTIVE_SCHEMES,
     DIVERGENCE_THRESHOLD,
@@ -39,7 +48,8 @@ def cubic_problem(x0=1.0):
         m=1,
         A=np.array([[-1.0]]),
         f=lambda x: -(x**3),
-        g=lambda x: (0.5 * x)[..., None],
+        g=lambda x: 0.5 * x,
+        S=np.ones((1, 1)),
         df=lambda x: (-3.0 * x**2)[..., None],
         x0=np.array([float(x0)]),
         t_end=1.0,
@@ -54,7 +64,8 @@ def const_drift_problem(c, gval=0.0):
         m=1,
         A=np.zeros((1, 1)),
         f=lambda x: np.full_like(x, c),
-        g=lambda x: np.full(x.shape + (1,), gval),
+        g=lambda x: np.full_like(x, gval),
+        S=np.ones((1, 1)),
         x0=np.zeros(1),
         t_end=1.0,
         structure_hint="scalar",
@@ -146,7 +157,7 @@ class TestOneStepWorkedExamples:
         p = SdeProblem(
             d=1, m=1, A=np.array([[-1.0]]),
             f=lambda x: -(x**3),
-            g=lambda x: (0.5 * x)[..., None],
+            g=lambda x: 0.5 * x, S=np.ones((1, 1)),
             x0=Y1, t_end=1.0,
         )
         with pytest.raises(ValueError, match="df"):
@@ -273,7 +284,7 @@ def random_structured_problem(structure, d, seed):
     return SdeProblem(
         d=d, m=1, A=A,
         f=lambda x: np.zeros_like(x),
-        g=lambda x: np.zeros(x.shape + (1,)),
+        g=lambda x: np.zeros_like(x), S=np.zeros((d, 1)),
         x0=np.zeros(d), t_end=1.0,
         structure_hint=structure,
     )
@@ -315,7 +326,7 @@ class TestLinearSolver:
         mk = lambda hint: SdeProblem(
             d=d, m=1, A=A,
             f=lambda x: np.zeros_like(x),
-            g=lambda x: np.zeros(x.shape + (1,)),
+            g=lambda x: np.zeros_like(x), S=np.zeros((d, 1)),
             x0=np.zeros(d), t_end=1.0, structure_hint=hint,
         )
         tri = LinearSolver(mk("tridiagonal"))
@@ -395,7 +406,7 @@ class TestSolveDriver:
         p = SdeProblem(
             d=1, m=1, A=np.array([[0.1]]),
             f=lambda x: -0.1 * x**3,
-            g=lambda x: (0.2 * x)[..., None],
+            g=lambda x: 0.2 * x, S=np.ones((1, 1)),
             df=lambda x: (-0.3 * x**2)[..., None],
             x0=np.array([40.0]), t_end=1.0, structure_hint="scalar",
         )
@@ -417,7 +428,7 @@ class TestSolveDriver:
         p = SdeProblem(
             d=1, m=1, A=np.array([[0.1]]),
             f=lambda x: -0.1 * x**3,
-            g=lambda x: (0.2 * x)[..., None],
+            g=lambda x: 0.2 * x, S=np.ones((1, 1)),
             x0=np.array([20.0]), t_end=1.0, structure_hint="scalar",
         )
         res = solve(p, "explicit_euler", WienerPath(1, seed=1), h=0.25)
@@ -480,3 +491,218 @@ class TestSmallStepAgreement:
 
         s3, s5 = spread(1e-3), spread(1e-5)
         assert s5 < s3 / 10.0
+
+
+# -- step-map properties over the catalog ------------------------------------
+
+CATALOG = {name: problem_by_name(name) for name in PROBLEM_NAMES}
+MU_INV, GAUGE = gl_truncation_functions()
+
+
+def _drift_implicit(p, y, h, dW):
+    """The drift-implicit map in the form the caller uses: one state, or a batch."""
+    if y.ndim == 1:
+        return step_drift_implicit(p, y, h, dW)[0]
+    return step_drift_implicit_batch(p, y, h, dW)[0]
+
+
+STEP_MAPS = {
+    "semi_implicit": step_semi_implicit,
+    "balanced": step_balanced,
+    "increment_tamed": step_increment_tamed,
+    "fully_tamed": step_fully_tamed,
+    "truncated": lambda p, y, h, dW: step_truncated(p, y, h, dW, MU_INV, GAUGE),
+    "explicit_euler": step_explicit_euler,
+    "drift_implicit": _drift_implicit,
+}
+
+
+# Dense references: each step map as written against the full (..., d, m)
+# diffusion matrix G = g(y)[..., :, None] * S, with einsum for G dW.
+
+
+def _dense_G(p, y):
+    return p.g(y)[..., :, None] * p.S
+
+
+def _dense_g_dw(p, y, dW):
+    return np.einsum("...dm,...m->...d", _dense_G(p, y), dW)
+
+
+def _hc(h):
+    return h if np.ndim(h) == 0 else np.asarray(h)[..., None]
+
+
+def _norm(x, axis=-1):
+    return np.sqrt(np.square(x).sum(axis=axis))
+
+
+def _dense_semi_implicit(p, y, h, dW):
+    rhs = y + _hc(h) * p.f(y) + _dense_g_dw(p, y, dW)
+    solver = LinearSolver(p)
+    return solver.solve(h, rhs) if np.ndim(h) == 0 else solver.solve_batch(h, rhs)
+
+
+def _dense_balanced(p, y, h, dW):
+    D = p.drift(y)
+    cols = _dense_G(p, y) * dW[..., None, :]
+    num = _hc(h) * D + cols.sum(axis=-1)
+    denom = 1.0 + np.asarray(h) * _norm(D) + _norm(cols, axis=-2).sum(axis=-1)
+    return y + num / denom[..., None]
+
+
+def _dense_increment_tamed(p, y, h, dW):
+    v = _hc(h) * p.drift(y) + _dense_g_dw(p, y, dW)
+    return y + v / np.maximum(1.0, np.asarray(h) * _norm(v))[..., None]
+
+
+def _dense_fully_tamed(p, y, h, dW):
+    D = p.drift(y)
+    num = _hc(h) * D + _dense_g_dw(p, y, dW)
+    hb = np.asarray(h) ** 0.5
+    denom = 1.0 + hb * _norm(D) + hb * _norm(_dense_G(p, y), axis=-2).sum(axis=-1)
+    return y + num / denom[..., None]
+
+
+def _dense_truncated(p, y, h, dW):
+    r = _norm(y)
+    bound = np.where(np.asarray(h) > 0, MU_INV(GAUGE(np.where(np.asarray(h) > 0, h, 1.0))), np.inf)
+    z = np.where(r > 0, np.minimum(r, bound) / np.where(r > 0, r, 1.0), 0.0)[..., None] * y
+    return y + _hc(h) * p.drift(z) + _dense_g_dw(p, z, dW)
+
+
+def _dense_explicit_euler(p, y, h, dW):
+    return y + _hc(h) * p.drift(y) + _dense_g_dw(p, y, dW)
+
+
+def _dense_newton_single(p, y, h, dW, tol=1e-10, max_iter=50):
+    c = y + _dense_g_dw(p, y, dW)
+    x = y.copy()
+    for i in range(max_iter + 1):
+        F = x - h * p.drift(x) - c
+        if np.linalg.norm(F) <= tol:
+            return x
+        if i == max_iter:
+            break
+        try:
+            x = x - np.linalg.solve(np.eye(p.d) - h * (p.A + p.df(x)), F)
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(x)):
+            break
+    return _dense_balanced(p, y, h, dW)
+
+
+def _dense_newton_batch(p, y, h, dW, tol=1e-10, max_iter=50):
+    k = y.shape[0]
+    hv = np.broadcast_to(np.asarray(h, dtype=float), (k,))
+    c = y + _dense_g_dw(p, y, dW)
+    x = y.copy()
+    converged = np.zeros(k, dtype=bool)
+    failed = np.zeros(k, dtype=bool)
+    for _ in range(max_iter + 1):
+        idx = np.flatnonzero(~(converged | failed))
+        if idx.size == 0:
+            break
+        F = x[idx] - hv[idx, None] * p.drift(x[idx]) - c[idx]
+        ok = np.linalg.norm(F, axis=-1) <= tol
+        converged[idx[ok]] = True
+        live = idx[~ok]
+        if live.size == 0:
+            continue
+        J = np.eye(p.d)[None] - hv[live, None, None] * (p.A[None] + p.df(x[live]))
+        try:
+            dx = np.linalg.solve(J, F[~ok][..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            failed[live] = True
+            continue
+        xn = x[live] - dx
+        bad = ~np.all(np.isfinite(xn), axis=-1)
+        x[live] = np.where(bad[:, None], x[live], xn)
+        failed[live[bad]] = True
+    failed |= ~converged
+    if failed.any():
+        x[failed] = _dense_balanced(p, y[failed], hv[failed], dW[failed])
+    return x
+
+
+DENSE_STEP_MAPS = {
+    "semi_implicit": _dense_semi_implicit,
+    "balanced": _dense_balanced,
+    "increment_tamed": _dense_increment_tamed,
+    "fully_tamed": _dense_fully_tamed,
+    "truncated": _dense_truncated,
+    "explicit_euler": _dense_explicit_euler,
+    "drift_implicit": lambda p, y, h, dW: (
+        _dense_newton_single if y.ndim == 1 else _dense_newton_batch
+    )(p, y, h, dW),
+}
+
+#: Problems whose diffusion factors exactly (S = [[1]], or g = 1), so the
+#: factored step maps reproduce the dense formulas bit for bit.
+EXACT_FACTOR = {"gbm", "gl", "fhn05", "fhn01"}
+
+PROPERTY_SETTINGS = settings(max_examples=12, deadline=None, derandomize=True)
+
+
+@st.composite
+def step_inputs(draw, p, rows=st.sampled_from([None, 1, 5])):
+    """``(y, h, dW)``: one state with a scalar ``h`` (rows None), or a batch
+    of ``k`` states with a per-row ``h`` as the harness marches them."""
+    k = draw(rows)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.floats(0.0, 1.0))
+    lead = () if k is None else (k,)
+    y = p.x0 + spread * rng.standard_normal(lead + (p.d,))
+    h = draw(st.floats(1e-4, 0.05)) if k is None else rng.uniform(1e-4, 0.05, size=k)
+    dW = np.sqrt(_hc(h)) * rng.standard_normal(lead + (p.m,))
+    return y, h, dW
+
+
+def _assert_close(actual, desired, rtol):
+    """Elementwise rtol, with the same tolerance relative to the largest entry
+    so components that cancel to near zero are judged on the state's scale."""
+    np.testing.assert_allclose(actual, desired, rtol=rtol, atol=rtol * np.abs(desired).max())
+
+
+@pytest.mark.parametrize("step", sorted(STEP_MAPS))
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_zero_step_is_identity(name, step, data):
+    # The schemes module promises this: a zero-padded step leaves y as it is.
+    p = CATALOG[name]
+    y, h, dW = data.draw(step_inputs(p))
+    out = STEP_MAPS[step](p, y, 0.0 * h, np.zeros_like(dW))
+    assert out.shape == y.shape
+    np.testing.assert_array_equal(out, y)
+
+
+@pytest.mark.parametrize("step", sorted(STEP_MAPS))
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_factored_noise_matches_dense_formula(name, step, data):
+    p = CATALOG[name]
+    y, h, dW = data.draw(step_inputs(p))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = STEP_MAPS[step](p, y, h, dW)
+        ref = DENSE_STEP_MAPS[step](p, y, h, dW)
+    assert out.shape == y.shape
+    if name in EXACT_FACTOR:
+        np.testing.assert_array_equal(out, ref)
+    else:
+        _assert_close(out, ref, rtol=1e-12)
+
+
+@pytest.mark.parametrize("step", sorted(STEP_MAPS))
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_batch_matches_rows(name, step, data):
+    p = CATALOG[name]
+    y, h, dW = data.draw(step_inputs(p, rows=st.sampled_from([1, 5])))
+    batch = STEP_MAPS[step](p, y, h, dW)
+    assert batch.shape == y.shape
+    for i in range(len(y)):
+        _assert_close(batch[i], STEP_MAPS[step](p, y[i], float(h[i]), dW[i]), rtol=1e-13)
