@@ -1,5 +1,5 @@
 """Integrator tests: one-step worked examples, linear solver checks, the
-solve() driver's bookkeeping, and step-map properties over the catalog."""
+bookkeeping of solve(), and step-map properties over the catalog."""
 
 import math
 
