@@ -26,7 +26,7 @@ from .schemes import (
     NewtonConfig,
     solve,
     step_balanced,
-    step_drift_implicit,
+    step_drift_implicit_batch,
     step_explicit_euler,
     step_fully_tamed,
     step_increment_tamed,
@@ -69,7 +69,7 @@ __all__ = [
     "NewtonConfig",
     "solve",
     "step_balanced",
-    "step_drift_implicit",
+    "step_drift_implicit_batch",
     "step_explicit_euler",
     "step_fully_tamed",
     "step_increment_tamed",

@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import MeshConfig
 
-__all__ = ["StepDecision", "propose_step", "propose_step_batch"]
+__all__ = ["StepDecision", "propose_step"]
 
 
 @dataclass(frozen=True)
@@ -54,37 +54,3 @@ def propose_step(y: np.ndarray, f_y: np.ndarray, config: MeshConfig) -> StepDeci
     if raw <= h_min:
         return StepDecision(h=h_min, use_backstop=True, raw_proposal=raw)
     return StepDecision(h=raw, use_backstop=False, raw_proposal=raw)
-
-
-def propose_step_batch(y: np.ndarray, f_y: np.ndarray, config: MeshConfig):
-    """Vectorized controller for stacked states.
-
-    Parameters
-    ----------
-    y, f_y
-        Arrays of shape ``(k, d)``.
-
-    Returns
-    -------
-    h : ndarray (k,)
-        Accepted step sizes.
-    use_backstop : ndarray (k,) of bool
-    raw : ndarray (k,)
-        Raw proposals (``h_max`` where the drift response vanishes).
-    """
-    y = np.asarray(y, dtype=float)
-    f_y = np.asarray(f_y, dtype=float)
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(f_y))):
-        raise FloatingPointError("non-finite state or drift passed to step controller")
-    norm_f = np.sqrt(np.square(f_y).sum(axis=-1))
-    norm_y = np.sqrt(np.square(y).sum(axis=-1))
-    h_max = config.h_max
-    h_min = config.h_min
-    with np.errstate(divide="ignore"):
-        ratio = np.where(norm_f > 0, np.maximum(1.0, norm_y) / np.where(norm_f > 0, norm_f, 1.0), np.inf)
-    raw = h_max * np.minimum(ratio, 1.0)
-    zero_drift = norm_f == 0.0
-    raw = np.where(zero_drift, h_max, raw)
-    use_backstop = (raw <= h_min) & ~zero_drift
-    h = np.where(use_backstop, h_min, raw)
-    return h, use_backstop, raw

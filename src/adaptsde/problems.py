@@ -76,7 +76,6 @@ def gbm(u0: float = 1.0, t_end: float = 1.0) -> SdeProblem:
         df=df,
         x0=np.array([float(u0)]),
         t_end=t_end,
-        structure_hint="scalar",
         name=name,
     )
 
@@ -143,7 +142,6 @@ def fhn(epsilon: float, x0=(0.0, 0.0), t_end: float = 1.0) -> SdeProblem:
         df=df,
         x0=np.asarray(x0, dtype=float),
         t_end=t_end,
-        structure_hint="dense",
         name=name,
     )
 
@@ -176,7 +174,6 @@ def ginzburg_landau(t_end: float = 1.0) -> SdeProblem:
         df=df,
         x0=np.array([2.0]),
         t_end=t_end,
-        structure_hint="scalar",
         name="gl" if t_end == 1.0 else None,
     )
 
@@ -251,7 +248,6 @@ def stoch_vol_32(t_end: float = 1.0) -> SdeProblem:
         df=df,
         x0=np.array([1.0, 1.0]),
         t_end=t_end,
-        structure_hint="diagonal",
         name="svol" if t_end == 1.0 else None,
     )
 
@@ -314,7 +310,6 @@ def spde_fd(
         df=df,
         x0=2.0 * np.sin(np.pi * xs),
         t_end=t_end,
-        structure_hint="tridiagonal",
         name="spde" if default else None,
     )
 

@@ -6,11 +6,13 @@ broadcasts over leading axes: ``y`` of shape ``(..., d)``, ``dW`` of shape
 A step with ``h == 0`` and ``dW == 0`` returns ``y`` exactly, so a
 zero-padded step leaves a state as it is.
 
-``solve`` marches a single sample path from 0 to T and records the realized
-mesh.  Fixed-step schemes take a uniform step ``h``; the adaptive schemes
-take a :class:`~adaptsde.core.MeshConfig` and consult the controller each
-step, falling back to one balanced step of length ``h_min`` whenever the
-raw proposal reaches the floor.
+``step_map`` turns a scheme id into one ``(y, h, dW) -> (y_next,
+fell_back)`` function; ``solve`` and the harness's batched march both step
+through it.  ``solve`` marches a single sample path from 0 to T and records
+the realized mesh.  Fixed-step schemes take a uniform step ``h``; the
+adaptive schemes take a :class:`~adaptsde.core.MeshConfig` and consult the
+controller each step, falling back to one balanced step of length ``h_min``
+whenever the raw proposal reaches the floor.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from .control import propose_step
-from .core import MeshConfig, SdeProblem, SolveResult, StepRecord
+from .core import MeshConfig, SdeProblem, SolveResult, StepRecord, infer_structure
 from .wiener import WienerPath
 
 __all__ = [
@@ -38,9 +40,9 @@ __all__ = [
     "step_increment_tamed",
     "step_fully_tamed",
     "step_truncated",
-    "step_drift_implicit",
     "step_drift_implicit_batch",
     "step_explicit_euler",
+    "step_map",
     "solve",
     "DIVERGENCE_THRESHOLD",
 ]
@@ -77,10 +79,12 @@ def _vnorm(x: np.ndarray, axis: int = -1) -> np.ndarray:
 class LinearSolver:
     """Solves ``(I - h A) x = b``, dispatching on the structure of ``A``.
 
-    Dense operators get an LU factorization cached per step size (adaptive
-    runs reuse the ``h_max`` factorization for most steps); tridiagonal ones
-    go straight to LAPACK's ``gtsv``, and diagonal or scalar ones plain
-    arithmetic.
+    The structure is read off ``A``'s sparsity pattern by
+    :func:`~adaptsde.core.infer_structure`.  Dense operators get an LU
+    factorization cached per step size (adaptive runs reuse the ``h_max``
+    factorization for most steps); tridiagonal ones, every 2x2 operator
+    among them, go straight to LAPACK's ``gtsv``, and diagonal or scalar
+    ones plain arithmetic.
     ``solve_batch`` handles a different ``h`` per batch row, which the
     vectorized adaptive march needs.
     """
@@ -89,7 +93,7 @@ class LinearSolver:
 
     def __init__(self, problem: SdeProblem):
         self.A = problem.A
-        self.structure = problem.structure_hint
+        self.structure = infer_structure(self.A)
         self.d = problem.d
         self._lu_cache: dict[float, tuple] = {}
         if self.structure == "scalar":
@@ -160,25 +164,20 @@ class LinearSolver:
             x[:, i] = dp[:, i] - cp[:, i] * x[:, i + 1]
         return x
 
-    def residual(self, h, x: np.ndarray, b: np.ndarray) -> float:
-        """``||(I - h A) x - b||`` over the whole batch, for verification."""
-        hx = _hcol(h, x)
-        r = x - hx * (x @ self.A.T) - b
-        return float(np.linalg.norm(r))
-
 
 @dataclass(frozen=True)
 class NewtonConfig:
     """Newton-iteration settings for the drift-implicit scheme.
 
-    ``fallback`` selects what happens when the iteration fails: take one
-    balanced-method step instead (the backstop), or raise.
+    The iteration starts from the current state and stops once the residual
+    norm is at most ``tol``, or fails after ``max_iter`` Newton updates.
+    ``fallback`` selects what happens when it fails: take one balanced-method
+    step instead (the backstop), or raise.
     """
 
     tol: float = 1e-10
     max_iter: int = 50
     fallback: Literal["balanced_backstop", "fail"] = "balanced_backstop"
-    predictor: Literal["previous", "explicit_euler"] = "previous"
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -187,8 +186,6 @@ class NewtonConfig:
             raise ValueError("max_iter must be >= 1")
         if self.fallback not in ("balanced_backstop", "fail"):
             raise ValueError(f"unknown fallback {self.fallback!r}")
-        if self.predictor not in ("previous", "explicit_euler"):
-            raise ValueError(f"unknown predictor {self.predictor!r}")
 
 
 # -- one-step maps ----------------------------------------------------------
@@ -289,50 +286,6 @@ def step_explicit_euler(problem: SdeProblem, y: np.ndarray, h, dW: np.ndarray) -
     return y + _hcol(h, y) * problem.drift(y) + _noise(problem, problem.g(y), dW)
 
 
-def step_drift_implicit(
-    problem: SdeProblem,
-    y: np.ndarray,
-    h: float,
-    dW: np.ndarray,
-    newton: Optional[NewtonConfig] = None,
-) -> tuple[np.ndarray, bool]:
-    """Fully drift-implicit step: solve ``x = y + h (A x + f(x)) + g(y) dW``.
-
-    Newton iteration on ``F(x) = x - h (A x + f(x)) - y - g(y) dW`` with
-    Jacobian ``I - h (A + Df(x))``.  On non-convergence (or a singular
-    Jacobian) the configured fallback applies; the default takes one
-    balanced step over the same ``h`` and reports ``used_fallback=True``.
-    """
-    if problem.df is None:
-        raise ValueError("drift-implicit scheme needs problem.df (Jacobian of f)")
-    newton = newton or NewtonConfig()
-    c = y + _noise(problem, problem.g(y), dW)
-    if newton.predictor == "explicit_euler":
-        x = step_explicit_euler(problem, y, h, dW)
-    else:
-        x = y.copy()
-    eye = np.eye(problem.d)
-    for _ in range(newton.max_iter):
-        F = x - h * problem.drift(x) - c
-        if np.linalg.norm(F) <= newton.tol:
-            return x, False
-        J = eye - h * (problem.A + problem.df(x))
-        try:
-            dx = np.linalg.solve(J, F)
-        except np.linalg.LinAlgError:
-            break
-        x = x - dx
-        if not np.all(np.isfinite(x)):
-            break
-    else:
-        F = x - h * problem.drift(x) - c
-        if np.linalg.norm(F) <= newton.tol:
-            return x, False
-    if newton.fallback == "fail":
-        raise RuntimeError(f"Newton iteration failed to converge at h={h}")
-    return step_balanced(problem, y, h, dW), True
-
-
 def step_drift_implicit_batch(
     problem: SdeProblem,
     y: np.ndarray,
@@ -340,22 +293,26 @@ def step_drift_implicit_batch(
     dW: np.ndarray,
     newton: Optional[NewtonConfig] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized drift-implicit step over a batch of states ``(k, d)``.
+    """Fully drift-implicit step: solve ``x = y + h (A x + f(x)) + g(y) dW``.
 
-    Each row runs its own Newton iteration; rows that fail fall back to one
-    balanced step.  Returns ``(y_next, used_fallback)`` with a boolean mask.
+    ``y`` holds one state ``(d,)`` or a batch ``(..., d)``.  Each state runs
+    its own Newton iteration on ``F(x) = x - h (A x + f(x)) - y - g(y) dW``
+    with Jacobian ``I - h (A + Df(x))``.  Where the iteration does not
+    converge (or meets a singular Jacobian) the configured fallback applies;
+    the default takes one balanced step over the same ``h``.  Returns
+    ``(y_next, used_fallback)``, the mask of shape ``y.shape[:-1]``.
     """
     if problem.df is None:
         raise ValueError("drift-implicit scheme needs problem.df (Jacobian of f)")
     newton = newton or NewtonConfig()
     y = np.asarray(y, dtype=float)
-    k, d = y.shape
-    hv = np.broadcast_to(np.asarray(h, dtype=float), (k,))
-    c = y + _noise(problem, problem.g(y), dW)
-    if newton.predictor == "explicit_euler":
-        x = step_explicit_euler(problem, y, hv, dW)
-    else:
-        x = y.copy()
+    lead, d = y.shape[:-1], problem.d
+    c = (y + _noise(problem, problem.g(y), dW)).reshape(-1, d)
+    y = y.reshape(-1, d)
+    dW = np.asarray(dW).reshape(-1, problem.m)
+    k = y.shape[0]
+    hv = np.broadcast_to(np.asarray(h, dtype=float), lead).reshape(k)
+    x = y.copy()
     eye = np.eye(d)
     converged = np.zeros(k, dtype=bool)
     failed = np.zeros(k, dtype=bool)
@@ -386,7 +343,46 @@ def step_drift_implicit_batch(
         if newton.fallback == "fail":
             raise RuntimeError("Newton iteration failed to converge for some batch rows")
         x[failed] = step_balanced(problem, y[failed], hv[failed], dW[failed])
-    return x, failed
+    return x.reshape(lead + (d,)), failed.reshape(lead)
+
+
+def step_map(
+    problem: SdeProblem,
+    scheme: str,
+    *,
+    newton: Optional[NewtonConfig] = None,
+    beta: float = 0.5,
+    mu_inv: Optional[Callable] = None,
+    H: Optional[Callable] = None,
+    solver: Optional[LinearSolver] = None,
+) -> Callable[[np.ndarray, object, np.ndarray], tuple[np.ndarray, object]]:
+    """The one-step map of ``scheme`` as ``fn(y, h, dW) -> (y_next, fell_back)``.
+
+    ``fell_back`` is the drift-implicit scheme's Newton-fallback mask and
+    None for every other scheme.  An adaptive scheme maps to its main step;
+    the controller and the backstop stay with the caller.  Each closure
+    looks its ``step_*`` function up as a module global when it is called,
+    so a rebinding of that name (a tracer's wrapper, say) reaches every
+    caller.
+    """
+    if scheme == "adaptive_semi_implicit":
+        solver = solver or LinearSolver(problem)
+        return lambda y, h, dW: (step_semi_implicit(problem, y, h, dW, solver=solver), None)
+    if scheme in ("adaptive_explicit", "explicit_euler"):
+        return lambda y, h, dW: (step_explicit_euler(problem, y, h, dW), None)
+    if scheme == "drift_implicit":
+        return lambda y, h, dW: step_drift_implicit_batch(problem, y, h, dW, newton)
+    if scheme == "balanced":
+        return lambda y, h, dW: (step_balanced(problem, y, h, dW), None)
+    if scheme == "increment_tamed":
+        return lambda y, h, dW: (step_increment_tamed(problem, y, h, dW), None)
+    if scheme == "fully_tamed":
+        return lambda y, h, dW: (step_fully_tamed(problem, y, h, dW, beta), None)
+    if scheme == "truncated":
+        if mu_inv is None or H is None:
+            raise ValueError("truncated scheme needs mu_inv and H")
+        return lambda y, h, dW: (step_truncated(problem, y, h, dW, mu_inv, H), None)
+    raise ValueError(f"unknown scheme {scheme!r}; choose one of {', '.join(SCHEME_IDS)}")
 
 
 # -- single-path driver ------------------------------------------------------
@@ -417,8 +413,7 @@ def solve(
     one with norm beyond ``DIVERGENCE_THRESHOLD`` aborts the run with the
     ``diverged`` flag set (expected for explicit Euler on stiff problems).
     """
-    if scheme not in SCHEME_IDS:
-        raise ValueError(f"unknown scheme {scheme!r}; choose one of {', '.join(SCHEME_IDS)}")
+    step = step_map(problem, scheme, newton=newton, beta=beta, mu_inv=mu_inv, H=H, solver=solver)
     if path.dim != problem.m:
         raise ValueError(f"path has {path.dim} components, problem needs m={problem.m}")
     adaptive = scheme in ADAPTIVE_SCHEMES
@@ -429,10 +424,6 @@ def solve(
             raise ValueError(f"fixed-step scheme {scheme!r} needs a step size h")
         if not 0 < h <= problem.t_end:
             raise ValueError("step size must satisfy 0 < h <= t_end")
-    if scheme == "truncated" and (mu_inv is None or H is None):
-        raise ValueError("truncated scheme needs mu_inv and H")
-    if solver is None and scheme in ("adaptive_semi_implicit", "drift_implicit"):
-        solver = LinearSolver(problem)
 
     T = problem.t_end
     y = problem.x0.copy()
@@ -468,31 +459,12 @@ def solve(
         use_backstop = adaptive and decision.use_backstop and not final_step
         t_next = T if final_step else t + h_n
         dW = path.increment(t, t_next)
-        origin = "main_scheme"
-        if adaptive:
-            if use_backstop:
-                y_next = step_balanced(problem, y, h_n, dW)
-                origin = "backstop"
-                n_backstop += 1
-            elif scheme == "adaptive_semi_implicit":
-                y_next = step_semi_implicit(problem, y, h_n, dW, solver=solver)
-            else:
-                y_next = step_explicit_euler(problem, y, h_n, dW)
-        elif scheme == "drift_implicit":
-            y_next, fell_back = step_drift_implicit(problem, y, h_n, dW, newton)
-            if fell_back:
-                origin = "backstop"
-                n_backstop += 1
-        elif scheme == "balanced":
-            y_next = step_balanced(problem, y, h_n, dW)
-        elif scheme == "increment_tamed":
-            y_next = step_increment_tamed(problem, y, h_n, dW)
-        elif scheme == "fully_tamed":
-            y_next = step_fully_tamed(problem, y, h_n, dW, beta)
-        elif scheme == "truncated":
-            y_next = step_truncated(problem, y, h_n, dW, mu_inv, H)
-        else:  # explicit_euler
-            y_next = step_explicit_euler(problem, y, h_n, dW)
+        if use_backstop:
+            y_next, fell_back = step_balanced(problem, y, h_n, dW), True
+        else:
+            y_next, fell_back = step(y, h_n, dW)
+        origin = "backstop" if fell_back else "main_scheme"
+        n_backstop += bool(fell_back)
 
         mesh.append(StepRecord(t_start=t, h=h_n, origin=origin, attempted_h=attempted))
         y = np.asarray(y_next, dtype=float)

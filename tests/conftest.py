@@ -5,10 +5,17 @@ run when an acceptance test asks for them, so the unit-test modules stay
 fast.  Every acceptance test records its verdict through ``record_criterion``
 before asserting; the terminal summary prints one line per criterion at the
 end of the run.
+
+BLAS is pinned to one thread before numpy loads, so the timed criteria
+measure the schemes rather than thread contention on a shared host.
 """
 
 import math
+import os
 import time
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 import pytest

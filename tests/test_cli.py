@@ -104,7 +104,7 @@ def strip_cputime(csv_text: str) -> list[str]:
     rows = []
     for line in csv_text.splitlines():
         fields = line.split(",")
-        if len(fields) == 11 and fields[2] != "":
+        if len(fields) == len(CSV_HEADER.split(",")) and fields[2] != "":
             fields[6] = ""
         rows.append(",".join(fields))
     return rows
@@ -192,10 +192,10 @@ class TestConvergenceCommand:
 
 SYNTH_CSV = (
     CSV_HEADER + "\n"
-    "demo,balanced,0.25,100.0,4,0.025,1.0,0.2,0,0,\n"
-    "demo,balanced,0.025,100.0,4,0.0025,10.0,0.02,0,0,\n"
-    "demo,balanced,0.0025,100.0,4,0.00025,100.0,0.002,0,0,\n"
-    "demo,balanced,,100.0,4,,,,,,1.0\n"
+    "demo,balanced,0.25,100.0,4,0.025,1.0,0.2,0,0,0,\n"
+    "demo,balanced,0.025,100.0,4,0.0025,10.0,0.02,0,0,0,\n"
+    "demo,balanced,0.0025,100.0,4,0.00025,100.0,0.002,0,0,0,\n"
+    "demo,balanced,,100.0,4,,,,,,,1.0\n"
 )
 
 
@@ -264,7 +264,7 @@ class TestPlotCommand:
 
     def test_empty_table_still_renders_axes(self, capsys, tmp_path):
         src = tmp_path / "empty.csv"
-        src.write_text(CSV_HEADER + "\ndemo,balanced,,100.0,4,,,,,,\n")
+        src.write_text(CSV_HEADER + "\ndemo,balanced,,100.0,4,,,,,,,\n")
         svg_path = tmp_path / "empty.svg"
         code, _, _ = run_cli(capsys, "plot", "--in", str(src), "--out", str(svg_path))
         assert code == 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from adaptsde.control import StepDecision, propose_step, propose_step_batch
+from adaptsde.control import StepDecision, propose_step
 from adaptsde.core import MeshConfig
 
 CFG = MeshConfig(h_max=0.1, rho=100.0)  # h_min = 0.001
@@ -80,26 +80,3 @@ def test_non_finite_input_raises():
     with pytest.raises(FloatingPointError):
         propose_step(np.array([1.0]), np.array([np.inf]), CFG)
 
-
-def test_batch_matches_scalar_calls():
-    # The scalar and batched controllers may differ in the last ulp of the
-    # norm (dot product versus axis reduction), so compare with a tight
-    # relative tolerance rather than bitwise.
-    rng = np.random.default_rng(11)
-    y = rng.normal(size=(50, 2)) * 3
-    f = rng.normal(size=(50, 2)) * 50
-    f[7] = 0.0  # exercise the zero-drift branch inside a batch
-    h, back, raw = propose_step_batch(y, f, CFG)
-    for i in range(50):
-        d = propose_step(y[i], f[i], CFG)
-        assert h[i] == pytest.approx(d.h, rel=1e-12)
-        assert bool(back[i]) == d.use_backstop
-        assert raw[i] == pytest.approx(d.raw_proposal, rel=1e-12)
-
-
-def test_batch_rejects_non_finite():
-    y = np.ones((3, 2))
-    f = np.ones((3, 2))
-    f[1, 0] = np.nan
-    with pytest.raises(FloatingPointError):
-        propose_step_batch(y, f, CFG)

@@ -163,8 +163,8 @@ class TestHmaxBound:
             validate_hmax_bound(p, MeshConfig(h_max=0.25), delta=1.5)
 
     def test_nonsymmetric_matches_scipy_sqrtm(self):
-        """The iterative square root agrees with scipy on the FHN operator,
-        whose eigenvalues form a complex-conjugate pair."""
+        """The non-symmetric branch on the FHN operator, whose eigenvalues
+        form a complex-conjugate pair."""
         prob = fhn(0.5)
         h = 0.01
         with np.errstate(all="ignore"):
@@ -183,6 +183,13 @@ class TestHmaxBound:
         # for symmetric A the square-root norm squared is the spectral radius
         expected = h * (3.0 + (1 + h / 2) * 9.0)
         assert rep.lhs == pytest.approx(expected, rel=1e-10)
+
+    def test_root_not_finite_is_indeterminate(self):
+        # a nonzero nilpotent operator has no square root
+        with pytest.warns(UserWarning, match="indeterminate"):
+            rep = validate_hmax_bound(make_problem([[0.0, 1.0], [0.0, 0.0]]), MeshConfig(h_max=0.1))
+        assert rep.holds is None
+        assert math.isnan(rep.lhs)
 
     def test_report_is_frozen_dataclass(self):
         rep = HmaxBoundReport(holds=True, lhs=0.1, delta=0.0)

@@ -16,6 +16,7 @@ from adaptsde.problems import (
     spde_fd,
     stoch_vol_32,
 )
+from adaptsde.schemes import LinearSolver
 
 
 def diffusion(p, x):
@@ -43,7 +44,7 @@ class TestGbm:
         assert p.g(x).shape == (1,)
         assert diffusion(p, x)[0, 0] == pytest.approx(3.0 * 1.7)
         assert p.x0[0] == 1.0
-        assert p.structure_hint == "scalar"
+        assert LinearSolver(p).structure == "scalar"
         assert p.name == "gbm"
 
     def test_drift_is_purely_linear(self):
@@ -74,6 +75,8 @@ class TestFhn:
         np.testing.assert_allclose(G, [[0.05 / math.sqrt(0.5), 0.0], [0.0, 0.1]])
         assert p.name == "fhn05"
         assert fhn(0.1).name == "fhn01"
+        # every 2x2 operator is banded, so the solver takes LAPACK's gtsv path
+        assert LinearSolver(p).structure == "tridiagonal"
 
     def test_noise_is_additive(self):
         p = fhn(0.1)
@@ -150,7 +153,7 @@ class TestStochVol:
         np.testing.assert_allclose(p.S, B)
         np.testing.assert_allclose(diffusion(p, np.array([1.0, 1.0])), 2.0**0.75 * B)
         np.testing.assert_allclose(p.x0, [1.0, 1.0])
-        assert p.structure_hint == "diagonal"
+        assert LinearSolver(p).structure == "diagonal"
 
     def test_origin_is_absorbing(self):
         p = stoch_vol_32()
@@ -171,7 +174,7 @@ class TestSpde:
     def test_shapes_and_grid(self):
         p = spde_fd()
         assert (p.d, p.m) == (100, 101)
-        assert p.structure_hint == "tridiagonal"
+        assert LinearSolver(p).structure == "tridiagonal"
         xs = np.arange(1, 101) / 101.0
         np.testing.assert_allclose(p.x0, 2.0 * np.sin(np.pi * xs))
         assert p.name == "spde"

@@ -27,7 +27,6 @@ from adaptsde.schemes import (
     NewtonConfig,
     solve,
     step_balanced,
-    step_drift_implicit,
     step_drift_implicit_batch,
     step_explicit_euler,
     step_fully_tamed,
@@ -53,7 +52,6 @@ def cubic_problem(x0=1.0):
         df=lambda x: (-3.0 * x**2)[..., None],
         x0=np.array([float(x0)]),
         t_end=1.0,
-        structure_hint="scalar",
     )
 
 
@@ -68,7 +66,6 @@ def const_drift_problem(c, gval=0.0):
         S=np.ones((1, 1)),
         x0=np.zeros(1),
         t_end=1.0,
-        structure_hint="scalar",
     )
 
 
@@ -145,7 +142,7 @@ class TestOneStepWorkedExamples:
     def test_drift_implicit_matches_scalar_root(self):
         # x = 1 + 0.5*(-x - x^3) + 0.1, i.e. 1.5 x + 0.5 x^3 = 1.1
         p = cubic_problem()
-        out, fell_back = step_drift_implicit(p, Y1, H, DW)
+        out, fell_back = step_drift_implicit_batch(p, Y1, H, DW)
         assert not fell_back
         root = scipy.optimize.brentq(lambda x: 1.5 * x + 0.5 * x**3 - 1.1, 0.0, 1.0, xtol=1e-14)
         assert out[0] == pytest.approx(root, abs=1e-10)
@@ -161,7 +158,7 @@ class TestOneStepWorkedExamples:
             x0=Y1, t_end=1.0,
         )
         with pytest.raises(ValueError, match="df"):
-            step_drift_implicit(p, Y1, H, DW)
+            step_drift_implicit_batch(p, Y1, H, DW)
 
 
 class TestDenominatorClamps:
@@ -240,7 +237,7 @@ class TestBatchConsistency:
         assert fell.shape == (7,)
         assert not fell.any()
         for i in range(7):
-            row, fb = step_drift_implicit(p, y[i], 0.02, dw[i])
+            row, fb = step_drift_implicit_batch(p, y[i], 0.02, dw[i])
             assert not fb
             np.testing.assert_allclose(batch[i], row, rtol=1e-12, atol=1e-15)
 
@@ -249,7 +246,7 @@ class TestNewtonFallback:
     def test_starved_iteration_falls_back_to_balanced(self):
         p = cubic_problem()
         cfg = NewtonConfig(max_iter=1, fallback="balanced_backstop")
-        out, fell_back = step_drift_implicit(p, Y1, H, DW, newton=cfg)
+        out, fell_back = step_drift_implicit_batch(p, Y1, H, DW, newton=cfg)
         assert fell_back
         np.testing.assert_array_equal(out, step_balanced(p, Y1, H, DW))
 
@@ -257,7 +254,7 @@ class TestNewtonFallback:
         p = cubic_problem()
         cfg = NewtonConfig(max_iter=1, fallback="fail")
         with pytest.raises(RuntimeError, match="Newton"):
-            step_drift_implicit(p, Y1, H, DW, newton=cfg)
+            step_drift_implicit_batch(p, Y1, H, DW, newton=cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -286,7 +283,6 @@ def random_structured_problem(structure, d, seed):
         f=lambda x: np.zeros_like(x),
         g=lambda x: np.zeros_like(x), S=np.zeros((d, 1)),
         x0=np.zeros(d), t_end=1.0,
-        structure_hint=structure,
     )
 
 
@@ -297,11 +293,12 @@ class TestLinearSolver:
     def test_residual_small(self, structure, d):
         p = random_structured_problem(structure, d, seed=ord(structure[0]))
         solver = LinearSolver(p)
+        assert solver.structure == structure
         rng = np.random.default_rng(99)
         for h in (0.3, 0.01, 0.0004):
             b = rng.normal(size=p.d)
             x = solver.solve(h, b)
-            assert solver.residual(h, x, b) <= 1e-10
+            assert np.linalg.norm(x - h * (p.A @ x) - b) <= 1e-10
 
     @pytest.mark.parametrize("structure,d", [
         ("scalar", 1), ("diagonal", 4), ("tridiagonal", 5), ("dense", 5),
@@ -323,16 +320,16 @@ class TestLinearSolver:
         A = np.diag(rng.normal(size=d)) + np.diag(rng.normal(size=d - 1), 1) + np.diag(
             rng.normal(size=d - 1), -1
         )
-        mk = lambda hint: SdeProblem(
+        tri = LinearSolver(SdeProblem(
             d=d, m=1, A=A,
             f=lambda x: np.zeros_like(x),
             g=lambda x: np.zeros_like(x), S=np.zeros((d, 1)),
-            x0=np.zeros(d), t_end=1.0, structure_hint=hint,
-        )
-        tri = LinearSolver(mk("tridiagonal"))
-        dense = LinearSolver(mk("dense"))
+            x0=np.zeros(d), t_end=1.0,
+        ))
+        assert tri.structure == "tridiagonal"
         b = rng.normal(size=d)
-        np.testing.assert_allclose(tri.solve(0.07, b), dense.solve(0.07, b), rtol=1e-10)
+        dense = np.linalg.solve(np.eye(d) - 0.07 * A, b)
+        np.testing.assert_allclose(tri.solve(0.07, b), dense, rtol=1e-10)
 
     def test_dense_factor_cache_stays_correct_under_pressure(self):
         # push more distinct h values through than the cache can hold,
@@ -345,7 +342,7 @@ class TestLinearSolver:
             solver.solve(0.5 / (k + 1), b)
         again = solver.solve(0.5, b)
         np.testing.assert_array_equal(first, again)
-        assert solver.residual(0.5, again, b) <= 1e-10
+        assert np.linalg.norm(again - 0.5 * (p.A @ again) - b) <= 1e-10
 
 
 class TestSolveDriver:
@@ -408,7 +405,7 @@ class TestSolveDriver:
             f=lambda x: -0.1 * x**3,
             g=lambda x: 0.2 * x, S=np.ones((1, 1)),
             df=lambda x: (-0.3 * x**2)[..., None],
-            x0=np.array([40.0]), t_end=1.0, structure_hint="scalar",
+            x0=np.array([40.0]), t_end=1.0,
         )
         cfg = MeshConfig(h_max=0.1, rho=100.0)
         res = solve(p, "adaptive_semi_implicit", WienerPath(1, seed=11), config=cfg)
@@ -429,7 +426,7 @@ class TestSolveDriver:
             d=1, m=1, A=np.array([[0.1]]),
             f=lambda x: -0.1 * x**3,
             g=lambda x: 0.2 * x, S=np.ones((1, 1)),
-            x0=np.array([20.0]), t_end=1.0, structure_hint="scalar",
+            x0=np.array([20.0]), t_end=1.0,
         )
         res = solve(p, "explicit_euler", WienerPath(1, seed=1), h=0.25)
         assert res.diverged
@@ -485,7 +482,7 @@ class TestSmallStepAgreement:
                 step_increment_tamed(p, y, h, dw)[0],
                 step_fully_tamed(p, y, h, dw)[0],
                 step_truncated(p, y, h, dw, mu_inv, gauge)[0],
-                step_drift_implicit(p, y, h, dw)[0][0],
+                step_drift_implicit_batch(p, y, h, dw)[0][0],
             ]
             return max(outs) - min(outs)
 
@@ -499,13 +496,6 @@ CATALOG = {name: problem_by_name(name) for name in PROBLEM_NAMES}
 MU_INV, GAUGE = gl_truncation_functions()
 
 
-def _drift_implicit(p, y, h, dW):
-    """The drift-implicit map in the form the caller uses: one state, or a batch."""
-    if y.ndim == 1:
-        return step_drift_implicit(p, y, h, dW)[0]
-    return step_drift_implicit_batch(p, y, h, dW)[0]
-
-
 STEP_MAPS = {
     "semi_implicit": step_semi_implicit,
     "balanced": step_balanced,
@@ -513,7 +503,7 @@ STEP_MAPS = {
     "fully_tamed": step_fully_tamed,
     "truncated": lambda p, y, h, dW: step_truncated(p, y, h, dW, MU_INV, GAUGE),
     "explicit_euler": step_explicit_euler,
-    "drift_implicit": _drift_implicit,
+    "drift_implicit": lambda p, y, h, dW: step_drift_implicit_batch(p, y, h, dW)[0],
 }
 
 
