@@ -35,15 +35,16 @@ def run_variant(epsilon, seed=4):
     fname = os.path.join(OUT, f"neuron_{tag}.csv")
     with open(fname, "w") as fh:
         fh.write("t,V,w,h\n")
-        hs = [r.h for r in result.mesh] + [float("nan")]
-        for (t, state), h in zip(result.trajectory, hs):
-            fh.write(f"{t!r},{state[0]!r},{state[1]!r},{h!r}\n")
+        times = result.mesh_times().tolist()
+        hs = result.mesh.tolist() + [float("nan")]
+        for t, (v, w), h in zip(times, result.trajectory.tolist(), hs):
+            fh.write(f"{t!r},{v!r},{w!r},{h!r}\n")
 
-    V = np.array([s[0] for _, s in result.trajectory])
+    V = result.trajectory[:, 0]
     crossings = int(np.sum((V[:-1] < 1.0) & (V[1:] >= 1.0)))
     print(f"epsilon = {epsilon}:")
     print(f"  steps = {result.n_steps}, mean h = {result.mean_h:.5f}, "
-          f"min h = {min(r.h for r in result.mesh):.5f}, backstops = {result.n_backstop}")
+          f"min h = {result.mesh.min():.5f}, backstops = {result.n_backstop}")
     print(f"  firing events (upward crossings of V = 1): {crossings}")
     print(f"  wrote {fname}")
 

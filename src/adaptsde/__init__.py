@@ -14,7 +14,6 @@ from .core import (
     MeshConfig,
     SdeProblem,
     SolveResult,
-    StepRecord,
     terminal_error,
     validate_hmax_bound,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "MeshConfig",
     "SdeProblem",
     "SolveResult",
-    "StepRecord",
     "terminal_error",
     "validate_hmax_bound",
     "StepDecision",

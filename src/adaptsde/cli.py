@@ -125,19 +125,20 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"diverged={result.diverged} terminal=[{terminal}]"
     )
 
+    times = result.mesh_times().tolist()
     try:
         if args.trajectory_out is not None:
             with open(args.trajectory_out, "w") as fh:
                 cols = ",".join(f"y_{i + 1}" for i in range(problem.d))
                 fh.write(f"t,{cols}\n")
-                for t, state in result.trajectory:
-                    row = ",".join(repr(float(v)) for v in state)
+                for t, state in zip(times, result.trajectory.tolist()):
+                    row = ",".join(repr(v) for v in state)
                     fh.write(f"{t!r},{row}\n")
         if args.stepsize_out is not None:
             with open(args.stepsize_out, "w") as fh:
                 fh.write("t,h\n")
-                for rec in result.mesh:
-                    fh.write(f"{rec.t_start!r},{rec.h!r}\n")
+                for t, h in zip(times, result.mesh.tolist()):
+                    fh.write(f"{t!r},{h!r}\n")
     except OSError as exc:
         return _fail(f"cannot write output: {exc}", 3)
     return 0

@@ -5,11 +5,14 @@ The controller proposes
     raw = h_max * min( max( 1/||f_y||, ||y||/||f_y|| ), 1 )
 
 which keeps ``h * ||f(y)||`` of the order ``h_max * max(1, ||y||)`` (a linear
-growth bound in the state) while never exceeding ``h_max``.  The proposal is
-clamped to ``[h_min, h_max]``; a raw proposal at or below ``h_min`` signals
-that the step-size floor is active and the caller must take one backstop
-step of length ``h_min`` with a scheme that is strongly convergent on its
-own.  A zero drift response proposes ``h_max`` with no backstop.
+growth bound in the state) while never exceeding ``h_max``.  A raw proposal
+at or below ``h_min`` signals that the step-size floor is active: the
+decision is then ``h_min`` with the backstop flag set, and the caller must
+take one step of that length with a scheme that is strongly convergent on
+its own.  Every other decision is the raw proposal itself, above ``h_min``,
+so on an adaptive mesh the steps of exactly ``h_min`` (the final, truncated
+step aside) are the backstop steps.  A zero drift response proposes
+``h_max`` with no backstop.
 """
 
 from __future__ import annotations
@@ -26,11 +29,10 @@ __all__ = ["StepDecision", "propose_step"]
 
 @dataclass(frozen=True)
 class StepDecision:
-    """Accepted step size, backstop flag, and the raw (pre-clamp) proposal."""
+    """Accepted step size and whether the backstop must take the step."""
 
     h: float
     use_backstop: bool
-    raw_proposal: float
 
 
 def propose_step(y: np.ndarray, f_y: np.ndarray, config: MeshConfig) -> StepDecision:
@@ -48,9 +50,9 @@ def propose_step(y: np.ndarray, f_y: np.ndarray, config: MeshConfig) -> StepDeci
     h_max = config.h_max
     h_min = config.h_min
     if norm_f == 0.0:
-        return StepDecision(h=h_max, use_backstop=False, raw_proposal=h_max)
+        return StepDecision(h=h_max, use_backstop=False)
     norm_y = math.sqrt(float(y @ y))
     raw = h_max * min(max(1.0, norm_y) / norm_f, 1.0)
     if raw <= h_min:
-        return StepDecision(h=h_min, use_backstop=True, raw_proposal=raw)
-    return StepDecision(h=raw, use_backstop=False, raw_proposal=raw)
+        return StepDecision(h=h_min, use_backstop=True)
+    return StepDecision(h=raw, use_backstop=False)

@@ -1,4 +1,4 @@
-"""Shared domain types: SDE problems, mesh configuration, step records, results.
+"""Shared domain types: SDE problems, mesh configuration, solve results.
 
 Conventions used throughout the package:
 
@@ -12,13 +12,16 @@ Conventions used throughout the package:
   matrix is ``g(y)[..., :, None] * S`` and column ``i`` of it is the
   diffusion vector paired with the i-th Wiener component.  The step maps
   never form that matrix: they take ``g(y) dW`` as ``g(y) * (S dW)``.
+* A solve's mesh is the array of its realized step sizes, ``h_0`` to
+  ``h_{N-1}``.  Its knot times ``0, h_0, h_0 + h_1, ...`` are not stored:
+  they come from :func:`mesh_times`.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Optional, Sequence
+from typing import Callable, Literal, Optional
 
 import numpy as np
 
@@ -27,7 +30,6 @@ Structure = Literal["dense", "tridiagonal", "diagonal", "scalar"]
 __all__ = [
     "SdeProblem",
     "MeshConfig",
-    "StepRecord",
     "SolveResult",
     "HmaxBoundReport",
     "validate_hmax_bound",
@@ -145,48 +147,39 @@ class MeshConfig:
         return self.h_max / self.rho
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """One realized step of a solve.
-
-    ``origin`` tells which map produced the step: the scheme itself or the
-    backstop.  A backstop step always has ``h == h_min``.  ``attempted_h`` is
-    the controller's raw proposal before clamping (for fixed-step schemes it
-    equals ``h``).
-    """
-
-    t_start: float
-    h: float
-    origin: Literal["main_scheme", "backstop"]
-    attempted_h: float
-
-
 @dataclass
 class SolveResult:
-    """Outcome of a single solve: terminal state plus step bookkeeping."""
+    """Outcome of a single solve: terminal state plus the realized mesh.
+
+    ``mesh`` holds the step sizes, shape ``(n_steps,)``.  ``trajectory``,
+    when recorded, holds the states at the knot times ``mesh_times()``,
+    shape ``(n_steps + 1, d)``.  ``n_backstop`` counts the steps taken by
+    the backstop or, for the drift-implicit scheme, by the Newton fallback.
+    """
 
     y_terminal: np.ndarray
-    mesh: list[StepRecord]
-    n_steps: int
+    mesh: np.ndarray
     n_backstop: int
-    mean_h: float
     wall_time: float
     diverged: bool = False
-    trajectory: Optional[list[tuple[float, np.ndarray]]] = None
+    trajectory: Optional[np.ndarray] = None
+
+    @property
+    def n_steps(self) -> int:
+        return len(self.mesh)
+
+    @property
+    def mean_h(self) -> float:
+        return float(np.mean(self.mesh)) if len(self.mesh) else 0.0
 
     def mesh_times(self) -> np.ndarray:
-        """Knot times ``t_0 = 0, ..., t_N`` implied by the mesh records."""
+        """Knot times ``t_0 = 0, ..., t_N`` implied by the mesh."""
         return mesh_times(self.mesh)
 
 
-def mesh_times(mesh: Sequence[StepRecord]) -> np.ndarray:
-    ts = np.empty(len(mesh) + 1)
-    ts[0] = 0.0
-    acc = 0.0
-    for i, rec in enumerate(mesh):
-        acc += rec.h
-        ts[i + 1] = acc
-    return ts
+def mesh_times(h) -> np.ndarray:
+    """Knot times of the step sizes ``h``, accumulated left to right."""
+    return np.concatenate(([0.0], np.cumsum(h)))
 
 
 def terminal_error(y: np.ndarray, x_ref: np.ndarray) -> float:
@@ -247,7 +240,10 @@ def validate_hmax_bound(problem: SdeProblem, config: MeshConfig, delta: float = 
         # about a tenth (median of 40 fresh interpreters, 2-core host).
         import scipy.linalg
 
-        root = scipy.linalg.sqrtm(A)
+        # A singular A is reported by the warning below, not by scipy's.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            root = scipy.linalg.sqrtm(A)
         if not np.all(np.isfinite(root)):
             msg = "matrix square root is not finite; bound indeterminate"
             warnings.warn(msg)

@@ -43,7 +43,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import MeshConfig, SdeProblem, mesh_times
+from .core import MeshConfig, SdeProblem, SolveResult
 from .problems import gl_truncation_functions, problem_by_name
 from .schemes import SCHEME_IDS, DIVERGENCE_THRESHOLD, NewtonConfig, solve, step_map
 from .wiener import WienerPath
@@ -297,36 +297,28 @@ class _Prepared:
     dw_fine: np.ndarray  # (L, m)
     dt_grid: np.ndarray  # (n_u,)
     dw_grid: np.ndarray  # (n_u, m)
-    adaptive: object  # SolveResult of the adaptive run
+    adaptive: SolveResult
     w_terminal: np.ndarray
     moment_dw_sum: float
     moment_normsq_sum: float
-    adaptive_y: np.ndarray
 
 
 def _prepare_sample(
-    problem: SdeProblem,
-    h_max: float,
-    rho: float,
-    levels: int,
-    master_seed: int,
-    index: int,
+    problem: SdeProblem, config: ExperimentConfig, h_max: float, index: int
 ) -> _Prepared:
     """Steps 1-4 of the protocol for one sample: everything that touches RNG."""
-    seed = master_seed ^ index
-    path = WienerPath(problem.m, seed=seed)
-    cfg = MeshConfig(h_max=h_max, rho=rho)
+    path = WienerPath(problem.m, seed=config.master_seed ^ index)
+    cfg = MeshConfig(h_max=h_max, rho=config.rho)
     adaptive = solve(problem, "adaptive_semi_implicit", path, config=cfg)
 
     # Conditional-moment accumulators for the adaptive mesh.
-    times = mesh_times(adaptive.mesh)
-    knot_vals = path.values_on_grid(times)
-    dws = np.diff(knot_vals, axis=0)
-    hs = np.array([r.h for r in adaptive.mesh])
+    times = adaptive.mesh_times()
+    dws = np.diff(path.values_on_grid(times), axis=0)
+    hs = adaptive.mesh
     moment_dw = float((dws / np.sqrt(hs)[:, None]).sum())
     moment_normsq = float(((dws**2).sum(axis=1) / hs).sum())
 
-    fine_times = path.refine_uniform(adaptive.mesh, levels)
+    fine_times = path.refine_uniform(times, config.levels)
     fine_vals = path.values_on_grid(fine_times)
     dt_fine = np.diff(fine_times)
     dw_fine = np.diff(fine_vals, axis=0)
@@ -348,7 +340,6 @@ def _prepare_sample(
         w_terminal=path.value_at(T),
         moment_dw_sum=moment_dw,
         moment_normsq_sum=moment_normsq,
-        adaptive_y=adaptive.y_terminal,
     )
 
 
@@ -435,23 +426,11 @@ def _block_size(problem: SdeProblem, h_max: float, levels: int) -> int:
     return int(np.clip(int(1e9 / max(est_bytes, 1)), 1, 64))
 
 
-def _run_block(
-    problem_name: str,
-    t_end: Optional[float],
-    h_max: float,
-    rho: float,
-    levels: int,
-    schemes: tuple[str, ...],
-    beta: float,
-    newton: NewtonConfig,
-    master_seed: int,
-    indices: Sequence[int],
-) -> list[SampleRecord]:
+def _run_block(config: ExperimentConfig, h_max: float, indices: Sequence[int]) -> list[SampleRecord]:
     """Run the full protocol for a block of sample indices at one h_max."""
-    problem = _build_problem(problem_name, t_end)
-    prepared = [
-        _prepare_sample(problem, h_max, rho, levels, master_seed, i) for i in indices
-    ]
+    problem = _build_problem(config.problem, config.t_end)
+    schemes = config.schemes
+    prepared = [_prepare_sample(problem, config, h_max, i) for i in indices]
     k = len(prepared)
     mu_inv = H = None
     if "truncated" in schemes:
@@ -466,7 +445,6 @@ def _run_block(
     dw_grid, _ = _pad_stack([p.dw_grid for p in prepared])
 
     records = []
-    sq_err: dict[str, list[float]] = {}
     cput: dict[str, float] = {}
     divs: dict[str, np.ndarray] = {}
     falls: dict[str, np.ndarray] = {}
@@ -481,8 +459,8 @@ def _run_block(
             dt_grid,
             dw_grid,
             len_grid,
-            newton=newton,
-            beta=beta,
+            newton=config.newton,
+            beta=config.beta,
             mu_inv=mu_inv,
             H=H,
         )
@@ -513,7 +491,7 @@ def _run_block(
             if scheme == "adaptive_semi_implicit":
                 record_scheme(
                     scheme,
-                    p.adaptive_y,
+                    p.adaptive.y_terminal,
                     p.adaptive.diverged,
                     p.adaptive.wall_time,
                     p.adaptive.n_backstop,
@@ -548,18 +526,7 @@ def _run_block(
 
 def run_sample(config: ExperimentConfig, sample_index: int, h_max: float) -> SampleRecord:
     """Full per-sample protocol for one sample path at one ``h_max``."""
-    return _run_block(
-        config.problem,
-        config.t_end,
-        h_max,
-        config.rho,
-        config.levels,
-        config.schemes,
-        config.beta,
-        config.newton,
-        config.master_seed,
-        [sample_index],
-    )[0]
+    return _run_block(config, h_max, [sample_index])[0]
 
 
 def _worker_count(workers: Optional[int]) -> int:
@@ -582,36 +549,21 @@ def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> C
     problem = _build_problem(config.problem, config.t_end)
     nworkers = _worker_count(workers)
 
-    jobs = []
+    h_maxes, blocks = [], []
     for h_max in config.h_max_list:
         B = _block_size(problem, h_max, config.levels)
         for lo in range(0, config.samples, B):
-            indices = list(range(lo, min(lo + B, config.samples)))
-            jobs.append((h_max, indices))
+            h_maxes.append(h_max)
+            blocks.append(list(range(lo, min(lo + B, config.samples))))
 
-    args = [
-        (
-            config.problem,
-            config.t_end,
-            h_max,
-            config.rho,
-            config.levels,
-            config.schemes,
-            config.beta,
-            config.newton,
-            config.master_seed,
-            indices,
-        )
-        for h_max, indices in jobs
-    ]
-    if nworkers > 1 and len(jobs) > 1:
+    if nworkers > 1 and len(blocks) > 1:
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            block_results = list(pool.map(_run_block_star, args))
+            block_results = list(pool.map(_run_block, [config] * len(blocks), h_maxes, blocks))
     else:
-        block_results = [_run_block(*a) for a in args]
+        block_results = [_run_block(config, h, b) for h, b in zip(h_maxes, blocks)]
 
     by_h: dict[float, list[SampleRecord]] = {h: [] for h in config.h_max_list}
-    for (h_max, _), recs in zip(jobs, block_results):
+    for h_max, recs in zip(h_maxes, block_results):
         by_h[h_max].extend(recs)
     for h_max in by_h:
         by_h[h_max].sort(key=lambda r: r.sample_index)
@@ -654,10 +606,6 @@ def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> C
         slopes=slopes,
         moments=mom,
     )
-
-
-def _run_block_star(a):
-    return _run_block(*a)
 
 
 # -- CSV serialization --------------------------------------------------------

@@ -9,10 +9,11 @@ zero-padded step leaves a state as it is.
 ``step_map`` turns a scheme id into one ``(y, h, dW) -> (y_next,
 fell_back)`` function; ``solve`` and the harness's batched march both step
 through it.  ``solve`` marches a single sample path from 0 to T and records
-the realized mesh.  Fixed-step schemes take a uniform step ``h``; the
-adaptive schemes take a :class:`~adaptsde.core.MeshConfig` and consult the
-controller each step, falling back to one balanced step of length ``h_min``
-whenever the raw proposal reaches the floor.
+the realized mesh as an array of step sizes.  Fixed-step schemes take a
+uniform step ``h``; the adaptive schemes take a
+:class:`~adaptsde.core.MeshConfig` and consult the controller each step,
+falling back to one balanced step of length ``h_min`` whenever the raw
+proposal reaches the floor.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from .control import propose_step
-from .core import MeshConfig, SdeProblem, SolveResult, StepRecord, infer_structure
+from .core import MeshConfig, SdeProblem, SolveResult, infer_structure
 from .wiener import WienerPath
 
 __all__ = [
@@ -80,89 +81,59 @@ class LinearSolver:
     """Solves ``(I - h A) x = b``, dispatching on the structure of ``A``.
 
     The structure is read off ``A``'s sparsity pattern by
-    :func:`~adaptsde.core.infer_structure`.  Dense operators get an LU
-    factorization cached per step size (adaptive runs reuse the ``h_max``
-    factorization for most steps); tridiagonal ones, every 2x2 operator
-    among them, go straight to LAPACK's ``gtsv``, and diagonal or scalar
-    ones plain arithmetic.
-    ``solve_batch`` handles a different ``h`` per batch row, which the
-    vectorized adaptive march needs.
+    :func:`~adaptsde.core.infer_structure`.  Tridiagonal operators, every
+    2x2 operator among them, go straight to LAPACK's ``gtsv``; dense ones to
+    ``scipy.linalg.solve``; diagonal or scalar ones to plain arithmetic.
     """
-
-    _MAX_CACHE = 64
 
     def __init__(self, problem: SdeProblem):
         self.A = problem.A
         self.structure = infer_structure(self.A)
         self.d = problem.d
-        self._lu_cache: dict[float, tuple] = {}
         if self.structure == "scalar":
             self._a00 = float(self.A[0, 0])
         elif self.structure == "diagonal":
             self._diag = np.diagonal(self.A).copy()
         elif self.structure == "tridiagonal":
-            self._sub = np.concatenate(([0.0], np.diagonal(self.A, -1)))
+            self._dl = np.diagonal(self.A, -1).copy()
             self._dia = np.diagonal(self.A).copy()
-            self._sup = np.concatenate((np.diagonal(self.A, 1), [0.0]))
-            self._dl = self._sub[1:]
-            self._du = self._sup[:-1]
+            self._du = np.diagonal(self.A, 1).copy()
             self._gtsv = scipy.linalg.get_lapack_funcs("gtsv", (self._dia,))
 
-    def solve(self, h: float, b: np.ndarray) -> np.ndarray:
-        """Solve with one step size ``h`` for right-hand sides ``(..., d)``."""
-        h = float(h)
+    def solve(self, h, b: np.ndarray) -> np.ndarray:
+        """Solve for right-hand sides ``b`` of shape ``(..., d)``.
+
+        ``h`` is one step size for every row, or an array with one per row,
+        shape ``b.shape[:-1]``.  Per-row step sizes are grouped by value, so
+        rows that share an ``h`` share one solve.
+        """
+        # isinstance, not np.ndim: np.ndim costs about a microsecond on a
+        # Python float, and solve() makes one call per step.
+        per_row = isinstance(h, np.ndarray) and h.ndim > 0
+        hc = h[..., None] if per_row else float(h)
         if self.structure == "scalar":
-            return b / (1.0 - h * self._a00)
+            return b / (1.0 - hc * self._a00)
         if self.structure == "diagonal":
-            return b / (1.0 - h * self._diag)
-        if self.structure == "tridiagonal":
-            flat = b.reshape(-1, self.d)
-            _, _, _, x, info = self._gtsv(-h * self._dl, 1.0 - h * self._dia, -h * self._du, flat.T)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"tridiagonal solve failed (LAPACK gtsv info={info})")
-            return x.T.reshape(b.shape)
-        fact = self._lu_cache.get(h)
-        if fact is None:
-            M = np.eye(self.d) - h * self.A
-            fact = scipy.linalg.lu_factor(M, check_finite=False)
-            if len(self._lu_cache) >= self._MAX_CACHE:
-                self._lu_cache.clear()
-            self._lu_cache[h] = fact
-        flat = np.atleast_2d(b.reshape(-1, self.d))
-        x = scipy.linalg.lu_solve(fact, flat.T, check_finite=False).T
+            return b / (1.0 - hc * self._diag)
+        flat = b.reshape(-1, self.d)
+        if not per_row:
+            return self._solve_rows(hc, flat).reshape(b.shape)
+        hv = np.broadcast_to(h, b.shape[:-1]).reshape(-1)
+        x = np.empty_like(flat)
+        for hu in np.unique(hv):
+            rows = hv == hu
+            x[rows] = self._solve_rows(float(hu), flat[rows])
         return x.reshape(b.shape)
 
-    def solve_batch(self, h: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Solve with per-row step sizes: ``h`` of shape (k,), ``b`` of (k, d)."""
-        h = np.asarray(h, dtype=float)
-        if self.structure == "scalar":
-            return b / (1.0 - h[:, None] * self._a00)
-        if self.structure == "diagonal":
-            return b / (1.0 - h[:, None] * self._diag)
+    def _solve_rows(self, h: float, b: np.ndarray) -> np.ndarray:
+        """Solve with one step size for the rows of ``b``, shape (k, d)."""
         if self.structure == "tridiagonal":
-            return self._thomas_batch(h, b)
-        M = np.eye(self.d) - h[:, None, None] * self.A
-        return np.linalg.solve(M, b[..., None])[..., 0]
-
-    def _thomas_batch(self, h: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Vectorized Thomas sweep over the batch axis for (I - h A) x = b."""
-        k, d = b.shape
-        sub = -h[:, None] * self._sub  # (k, d), entry i couples row i to i-1
-        dia = 1.0 - h[:, None] * self._dia
-        sup = -h[:, None] * self._sup  # entry i couples row i to i+1
-        cp = np.empty((k, d))
-        dp = np.empty((k, d))
-        cp[:, 0] = sup[:, 0] / dia[:, 0]
-        dp[:, 0] = b[:, 0] / dia[:, 0]
-        for i in range(1, d):
-            m = dia[:, i] - sub[:, i] * cp[:, i - 1]
-            cp[:, i] = sup[:, i] / m
-            dp[:, i] = (b[:, i] - sub[:, i] * dp[:, i - 1]) / m
-        x = np.empty((k, d))
-        x[:, -1] = dp[:, -1]
-        for i in range(d - 2, -1, -1):
-            x[:, i] = dp[:, i] - cp[:, i] * x[:, i + 1]
-        return x
+            _, _, _, x, info = self._gtsv(-h * self._dl, 1.0 - h * self._dia, -h * self._du, b.T)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"tridiagonal solve failed (LAPACK gtsv info={info})")
+            return x.T
+        M = np.eye(self.d) - h * self.A
+        return scipy.linalg.solve(M, b.T, check_finite=False).T
 
 
 @dataclass(frozen=True)
@@ -212,9 +183,7 @@ def step_semi_implicit(
     if solver is None:
         solver = LinearSolver(problem)
     rhs = y + _hcol(h, y) * problem.f(y) + _noise(problem, problem.g(y), dW)
-    if np.ndim(h) == 0:
-        return solver.solve(float(h), rhs)
-    return solver.solve_batch(np.asarray(h), rhs)
+    return solver.solve(h, rhs)
 
 
 def step_balanced(problem: SdeProblem, y: np.ndarray, h, dW: np.ndarray) -> np.ndarray:
@@ -428,8 +397,8 @@ def solve(
     T = problem.t_end
     y = problem.x0.copy()
     t = 0.0
-    mesh: list[StepRecord] = []
-    trajectory = [(0.0, y.copy())] if record_trajectory else None
+    mesh: list[float] = []
+    trajectory = [y.copy()] if record_trajectory else None
     n_backstop = 0
     diverged = False
     tiny = 1e-14 * T
@@ -440,10 +409,8 @@ def solve(
             f_y = problem.drift(y) if scheme == "adaptive_explicit" else problem.f(y)
             decision = propose_step(y, f_y, config)
             h_n = decision.h
-            attempted = decision.raw_proposal
         else:
             h_n = h
-            attempted = h
 
         final_step = t + h_n >= T - tiny
         if final_step:
@@ -463,28 +430,23 @@ def solve(
             y_next, fell_back = step_balanced(problem, y, h_n, dW), True
         else:
             y_next, fell_back = step(y, h_n, dW)
-        origin = "backstop" if fell_back else "main_scheme"
         n_backstop += bool(fell_back)
 
-        mesh.append(StepRecord(t_start=t, h=h_n, origin=origin, attempted_h=attempted))
+        mesh.append(h_n)
         y = np.asarray(y_next, dtype=float)
         t = t_next
         if record_trajectory:
-            trajectory.append((t, y.copy()))
+            trajectory.append(y.copy())
         if _diverged(y):
             diverged = True
             break
     wall = time.perf_counter() - t0
 
-    n_steps = len(mesh)
-    mean_h = float(np.mean([r.h for r in mesh])) if mesh else 0.0
     return SolveResult(
         y_terminal=y,
-        mesh=mesh,
-        n_steps=n_steps,
+        mesh=np.array(mesh, dtype=float),
         n_backstop=n_backstop,
-        mean_h=mean_h,
         wall_time=wall,
         diverged=diverged,
-        trajectory=trajectory,
+        trajectory=None if trajectory is None else np.array(trajectory),
     )

@@ -30,8 +30,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import StepRecord, mesh_times
-
 __all__ = ["WienerPath"]
 
 
@@ -231,22 +229,22 @@ class WienerPath:
         flush_pending()
         return out
 
-    def refine_uniform(self, mesh: Sequence[StepRecord], levels: int = 1) -> np.ndarray:
-        """Bisect every mesh interval ``levels`` times, materializing midpoints.
+    def refine_uniform(self, times: Sequence[float], levels: int = 1) -> np.ndarray:
+        """Bisect every interval of the ascending knot ``times`` ``levels`` times.
 
-        The mesh knot times must already exist on the path (they do after the
-        solve that produced the mesh).  Midpoints are inserted level by level,
-        left to right, which is the canonical refinement order.  Returns the
-        fine time grid (length ``n_steps * 2**levels + 1``).
+        The times must already be knots of the path (a solve's
+        ``mesh_times()`` are, after the solve).  Midpoints are inserted level
+        by level, left to right, which is the canonical refinement order.
+        Returns the fine time grid, ``(len(times) - 1) * 2**levels + 1`` knots.
         """
         if levels < 1:
             raise ValueError("levels must be >= 1")
-        grid = mesh_times(mesh)
+        grid = np.asarray(times, dtype=float)
         pos = np.searchsorted(self._t[: self._n], grid, side="left")
         known = (pos < self._n) & (self._t[np.minimum(pos, self._n - 1)] == grid)
         if not known.all():
             bad = grid[~known][0]
-            raise ValueError(f"mesh time {bad} is not a knot of this path")
+            raise ValueError(f"time {bad} is not a knot of this path")
         for _ in range(levels):
             mids = 0.5 * (grid[:-1] + grid[1:])
             self._insert_midpoints(mids)

@@ -20,7 +20,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 import pytest
 
-from adaptsde.core import MeshConfig, mesh_times
+from adaptsde.core import MeshConfig
 from adaptsde.harness import ExperimentConfig, MomentStats, run_experiment
 from adaptsde.problems import gbm_exact_terminal, problem_by_name
 from adaptsde.schemes import solve
@@ -52,10 +52,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 def _accumulate_moments(mom: MomentStats, path: WienerPath, result) -> None:
     """Add one adaptive run's increment statistics to the pooled counters."""
-    times = mesh_times(result.mesh)
-    knots = path.values_on_grid(times)
-    dws = np.diff(knots, axis=0)
-    hs = np.array([r.h for r in result.mesh])
+    dws = np.diff(path.values_on_grid(result.mesh_times()), axis=0)
+    hs = result.mesh
     mom.dw_sum += float((dws / np.sqrt(hs)[:, None]).sum())
     mom.normsq_sum += float(((dws**2).sum(axis=1) / hs).sum())
     mom.n_steps += result.n_steps

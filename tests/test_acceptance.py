@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from adaptsde.core import MeshConfig, mesh_times
+from adaptsde.core import MeshConfig
 from adaptsde.harness import MomentStats
 from adaptsde.problems import problem_by_name
 from adaptsde.schemes import solve
@@ -155,7 +155,7 @@ def test_criterion_7_mesh_invariants(record_criterion):
                 config=MeshConfig(h_max=h_max, rho=rho),
             )
             n_runs += 1
-            hs = [r.h for r in res.mesh]
+            hs = res.mesh
             body, last = hs[:-1], hs[-1]
             if not all(h_min <= h <= h_max for h in body):
                 failures.append(f"{name}@{h_max}/s{seed}: interior step out of [h_min, h_max]")

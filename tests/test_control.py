@@ -14,7 +14,6 @@ def test_worked_example_large_state():
     d = propose_step(np.array([3.0]), np.array([4.0]), CFG)
     assert d.h == pytest.approx(0.075)
     assert d.use_backstop is False
-    assert d.raw_proposal == pytest.approx(0.075)
 
 
 def test_worked_example_small_state_floors_at_one():
@@ -28,19 +27,18 @@ def test_ratio_capped_at_one():
     # tame drift response: min(..., 1) keeps h at h_max
     d = propose_step(np.array([10.0]), np.array([0.5]), CFG)
     assert d.h == CFG.h_max
-    assert d.raw_proposal == CFG.h_max
+    assert not d.use_backstop
 
 
 def test_zero_drift_response_proposes_h_max_without_backstop():
     d = propose_step(np.array([2.0]), np.array([0.0]), CFG)
-    assert d == StepDecision(h=CFG.h_max, use_backstop=False, raw_proposal=CFG.h_max)
+    assert d == StepDecision(h=CFG.h_max, use_backstop=False)
 
 
 def test_floor_hit_engages_backstop():
+    # raw = 0.1 / 1e6 = 1e-7, far below h_min: clamped up to h_min
     d = propose_step(np.array([1.0]), np.array([1e6]), CFG)
-    assert d.h == CFG.h_min
-    assert d.use_backstop is True
-    assert d.raw_proposal < CFG.h_min
+    assert d == StepDecision(h=CFG.h_min, use_backstop=True)
 
 
 def test_boundary_raw_equal_h_min_counts_as_backstop():
@@ -48,9 +46,12 @@ def test_boundary_raw_equal_h_min_counts_as_backstop():
     # ||y||=1, ||f||=2 gives raw = 0.5*0.5 = 0.25 = h_min exactly
     cfg = MeshConfig(h_max=0.5, rho=2.0)
     d = propose_step(np.array([1.0]), np.array([2.0]), cfg)
-    assert d.raw_proposal == cfg.h_min
     assert d.use_backstop is True
     assert d.h == cfg.h_min
+    # one ulp less drift puts raw one ulp above h_min: a main-scheme step
+    d = propose_step(np.array([1.0]), np.array([np.nextafter(2.0, 0.0)]), cfg)
+    assert d.use_backstop is False
+    assert d.h > cfg.h_min
 
 
 def test_monotone_in_drift_magnitude():

@@ -1,16 +1,18 @@
 """Unit tests for the shared domain types and the step-size bound check."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptsde.core import (
     HmaxBoundReport,
     MeshConfig,
     SdeProblem,
-    StepRecord,
     infer_structure,
     mesh_times,
     terminal_error,
@@ -114,9 +116,20 @@ class TestMeshConfig:
 
 
 def test_mesh_times_accumulates_steps():
-    mesh = [StepRecord(t_start=0.25 * i, h=0.25, origin="main_scheme", attempted_h=0.25) for i in range(4)]
-    np.testing.assert_allclose(mesh_times(mesh), [0.0, 0.25, 0.5, 0.75, 1.0])
-    assert mesh_times([]).tolist() == [0.0]
+    np.testing.assert_allclose(mesh_times(np.full(4, 0.25)), [0.0, 0.25, 0.5, 0.75, 1.0])
+    assert mesh_times(np.empty(0)).tolist() == [0.0]
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(st.lists(st.floats(min_value=1e-9, max_value=1.0), min_size=1, max_size=200))
+def test_mesh_times_match_left_to_right_accumulation(steps):
+    # the knot times must equal the times a solve reaches step by step, bit for bit
+    expected = [0.0]
+    acc = 0.0
+    for h in steps:
+        acc += h
+        expected.append(acc)
+    assert mesh_times(np.array(steps)).tolist() == expected
 
 
 class TestTerminalError:
@@ -186,8 +199,11 @@ class TestHmaxBound:
 
     def test_root_not_finite_is_indeterminate(self):
         # a nonzero nilpotent operator has no square root
-        with pytest.warns(UserWarning, match="indeterminate"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             rep = validate_hmax_bound(make_problem([[0.0, 1.0], [0.0, 0.0]]), MeshConfig(h_max=0.1))
+        assert [type(w.message) for w in caught] == [UserWarning]
+        assert "indeterminate" in str(caught[0].message)
         assert rep.holds is None
         assert math.isnan(rep.lhs)
 

@@ -201,7 +201,7 @@ def test_solve_and_batched_march_step_alike(name, scheme):
     path = WienerPath(p.m, seed=0)
     res = solve(p, scheme, path, h=0.05, **kw)
     dw = np.diff(path.values_on_grid(res.mesh_times()), axis=0)
-    dt = np.array([r.h for r in res.mesh])
+    dt = res.mesh
     y, diverged, n_fallback, _ = _march_batch(p, scheme, dt[None], dw[None], np.array([len(dt)]), **kw)
     np.testing.assert_allclose(y[0], res.y_terminal, rtol=1e-12)
     assert diverged[0] == res.diverged

@@ -12,13 +12,13 @@ import math
 import numpy as np
 import pytest
 
-from adaptsde.core import StepRecord
+from adaptsde.core import mesh_times
 from adaptsde.wiener import WienerPath
 
 
-def uniform_mesh(n, T=1.0):
-    h = T / n
-    return [StepRecord(t_start=i * h, h=h, origin="main_scheme", attempted_h=h) for i in range(n)]
+def uniform_knots(n, T=1.0):
+    """Knot times of n equal steps, accumulated as a solve accumulates them."""
+    return mesh_times(np.full(n, T / n))
 
 
 def test_starts_pinned_at_zero():
@@ -101,13 +101,13 @@ class TestDrawOrderContract:
             assert p1.knot_times == p2.knot_times
 
     def test_refine_bitwise_equals_midpoint_loop(self):
-        mesh = uniform_mesh(5)
+        knots = uniform_knots(5)
         grid0 = np.linspace(0, 1, 6)
         p1, p2 = WienerPath(2, seed=77), WienerPath(2, seed=77)
         for t in grid0[1:]:
             p1.value_at(t)
             p2.value_at(t)
-        fine = p1.refine_uniform(mesh, levels=3)
+        fine = p1.refine_uniform(knots, levels=3)
         g = grid0.copy()
         for _ in range(3):
             mids = 0.5 * (g[:-1] + g[1:])
@@ -147,34 +147,34 @@ def test_value_at_many_mixed_known_and_new():
 
 def test_refine_counts_and_spacings():
     p = WienerPath(1, seed=13)
-    mesh = uniform_mesh(16)
+    knots = uniform_knots(16)
     p.value_at_many(np.linspace(0, 1, 17)[1:])
-    fine = p.refine_uniform(mesh, levels=2)
+    fine = p.refine_uniform(knots, levels=2)
     assert len(fine) == 16 * 4 + 1
     assert p.n_knots() == 65
     np.testing.assert_allclose(np.diff(fine), 1 / 64, rtol=1e-12)
 
     p2 = WienerPath(1, seed=13)
-    mesh2 = uniform_mesh(4)
+    knots2 = uniform_knots(4)
     p2.value_at_many(np.linspace(0, 1, 5)[1:])
-    fine2 = p2.refine_uniform(mesh2, levels=2)
+    fine2 = p2.refine_uniform(knots2, levels=2)
     assert len(fine2) == 17
 
 
 def test_refine_requires_existing_knots():
     p = WienerPath(1, seed=2)
     with pytest.raises(ValueError, match="not a knot"):
-        p.refine_uniform(uniform_mesh(4), levels=1)
+        p.refine_uniform(uniform_knots(4), levels=1)
 
 
 def test_refine_twice_skips_existing_midpoints():
     p = WienerPath(1, seed=6)
-    mesh = uniform_mesh(4)
+    knots = uniform_knots(4)
     p.value_at_many(np.linspace(0, 1, 5)[1:])
-    p.refine_uniform(mesh, levels=1)
+    p.refine_uniform(knots, levels=1)
     n = p.n_knots()
     vals_before = p.values_on_grid(np.linspace(0, 1, 9))
-    fine = p.refine_uniform(mesh, levels=2)  # first level already present
+    fine = p.refine_uniform(knots, levels=2)  # first level already present
     assert len(fine) == 17
     assert p.n_knots() == 17
     assert n == 9
@@ -258,12 +258,7 @@ def test_dump_replay_byte_identical():
     def build():
         q = WienerPath(2, seed=99)
         q.value_at_many([0.2, 0.7, 1.9])
-        q.refine_uniform(
-            [StepRecord(0.0, 0.2, "main_scheme", 0.2),
-             StepRecord(0.2, 0.5, "main_scheme", 0.5),
-             StepRecord(0.7, 1.2, "main_scheme", 1.2)],
-            levels=2,
-        )
+        q.refine_uniform([0.0, 0.2, 0.7, 1.9], levels=2)
         buf = io.StringIO()
         q.dump_csv(buf)
         return buf.getvalue()
