@@ -14,7 +14,6 @@ from .core import (
     MeshConfig,
     SdeProblem,
     SolveResult,
-    terminal_error,
     validate_hmax_bound,
 )
 from .control import StepDecision, propose_step
@@ -57,7 +56,6 @@ __all__ = [
     "MeshConfig",
     "SdeProblem",
     "SolveResult",
-    "terminal_error",
     "validate_hmax_bound",
     "StepDecision",
     "propose_step",

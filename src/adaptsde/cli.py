@@ -13,14 +13,13 @@ Subcommands
 
 Exit codes: 0 ok, 2 bad arguments, 3 I/O failure, 4 malformed input file.
 Sweep parallelism honors the ADAPTSDE_WORKERS environment variable
-(default: all available cores).
+(default: 1, a single process).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from typing import Optional
 
@@ -85,13 +84,6 @@ def _resolve_scheme(name: str) -> str:
         candidates = ", ".join(sorted(CLI_SCHEMES))
         raise ValueError(f"unknown scheme {name!r}; candidates: {candidates}")
     return CLI_SCHEMES[name]
-
-
-def _workers() -> int:
-    env = os.environ.get("ADAPTSDE_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 # -- run ----------------------------------------------------------------------
@@ -212,7 +204,7 @@ def cmd_convergence(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail(str(exc), 2)
 
-    table = run_experiment(config, workers=_workers())
+    table = run_experiment(config)
 
     try:
         if out is not None:
@@ -404,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adaptsde",
         description="Adaptive and stabilized Euler-Maruyama SDE integration benchmarks.",
-        epilog="Worker count for sweeps comes from ADAPTSDE_WORKERS (default: all cores).",
+        epilog="Worker count for sweeps comes from ADAPTSDE_WORKERS (default: 1).",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

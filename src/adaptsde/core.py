@@ -33,7 +33,6 @@ __all__ = [
     "SolveResult",
     "HmaxBoundReport",
     "validate_hmax_bound",
-    "terminal_error",
     "infer_structure",
     "mesh_times",
 ]
@@ -180,19 +179,6 @@ class SolveResult:
 def mesh_times(h) -> np.ndarray:
     """Knot times of the step sizes ``h``, accumulated left to right."""
     return np.concatenate(([0.0], np.cumsum(h)))
-
-
-def terminal_error(y: np.ndarray, x_ref: np.ndarray) -> float:
-    """Squared l2 terminal error ``||y - x_ref||^2`` for one sample.
-
-    The harness averages these over samples and takes the square root.
-    """
-    y = np.asarray(y, dtype=float)
-    x_ref = np.asarray(x_ref, dtype=float)
-    if y.shape != x_ref.shape:
-        raise ValueError(f"shape mismatch: {y.shape} vs {x_ref.shape}")
-    diff = y - x_ref
-    return float(np.dot(diff, diff))
 
 
 @dataclass(frozen=True)

@@ -1,44 +1,62 @@
 """Monte-Carlo strong-convergence and efficiency experiments.
 
-The measurement protocol, per sample path and per ``h_max``:
+The measurement protocol, per ``h_max``:
 
-1. seed a fresh :class:`~adaptsde.wiener.WienerPath` (seed = master seed XOR
-   sample index),
-2. run the adaptive semi-implicit scheme, recording its mesh,
-3. bisect every adaptive step ``levels`` times with Brownian bridges and
-   march the balanced method over the fine grid: that is the reference
-   solution for this sample,
+1. solve every sample path with the adaptive semi-implicit scheme, each on a
+   fresh :class:`~adaptsde.wiener.WienerPath` (seed = master seed XOR sample
+   index), and keep only its :class:`~adaptsde.core.SolveResult`,
+2. lay the samples out in blocks from the realized meshes (below),
+3. per block, rebuild each sample's path from its seed and the knot times of
+   its mesh, bisect every adaptive step ``levels`` times with Brownian
+   bridges and march the balanced method over the fine grid: that is the
+   reference solution for this sample,
 4. set the uniform step ``h_u = T / round(T / h_bar)`` from the sample's own
    mean adaptive step ``h_bar`` and run every fixed-step scheme on that grid,
    with increments bridged from the same path,
 5. record squared terminal errors against the reference plus per-scheme
    wall times.
 
+Rebuilding a path in step 3 reproduces it exactly: ``solve()`` only draws
+forward, and ``value_at_many`` at the solve's knot times consumes the
+generator the same way, so refinement and grid queries see the knots and
+generator state the solve left behind.
+
+Block layout.  A block's reference march steps ``(k, L_max)`` and
+``(k, L_max, m)`` arrays of increments, ``L_i = n_steps_i * 2**levels``, so
+it holds ``k * L_max * (m + 1) * 8`` bytes.  Samples are taken in index
+order, and a block closes before the sample that would take it past a fixed
+512 MiB: every block of more than one sample fits that budget, and a sample
+that alone exceeds it is marched by itself.  Each sample's increments are
+written straight into its block's arrays; no per-sample copy is kept.
+
 Root-mean-square errors aggregate over samples with NaN exclusion (diverged
 runs are counted, not averaged).  Everything is deterministic given the
-master seed: per-sample seeding is worker independent, samples are processed
-in fixed blocks whose size depends only on the configuration, and the
-aggregation is ordered by sample index.
+master seed: per-sample seeding is worker independent, the block layout
+depends only on the realized meshes, and the aggregation is ordered by
+sample index.  With ``workers`` > 1 the adaptive solves fan out over samples
+and the blocks over processes, and the tables do not change.
 
 The fixed-step marches are vectorized across a block of samples; ragged
 lengths are handled by stepping only the still-active rows.
 
 ``mean_cputime_s`` is wall time (``time.perf_counter``), not CPU time, and it
 is not measured the same way for every scheme.  A fixed-step scheme's figure
-is its batched march over the block, divided by the block size; its
-increments are drawn beforehand and are not counted.  The adaptive scheme's
-figure is the wall time of its own unbatched ``solve()`` on one path, which
-includes drawing that path's Brownian increments.
+is its batched march over the block, divided by the block's realized size,
+so it moves with the layout; its increments are drawn beforehand and are not
+counted.  The adaptive scheme's figure is the wall time of its own unbatched
+``solve()`` on one path, which includes drawing that path's Brownian
+increments.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -280,78 +298,15 @@ class ConvergenceTable:
 
 # -- the per-sample engine ----------------------------------------------------
 
+#: Bytes one block's stacked reference increments may take (see ``_layout``).
+_BLOCK_BYTES = 512 * 2**20
+
 
 def _build_problem(name: str, t_end: Optional[float]) -> SdeProblem:
     problem = problem_by_name(name)
     if t_end is not None and t_end != problem.t_end:
         problem = replace(problem, t_end=t_end)
     return problem
-
-
-@dataclass
-class _Prepared:
-    """Per-sample noise data extracted from the path, ready for marching."""
-
-    index: int
-    dt_fine: np.ndarray  # (L,)
-    dw_fine: np.ndarray  # (L, m)
-    dt_grid: np.ndarray  # (n_u,)
-    dw_grid: np.ndarray  # (n_u, m)
-    adaptive: SolveResult
-    w_terminal: np.ndarray
-    moment_dw_sum: float
-    moment_normsq_sum: float
-
-
-def _prepare_sample(
-    problem: SdeProblem, config: ExperimentConfig, h_max: float, index: int
-) -> _Prepared:
-    """Steps 1-4 of the protocol for one sample: everything that touches RNG."""
-    path = WienerPath(problem.m, seed=config.master_seed ^ index)
-    cfg = MeshConfig(h_max=h_max, rho=config.rho)
-    adaptive = solve(problem, "adaptive_semi_implicit", path, config=cfg)
-
-    # Conditional-moment accumulators for the adaptive mesh.
-    times = adaptive.mesh_times()
-    dws = np.diff(path.values_on_grid(times), axis=0)
-    hs = adaptive.mesh
-    moment_dw = float((dws / np.sqrt(hs)[:, None]).sum())
-    moment_normsq = float(((dws**2).sum(axis=1) / hs).sum())
-
-    fine_times = path.refine_uniform(times, config.levels)
-    fine_vals = path.values_on_grid(fine_times)
-    dt_fine = np.diff(fine_times)
-    dw_fine = np.diff(fine_vals, axis=0)
-
-    T = problem.t_end
-    n_u = max(1, int(round(T / adaptive.mean_h)))
-    grid = np.linspace(0.0, T, n_u + 1)
-    grid_vals = path.value_at_many(grid)
-    dt_grid = np.diff(grid)
-    dw_grid = np.diff(grid_vals, axis=0)
-
-    return _Prepared(
-        index=index,
-        dt_fine=dt_fine,
-        dw_fine=dw_fine,
-        dt_grid=dt_grid,
-        dw_grid=dw_grid,
-        adaptive=adaptive,
-        w_terminal=path.value_at(T),
-        moment_dw_sum=moment_dw,
-        moment_normsq_sum=moment_normsq,
-    )
-
-
-def _pad_stack(arrays: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack ragged (L_i, ...) arrays into (k, L_max, ...) plus length vector."""
-    k = len(arrays)
-    lengths = np.array([a.shape[0] for a in arrays])
-    L = int(lengths.max())
-    out = np.zeros((k, L) + arrays[0].shape[1:])
-    for i, a in enumerate(arrays):
-        out[i, : a.shape[0]] = a
-    return out, lengths
 
 
 def _march_batch(
@@ -414,42 +369,88 @@ def _march_batch(
     return y, diverged, n_fallback, elapsed
 
 
-def _block_size(problem: SdeProblem, h_max: float, levels: int) -> int:
-    """Samples marched together: big enough to amortize numpy dispatch, small
-    enough to keep the padded step arrays a few hundred MB.  Depends only on
-    the configuration, so results are independent of worker count."""
-    # The slack factor covers how far below h_max the controller typically
-    # sits; the stiff lattice system shrinks steps far more than the rest.
-    slack = 32 if problem.name == "spde" else 4
-    est_steps = math.ceil(problem.t_end / h_max) * 2**levels * slack
-    est_bytes = est_steps * (problem.m + 1) * 8 * 2
-    return int(np.clip(int(1e9 / max(est_bytes, 1)), 1, 64))
-
-
-def _run_block(config: ExperimentConfig, h_max: float, indices: Sequence[int]) -> list[SampleRecord]:
-    """Run the full protocol for a block of sample indices at one h_max."""
+def _solve_adaptive(config: ExperimentConfig, h_max: float, index: int) -> SolveResult:
+    """Protocol step 1 for one sample: its adaptive solve on a fresh path."""
     problem = _build_problem(config.problem, config.t_end)
+    path = WienerPath(problem.m, seed=config.master_seed ^ index)
+    return solve(problem, "adaptive_semi_implicit", path, config=MeshConfig(h_max=h_max, rho=config.rho))
+
+
+def _layout(solved: Sequence[SolveResult], levels: int, m: int) -> list[range]:
+    """Split the samples into consecutive blocks by stacked reference bytes.
+
+    A block of k samples stacks ``k * L_max * (m + 1) * 8`` bytes of
+    reference increments, with ``L_i = n_steps_i * 2**levels``.  Walking the
+    samples in index order, a block closes before the sample that would push
+    it past ``_BLOCK_BYTES``; a sample over the budget on its own is marched
+    alone.
+    """
+    blocks, lo, L_max = [], 0, 0
+    for i, res in enumerate(solved):
+        L_i = res.n_steps << levels
+        if i > lo and (i + 1 - lo) * max(L_max, L_i) * (m + 1) * 8 > _BLOCK_BYTES:
+            blocks.append(range(lo, i))
+            lo, L_max = i, 0
+        L_max = max(L_max, L_i)
+    blocks.append(range(lo, len(solved)))
+    return blocks
+
+
+def _run_block(
+    config: ExperimentConfig, h_max: float, indices: Sequence[int], solved: Sequence[SolveResult]
+) -> list[SampleRecord]:
+    """Protocol steps 3-5 for a block of samples whose adaptive solves are done.
+
+    ``solve()`` only draws forward, so querying a fresh path with the same
+    seed at the solve's knot times replays its draws exactly; the rebuilt
+    path then continues as if the solve had just run on it.  Its increments
+    are written straight into the block's stacked arrays.
+    """
+    problem = _build_problem(config.problem, config.t_end)
+    T, m, k = problem.t_end, problem.m, len(indices)
     schemes = config.schemes
-    prepared = [_prepare_sample(problem, config, h_max, i) for i in indices]
-    k = len(prepared)
     mu_inv = H = None
     if "truncated" in schemes:
         mu_inv, H = gl_truncation_functions()
 
-    dt_fine, len_fine = _pad_stack([p.dt_fine for p in prepared])
-    dw_fine, _ = _pad_stack([p.dw_fine for p in prepared])
+    len_fine = np.array([res.n_steps << config.levels for res in solved])
+    len_grid = np.array([max(1, int(round(T / res.mean_h))) for res in solved])
+    dt_fine = np.zeros((k, len_fine.max()))
+    dw_fine = np.zeros((k, len_fine.max(), m))
+    dt_grid = np.zeros((k, len_grid.max()))
+    dw_grid = np.zeros((k, len_grid.max(), m))
+    w_terminal = np.empty((k, m))
+    moments = np.empty((k, 2))
+    for j, (index, adaptive) in enumerate(zip(indices, solved)):
+        path = WienerPath(m, seed=config.master_seed ^ index)
+        times = adaptive.mesh_times()
+        # Conditional-moment accumulators for the adaptive mesh.
+        dws = np.diff(path.value_at_many(times), axis=0)
+        hs = adaptive.mesh
+        moments[j] = (dws / np.sqrt(hs)[:, None]).sum(), ((dws**2).sum(axis=1) / hs).sum()
+
+        fine = path.refine_uniform(times, config.levels)
+        vals = path.values_on_grid(fine)
+        n = len_fine[j]
+        # np.diff's own arithmetic, minus the (L, m) temporary.
+        np.subtract(fine[1:], fine[:-1], out=dt_fine[j, :n])
+        np.subtract(vals[1:], vals[:-1], out=dw_fine[j, :n])
+
+        grid = np.linspace(0.0, T, len_grid[j] + 1)
+        vals = path.value_at_many(grid)
+        n = len_grid[j]
+        dt_grid[j, :n] = np.diff(grid)
+        dw_grid[j, :n] = np.diff(vals, axis=0)
+        w_terminal[j] = path.value_at(T)
+    del path, vals
+
     ref_y, ref_div, _, _ = _march_batch(problem, "balanced", dt_fine, dw_fine, len_fine)
     del dt_fine, dw_fine
 
-    dt_grid, len_grid = _pad_stack([p.dt_grid for p in prepared])
-    dw_grid, _ = _pad_stack([p.dw_grid for p in prepared])
-
-    records = []
     cput: dict[str, float] = {}
     divs: dict[str, np.ndarray] = {}
     falls: dict[str, np.ndarray] = {}
     terminals: dict[str, np.ndarray] = {}
-
     for scheme in schemes:
         if scheme == "adaptive_semi_implicit":
             continue
@@ -469,7 +470,8 @@ def _run_block(config: ExperimentConfig, h_max: float, indices: Sequence[int]) -
         falls[scheme] = nfb
         cput[scheme] = elapsed / k
 
-    for j, p in enumerate(prepared):
+    records = []
+    for j, (index, adaptive) in enumerate(zip(indices, solved)):
         errs: dict[str, float] = {}
         times: dict[str, float] = {}
         backs: dict[str, int] = {}
@@ -491,10 +493,10 @@ def _run_block(config: ExperimentConfig, h_max: float, indices: Sequence[int]) -
             if scheme == "adaptive_semi_implicit":
                 record_scheme(
                     scheme,
-                    p.adaptive.y_terminal,
-                    p.adaptive.diverged,
-                    p.adaptive.wall_time,
-                    p.adaptive.n_backstop,
+                    adaptive.y_terminal,
+                    adaptive.diverged,
+                    adaptive.wall_time,
+                    adaptive.n_backstop,
                 )
             else:
                 record_scheme(
@@ -506,19 +508,19 @@ def _run_block(config: ExperimentConfig, h_max: float, indices: Sequence[int]) -
                 )
         records.append(
             SampleRecord(
-                sample_index=p.index,
+                sample_index=index,
                 h_max=h_max,
                 sq_err=errs,
                 cputime=times,
                 n_backstop=backs,
                 diverged=dv,
-                mean_adaptive_h=p.adaptive.mean_h,
-                n_adaptive_steps=p.adaptive.n_steps,
+                mean_adaptive_h=adaptive.mean_h,
+                n_adaptive_steps=adaptive.n_steps,
                 reference_terminal=ref,
                 terminal=term,
-                w_terminal=p.w_terminal,
-                moment_dw_sum=p.moment_dw_sum,
-                moment_normsq_sum=p.moment_normsq_sum,
+                w_terminal=w_terminal[j],
+                moment_dw_sum=float(moments[j, 0]),
+                moment_normsq_sum=float(moments[j, 1]),
             )
         )
     return records
@@ -526,7 +528,8 @@ def _run_block(config: ExperimentConfig, h_max: float, indices: Sequence[int]) -
 
 def run_sample(config: ExperimentConfig, sample_index: int, h_max: float) -> SampleRecord:
     """Full per-sample protocol for one sample path at one ``h_max``."""
-    return _run_block(config, h_max, [sample_index])[0]
+    adaptive = _solve_adaptive(config, h_max, sample_index)
+    return _run_block(config, h_max, [sample_index], [adaptive])[0]
 
 
 def _worker_count(workers: Optional[int]) -> int:
@@ -541,32 +544,25 @@ def _worker_count(workers: Optional[int]) -> int:
 def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> ConvergenceTable:
     """Run the whole sweep: every ``h_max``, ``samples`` paths each.
 
-    ``workers`` > 1 fans blocks of samples out to processes (the default
-    comes from the ADAPTSDE_WORKERS environment variable, else 1).  Results
-    are bit-identical for any worker count: sample seeds, block boundaries
-    and the aggregation order depend only on the configuration.
+    ``workers`` > 1 fans each ``h_max``'s adaptive solves out over samples,
+    and then its blocks, to processes (the default comes from the
+    ADAPTSDE_WORKERS environment variable, else 1).  Results are
+    bit-identical for any worker count: sample seeds, the block layout and
+    the aggregation order do not depend on it.
     """
     problem = _build_problem(config.problem, config.t_end)
     nworkers = _worker_count(workers)
+    samples = range(config.samples)
 
-    h_maxes, blocks = [], []
-    for h_max in config.h_max_list:
-        B = _block_size(problem, h_max, config.levels)
-        for lo in range(0, config.samples, B):
-            h_maxes.append(h_max)
-            blocks.append(list(range(lo, min(lo + B, config.samples))))
-
-    if nworkers > 1 and len(blocks) > 1:
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            block_results = list(pool.map(_run_block, [config] * len(blocks), h_maxes, blocks))
-    else:
-        block_results = [_run_block(config, h, b) for h, b in zip(h_maxes, blocks)]
-
-    by_h: dict[float, list[SampleRecord]] = {h: [] for h in config.h_max_list}
-    for h_max, recs in zip(h_maxes, block_results):
-        by_h[h_max].extend(recs)
-    for h_max in by_h:
-        by_h[h_max].sort(key=lambda r: r.sample_index)
+    by_h: dict[float, list[SampleRecord]] = {}
+    with ProcessPoolExecutor(max_workers=nworkers) if nworkers > 1 else nullcontext() as pool:
+        run = pool.map if pool else map
+        for h_max in config.h_max_list:
+            solved = list(run(_solve_adaptive, repeat(config), repeat(h_max), samples))
+            blocks = _layout(solved, config.levels, problem.m)
+            block_solves = [[solved[i] for i in b] for b in blocks]
+            block_records = run(_run_block, repeat(config), repeat(h_max), blocks, block_solves)
+            by_h[h_max] = [r for recs in block_records for r in recs]
 
     run_schemes = list(config.schemes)
     rows: list[TableRow] = []

@@ -281,13 +281,3 @@ class WienerPath:
             bad = float(ts[~ok][0])
             raise ValueError(f"time {bad} is not a knot of this path")
         return self._w[idx].copy()
-
-    # -- debugging output ---------------------------------------------------
-
-    def dump_csv(self, fileobj) -> None:
-        """Write all knots as ``time,w_1,...,w_m`` rows (header included)."""
-        cols = ",".join(f"w_{i + 1}" for i in range(self.dim))
-        fileobj.write(f"time,{cols}\n")
-        for i in range(self._n):
-            row = ",".join(repr(float(x)) for x in self._w[i])
-            fileobj.write(f"{float(self._t[i])!r},{row}\n")

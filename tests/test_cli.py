@@ -5,8 +5,9 @@ import re
 
 import pytest
 
+from adaptsde import cli
 from adaptsde.cli import main
-from adaptsde.harness import CSV_HEADER
+from adaptsde.harness import CSV_HEADER, _worker_count
 
 
 @pytest.fixture(autouse=True)
@@ -127,6 +128,22 @@ class TestConvergenceCommand:
         # slope commentary goes to stderr when the table uses stdout
         assert re.search(r"^adaptive-si: order -?\d+\.\d{3} \(R\^2 \d+\.\d{3}\)$", err, re.M)
         assert re.search(r"^balanced: order ", err, re.M)
+
+    def test_worker_count_is_resolved_by_the_harness(self, capsys, monkeypatch):
+        seen = []
+        real = cli.run_experiment
+
+        def recording(config, workers=None):
+            seen.append(_worker_count(workers))
+            return real(config, workers=1)
+
+        monkeypatch.setattr(cli, "run_experiment", recording)
+        monkeypatch.delenv("ADAPTSDE_WORKERS")
+        assert run_cli(capsys, *CONV_ARGS)[0] == 0
+        monkeypatch.setenv("ADAPTSDE_WORKERS", "3")
+        assert run_cli(capsys, *CONV_ARGS)[0] == 0
+        # unset, the sweep runs in one process, not one per core
+        assert seen == [1, 3]
 
     def test_deterministic_apart_from_timing(self, capsys):
         _, out1, err1 = run_cli(capsys, *CONV_ARGS)

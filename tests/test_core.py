@@ -15,7 +15,6 @@ from adaptsde.core import (
     SdeProblem,
     infer_structure,
     mesh_times,
-    terminal_error,
     validate_hmax_bound,
 )
 from adaptsde.problems import fhn, gbm
@@ -130,17 +129,6 @@ def test_mesh_times_match_left_to_right_accumulation(steps):
         acc += h
         expected.append(acc)
     assert mesh_times(np.array(steps)).tolist() == expected
-
-
-class TestTerminalError:
-    def test_values(self):
-        assert terminal_error(np.array([3.0, 4.0]), np.zeros(2)) == 25.0
-        assert terminal_error(np.array([1.0]), np.array([1.0])) == 0.0
-        assert terminal_error(np.array([2.0]), np.array([0.5])) == pytest.approx(2.25)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            terminal_error(np.zeros(2), np.zeros(3))
 
 
 class TestHmaxBound:

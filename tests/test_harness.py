@@ -2,16 +2,22 @@
 
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adaptsde import harness
+from adaptsde.core import MeshConfig, SolveResult
 from adaptsde.harness import (
     CSV_HEADER,
     ConvergenceTable,
     ExperimentConfig,
     OrderFit,
     TableRow,
+    _layout,
     _march_batch,
     _worker_count,
     default_h_grid,
@@ -24,7 +30,7 @@ from adaptsde.harness import (
     run_sample,
     write_table_csv,
 )
-from adaptsde.problems import gbm_exact_terminal, gl_truncation_functions, problem_by_name
+from adaptsde.problems import PROBLEM_NAMES, gbm_exact_terminal, gl_truncation_functions, problem_by_name
 from adaptsde.schemes import FIXED_STEP_SCHEMES, solve
 from adaptsde.wiener import WienerPath
 
@@ -185,6 +191,86 @@ class TestExperimentDeterminism:
         assert mom.n_steps == 5 * (4 + 40)
         assert abs(mom.mean_dw()) < 0.5
         assert abs(mom.mean_normsq() - 1.0) < 0.5
+
+
+class TestBlockLayout:
+    @staticmethod
+    def meshes(steps):
+        return [SolveResult(np.zeros(1), np.full(n, 0.5 / n), 0, 0.0) for n in steps]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        steps=st.lists(st.integers(1, 400), min_size=1, max_size=30),
+        levels=st.integers(1, 6),
+        m=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_blocks_are_consecutive_and_fit_the_budget(self, steps, levels, m, data):
+        nbytes = lambda b: len(b) * max(steps[i] << levels for i in b) * (m + 1) * 8
+        budget = data.draw(st.integers(0, nbytes(range(len(steps)))))
+        with mock.patch.object(harness, "_BLOCK_BYTES", budget):
+            blocks = _layout(self.meshes(steps), levels, m)
+        assert [i for b in blocks for i in b] == list(range(len(steps)))
+        assert all(len(b) >= 1 for b in blocks)
+        for b in blocks:
+            assert len(b) == 1 or nbytes(b) <= budget
+        # greedy: each closed block would overflow with the next sample
+        for b, nxt in zip(blocks, blocks[1:]):
+            assert nbytes(range(b.start, nxt.start + 1)) > budget
+
+    def test_default_budget_holds_a_desk_sweep_in_one_block(self):
+        # 32 gl paths at h_max 0.00025 (4001 steps, 64x refined): 131 MB.
+        assert _layout(self.meshes([4001] * 32), 6, 1) == [range(32)]
+
+
+def one_sample_blocks_match_default(config):
+    default = run_experiment(config, workers=1)
+    with mock.patch.object(harness, "_BLOCK_BYTES", 0):
+        for workers in (1, 2):
+            assert_tables_match(default, run_experiment(config, workers=workers))
+
+
+class TestLayoutIndependence:
+    """A table must not depend on how the samples are split into blocks."""
+
+    def test_gbm(self):
+        one_sample_blocks_match_default(small_gbm_config())
+
+    def test_gl(self):
+        one_sample_blocks_match_default(
+            ExperimentConfig(problem="gl", h_max_list=(0.25, 0.025), samples=4, levels=3, master_seed=11)
+        )
+
+    def test_fhn01_agrees_to_rounding(self):
+        # fhn01's drift `y @ A.T` rounds differently for one row than for a
+        # stacked batch, so its errors agree only to a few ulps across
+        # layouts (3.8e-15 relative here); everything counted is exact.
+        cfg = ExperimentConfig(problem="fhn01", h_max_list=(0.25, 0.025), samples=6, levels=3, master_seed=13)
+        default = run_experiment(cfg, workers=1)
+        with mock.patch.object(harness, "_BLOCK_BYTES", 0):
+            single = run_experiment(cfg, workers=2)
+        for a, b in zip(default.rows, single.rows):
+            assert (a.scheme, a.h_max, a.mean_adaptive_h) == (b.scheme, b.h_max, b.mean_adaptive_h)
+            assert (a.n_excluded, a.n_backstop, a.n_diverged) == (b.n_excluded, b.n_backstop, b.n_diverged)
+            assert b.rmse == pytest.approx(a.rmse, rel=1e-12, abs=0.0)
+        assert default.moments.dw_sum == single.moments.dw_sum
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), h_max=st.sampled_from([0.25, 0.05]))
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_rebuilt_path_replays_the_adaptive_solve(name, seed, h_max):
+    # The harness rebuilds each sample's path from its seed and the solve's
+    # knot times; the knots and the generator state must come out the same.
+    p = problem_by_name(name)
+    path = WienerPath(p.m, seed=seed)
+    res = solve(p, "adaptive_semi_implicit", path, config=MeshConfig(h_max=h_max))
+    rebuilt = WienerPath(p.m, seed=seed)
+    rebuilt.value_at_many(res.mesh_times())
+    assert rebuilt.knot_times == path.knot_times
+    knots = path.knot_times
+    assert rebuilt.values_on_grid(knots).tobytes() == path.values_on_grid(knots).tobytes()
+    assert rebuilt.rng.bit_generator.state == path.rng.bit_generator.state
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,6 @@ contract (batched queries consume the generator exactly like single queries)
 is pinned bit for bit.
 """
 
-import io
 import math
 
 import numpy as np
@@ -238,29 +237,13 @@ def test_multidimensional_components_independent():
     assert np.all(np.abs(off) < 4 / math.sqrt(n))
 
 
-def test_dump_csv_round_trips_reprs():
-    p = WienerPath(2, seed=8)
-    p.value_at(0.5)
-    p.value_at(1.0)
-    buf = io.StringIO()
-    p.dump_csv(buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "time,w_1,w_2"
-    assert len(lines) == 1 + p.n_knots()
-    t, w1, w2 = lines[2].split(",")
-    assert float(t) == 0.5
-    np.testing.assert_array_equal(
-        np.array([float(w1), float(w2)]), p.value_at(0.5)
-    )
-
-
 def test_dump_replay_byte_identical():
     def build():
         q = WienerPath(2, seed=99)
         q.value_at_many([0.2, 0.7, 1.9])
         q.refine_uniform([0.0, 0.2, 0.7, 1.9], levels=2)
-        buf = io.StringIO()
-        q.dump_csv(buf)
-        return buf.getvalue()
+        return q.knot_times, q.values_on_grid(q.knot_times)
 
-    assert build() == build()
+    (t1, w1), (t2, w2) = build(), build()
+    assert t1 == t2
+    assert w1.tobytes() == w2.tobytes()
