@@ -16,7 +16,7 @@ from .core import (
     SolveResult,
     validate_hmax_bound,
 )
-from .control import StepDecision, propose_step
+from .control import StepDecision, propose_step, propose_steps
 from .wiener import WienerPath
 from .schemes import (
     SCHEME_IDS,
@@ -48,7 +48,6 @@ from .harness import (
     read_table_csv,
     rmse,
     run_experiment,
-    run_sample,
     write_table_csv,
 )
 
@@ -59,6 +58,7 @@ __all__ = [
     "validate_hmax_bound",
     "StepDecision",
     "propose_step",
+    "propose_steps",
     "WienerPath",
     "SCHEME_IDS",
     "LinearSolver",
@@ -85,7 +85,6 @@ __all__ = [
     "read_table_csv",
     "rmse",
     "run_experiment",
-    "run_sample",
     "write_table_csv",
 ]
 

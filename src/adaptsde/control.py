@@ -13,6 +13,11 @@ its own.  Every other decision is the raw proposal itself, above ``h_min``,
 so on an adaptive mesh the steps of exactly ``h_min`` (the final, truncated
 step aside) are the backstop steps.  A zero drift response proposes
 ``h_max`` with no backstop.
+
+:func:`propose_step` decides for one state, :func:`propose_steps` for a
+stack of them, row by row; the two give the same bits.  Both take norms as
+the square root of a dot product, :func:`row_norms` in the stacked case:
+a sum of squares rounds differently, and a different norm changes the mesh.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import numpy as np
 
 from .core import MeshConfig
 
-__all__ = ["StepDecision", "propose_step"]
+__all__ = ["StepDecision", "propose_step", "propose_steps", "row_norms"]
 
 
 @dataclass(frozen=True)
@@ -56,3 +61,31 @@ def propose_step(y: np.ndarray, f_y: np.ndarray, config: MeshConfig) -> StepDeci
     if raw <= h_min:
         return StepDecision(h=h_min, use_backstop=True)
     return StepDecision(h=raw, use_backstop=False)
+
+
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of ``x``, shape (k, d) -> (k,).
+
+    Each row's norm is the square root of its dot product with itself, as
+    ``math.sqrt(float(v @ v))`` takes it for one state, and it does not
+    depend on the other rows.
+    """
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
+
+
+def propose_steps(
+    y: np.ndarray, f_y: np.ndarray, config: MeshConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`propose_step` for each row of ``y`` and ``f_y``, shape (k, d).
+
+    Returns the step sizes and the backstop mask, both of shape (k,), equal
+    bit for bit to the row-by-row decisions.  Raises on non-finite inputs.
+    """
+    if not (np.isfinite(y).all() and np.isfinite(f_y).all()):
+        raise FloatingPointError("non-finite state or drift passed to step controller")
+    norm_f = row_norms(f_y)
+    with np.errstate(divide="ignore"):
+        # A zero drift response divides to inf and so proposes h_max.
+        raw = config.h_max * np.minimum(np.maximum(1.0, row_norms(y)) / norm_f, 1.0)
+    backstop = (raw <= config.h_min) & (norm_f != 0.0)
+    return np.where(backstop, config.h_min, raw), backstop

@@ -35,6 +35,7 @@ __all__ = [
     "validate_hmax_bound",
     "infer_structure",
     "mesh_times",
+    "last_step",
 ]
 
 
@@ -179,6 +180,23 @@ class SolveResult:
 def mesh_times(h) -> np.ndarray:
     """Knot times of the step sizes ``h``, accumulated left to right."""
     return np.concatenate(([0.0], np.cumsum(h)))
+
+
+def last_step(t, t_end: float):
+    """Step sizes ``h`` from the times ``t`` (scalar or array) to ``t_end``.
+
+    ``h`` starts as ``t_end - t`` and is nudged by ulps until ``t + h ==
+    t_end`` bitwise, so a mesh's accumulated knot times hit the terminal
+    time, and the path's knot there, exactly.
+    """
+    h = t_end - t
+    for _ in range(64):
+        s = t + h
+        short = s != t_end
+        if not np.any(short):
+            break
+        h = np.where(short, np.nextafter(h, np.where(s < t_end, np.inf, 0.0)), h)
+    return h if np.ndim(h) else float(h)
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 
 The measurement protocol, per ``h_max``:
 
-1. solve every sample path with the adaptive semi-implicit scheme, each on a
-   fresh :class:`~adaptsde.wiener.WienerPath` (seed = master seed XOR sample
-   index), and keep only its :class:`~adaptsde.core.SolveResult`,
+1. solve every sample path with the adaptive semi-implicit scheme, on the
+   path a fresh :class:`~adaptsde.wiener.WienerPath` would draw (seed =
+   master seed XOR sample index), all samples as one vectorized march
+   (``_solve_adaptive_batch``), and keep only each sample's
+   :class:`~adaptsde.core.SolveResult`,
 2. lay the samples out in blocks from the realized meshes (below),
 3. per block, rebuild each sample's path from its seed and the knot times of
    its mesh, bisect every adaptive step ``levels`` times with Brownian
@@ -16,10 +18,12 @@ The measurement protocol, per ``h_max``:
 5. record squared terminal errors against the reference plus per-scheme
    wall times.
 
-Rebuilding a path in step 3 reproduces it exactly: ``solve()`` only draws
-forward, and ``value_at_many`` at the solve's knot times consumes the
-generator the same way, so refinement and grid queries see the knots and
-generator state the solve left behind.
+The march in step 1 gives each sample the result ``solve()`` gives on its
+path, bit for bit.  Rebuilding a path in step 3 reproduces it exactly: the
+march only draws forward, from each sample's own generator, and
+``value_at_many`` at the solve's knot times consumes the generator the same
+way, so refinement and grid queries see the knots and generator state a
+``solve()`` would have left behind.
 
 Block layout.  A block's reference march steps ``(k, L_max)`` and
 ``(k, L_max, m)`` arrays of increments, ``L_i = n_steps_i * 2**levels``, so
@@ -31,21 +35,23 @@ written straight into its block's arrays; no per-sample copy is kept.
 
 Root-mean-square errors aggregate over samples with NaN exclusion (diverged
 runs are counted, not averaged).  Everything is deterministic given the
-master seed: per-sample seeding is worker independent, the block layout
+master seed: per-sample seeding is worker independent, a sample's adaptive
+solve does not depend on the other rows of its march, the block layout
 depends only on the realized meshes, and the aggregation is ordered by
-sample index.  With ``workers`` > 1 the adaptive solves fan out over samples
-and the blocks over processes, and the tables do not change.
+sample index.  With ``workers`` > 1 each ``h_max``'s samples split into one
+contiguous chunk per process, each chunk one adaptive march, and the blocks
+fan out over the processes; the tables do not change.
 
 The fixed-step marches are vectorized across a block of samples; ragged
 lengths are handled by stepping only the still-active rows.
 
-``mean_cputime_s`` is wall time (``time.perf_counter``), not CPU time, and it
-is not measured the same way for every scheme.  A fixed-step scheme's figure
-is its batched march over the block, divided by the block's realized size,
-so it moves with the layout; its increments are drawn beforehand and are not
-counted.  The adaptive scheme's figure is the wall time of its own unbatched
-``solve()`` on one path, which includes drawing that path's Brownian
-increments.
+``mean_cputime_s`` is wall time (``time.perf_counter``), not CPU time, and
+every scheme's figure is a batched march divided by its number of rows,
+with path generation left out.  A fixed-step scheme marches a block, so its
+figure moves with the layout; its increments are drawn beforehand.  The
+adaptive scheme marches a chunk of samples (all of them with one worker);
+the time its rows spend drawing normals from their generators is measured
+apart and subtracted.
 """
 
 from __future__ import annotations
@@ -61,9 +67,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import MeshConfig, SdeProblem, SolveResult
+from .control import propose_steps, row_norms
+from .core import MeshConfig, SdeProblem, SolveResult, last_step
 from .problems import gl_truncation_functions, problem_by_name
-from .schemes import SCHEME_IDS, DIVERGENCE_THRESHOLD, NewtonConfig, solve, step_map
+from .schemes import DIVERGENCE_THRESHOLD, SCHEME_IDS, NewtonConfig, step_balanced, step_map
 from .wiener import WienerPath
 
 __all__ = [
@@ -76,7 +83,6 @@ __all__ = [
     "ConvergenceTable",
     "rmse",
     "fit_order",
-    "run_sample",
     "run_experiment",
     "write_table_csv",
     "read_table_csv",
@@ -301,6 +307,9 @@ class ConvergenceTable:
 #: Bytes one block's stacked reference increments may take (see ``_layout``).
 _BLOCK_BYTES = 512 * 2**20
 
+#: Forward normals each row of the adaptive march draws per generator call.
+_DRAW_CHUNK = 256
+
 
 def _build_problem(name: str, t_end: Optional[float]) -> SdeProblem:
     problem = problem_by_name(name)
@@ -369,11 +378,91 @@ def _march_batch(
     return y, diverged, n_fallback, elapsed
 
 
-def _solve_adaptive(config: ExperimentConfig, h_max: float, index: int) -> SolveResult:
-    """Protocol step 1 for one sample: its adaptive solve on a fresh path."""
+def _solve_adaptive_batch(
+    problem: SdeProblem, mesh_config: MeshConfig, seeds: Sequence[int]
+) -> list[SolveResult]:
+    """Protocol step 1: adaptive semi-implicit solves on fresh paths, as one march.
+
+    Row i takes the steps ``solve()`` takes on ``WienerPath(m, seeds[i])``:
+    the same controller decisions, backstop steps, final step onto T and
+    divergence test, and the same forward draws.  Each row has its own
+    generator and draws its normals ``_DRAW_CHUNK`` steps at a time, which
+    consumes the stream as single draws do, and forms its increment as
+    ``WienerPath`` does, ``(w + sqrt(t_next - t) z) - w``.  So every result
+    equals ``solve()``'s bit for bit, whatever the other rows are.
+
+    All rows step together; a row drops out once it reaches T or diverges.
+    Each result's ``wall_time`` is the march's wall time, less the time
+    spent drawing normals, divided by the number of rows.
+    """
+    k, d, m, T = len(seeds), problem.d, problem.m, problem.t_end
+    h_min = mesh_config.h_min
+    tiny = 1e-14 * T
+    step = step_map(problem, "adaptive_semi_implicit")
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    z = np.empty((k, _DRAW_CHUNK, m))
+    y = np.broadcast_to(problem.x0, (k, d)).copy()
+    w = np.zeros((k, m))
+    t = np.zeros(k)
+    mesh = np.empty((64, k))
+    n_steps = np.zeros(k, dtype=int)
+    n_backstop = np.zeros(k, dtype=int)
+    diverged = np.zeros(k, dtype=bool)
+    act = np.arange(k)
+    n, draw_s = 0, 0.0
+    t0 = time.perf_counter()
+    while act.size:
+        j = n % _DRAW_CHUNK
+        if j == 0:
+            t_draw = time.perf_counter()
+            for i in act:
+                z[i] = rngs[i].standard_normal((_DRAW_CHUNK, m))
+            draw_s += time.perf_counter() - t_draw
+        if n == len(mesh):
+            mesh = np.concatenate([mesh, np.empty_like(mesh)])
+        ya, ta = y[act], t[act]
+        h, backstop = propose_steps(ya, problem.f(ya), mesh_config)
+        final = ta + h >= T - tiny
+        if final.any():
+            h[final] = last_step(ta[final], T)
+            backstop &= ~final
+        t_next = np.where(final, T, ta + h)
+        wa = w[act]
+        wn = wa + np.sqrt(t_next - ta)[:, None] * z[act, j]
+        dW = wn - wa
+        yn, _ = step(ya, h, dW)
+        if backstop.any():
+            # Row by row, as solve() takes them: the drift's `y @ A.T` rounds
+            # differently for a stack of rows.  Backstop steps are rare.
+            for r in np.flatnonzero(backstop):
+                yn[r] = step_balanced(problem, ya[r], h_min, dW[r])
+            n_backstop[act] += backstop
+        y[act], t[act], w[act] = yn, t_next, wn
+        mesh[n, act] = h
+        n_steps[act] += 1
+        bad = ~np.isfinite(yn).all(axis=-1)
+        bad[~bad] = row_norms(yn[~bad]) > DIVERGENCE_THRESHOLD
+        diverged[act[bad]] = True
+        act = act[~(final | bad)]
+        n += 1
+    wall = (time.perf_counter() - t0 - draw_s) / k
+    return [
+        SolveResult(
+            y_terminal=y[i].copy(),
+            mesh=mesh[: n_steps[i], i].copy(),
+            n_backstop=int(n_backstop[i]),
+            wall_time=wall,
+            diverged=bool(diverged[i]),
+        )
+        for i in range(k)
+    ]
+
+
+def _solve_chunk(config: ExperimentConfig, h_max: float, indices: Sequence[int]) -> list[SolveResult]:
+    """Protocol step 1 for the samples ``indices`` of one ``h_max``."""
     problem = _build_problem(config.problem, config.t_end)
-    path = WienerPath(problem.m, seed=config.master_seed ^ index)
-    return solve(problem, "adaptive_semi_implicit", path, config=MeshConfig(h_max=h_max, rho=config.rho))
+    seeds = [config.master_seed ^ i for i in indices]
+    return _solve_adaptive_batch(problem, MeshConfig(h_max=h_max, rho=config.rho), seeds)
 
 
 def _layout(solved: Sequence[SolveResult], levels: int, m: int) -> list[range]:
@@ -401,10 +490,10 @@ def _run_block(
 ) -> list[SampleRecord]:
     """Protocol steps 3-5 for a block of samples whose adaptive solves are done.
 
-    ``solve()`` only draws forward, so querying a fresh path with the same
-    seed at the solve's knot times replays its draws exactly; the rebuilt
-    path then continues as if the solve had just run on it.  Its increments
-    are written straight into the block's stacked arrays.
+    The adaptive march only draws forward, so querying a fresh path with the
+    same seed at the solve's knot times replays its draws exactly; the
+    rebuilt path then continues as if ``solve()`` had just run on it.  Its
+    increments are written straight into the block's stacked arrays.
     """
     problem = _build_problem(config.problem, config.t_end)
     T, m, k = problem.t_end, problem.m, len(indices)
@@ -447,14 +536,16 @@ def _run_block(
     ref_y, ref_div, _, _ = _march_batch(problem, "balanced", dt_fine, dw_fine, len_fine)
     del dt_fine, dw_fine
 
-    cput: dict[str, float] = {}
-    divs: dict[str, np.ndarray] = {}
-    falls: dict[str, np.ndarray] = {}
-    terminals: dict[str, np.ndarray] = {}
+    # Per scheme, one entry per row: terminal states, divergence flags,
+    # backstop or fallback counts and wall time per sample.
+    terminals = {"adaptive_semi_implicit": np.array([r.y_terminal for r in solved])}
+    divs = {"adaptive_semi_implicit": [r.diverged for r in solved]}
+    falls = {"adaptive_semi_implicit": [r.n_backstop for r in solved]}
+    cput = {"adaptive_semi_implicit": [r.wall_time for r in solved]}
     for scheme in schemes:
         if scheme == "adaptive_semi_implicit":
             continue
-        y, div, nfb, elapsed = _march_batch(
+        terminals[scheme], divs[scheme], falls[scheme], elapsed = _march_batch(
             problem,
             scheme,
             dt_grid,
@@ -465,71 +556,35 @@ def _run_block(
             mu_inv=mu_inv,
             H=H,
         )
-        terminals[scheme] = y
-        divs[scheme] = div
-        falls[scheme] = nfb
-        cput[scheme] = elapsed / k
+        cput[scheme] = [elapsed / k] * k
 
     records = []
     for j, (index, adaptive) in enumerate(zip(indices, solved)):
-        errs: dict[str, float] = {}
-        times: dict[str, float] = {}
-        backs: dict[str, int] = {}
-        dv: dict[str, bool] = {}
-        term: dict[str, np.ndarray] = {}
         ref = ref_y[j]
-        ref_ok = not ref_div[j]
-
-        def record_scheme(name, y_term, diverged_flag, cputime, n_back):
-            bad = diverged_flag or not ref_ok or not np.all(np.isfinite(y_term))
-            diff = y_term - ref
-            errs[name] = float("nan") if bad else float(np.dot(diff, diff))
-            times[name] = cputime
-            backs[name] = n_back
-            dv[name] = bool(diverged_flag)
-            term[name] = np.asarray(y_term, dtype=float)
-
+        errs: dict[str, float] = {}
         for scheme in schemes:
-            if scheme == "adaptive_semi_implicit":
-                record_scheme(
-                    scheme,
-                    adaptive.y_terminal,
-                    adaptive.diverged,
-                    adaptive.wall_time,
-                    adaptive.n_backstop,
-                )
-            else:
-                record_scheme(
-                    scheme,
-                    terminals[scheme][j],
-                    bool(divs[scheme][j]),
-                    cput[scheme],
-                    int(falls[scheme][j]),
-                )
+            y_term = terminals[scheme][j]
+            bad = divs[scheme][j] or ref_div[j] or not np.all(np.isfinite(y_term))
+            diff = y_term - ref
+            errs[scheme] = float("nan") if bad else float(np.dot(diff, diff))
         records.append(
             SampleRecord(
                 sample_index=index,
                 h_max=h_max,
                 sq_err=errs,
-                cputime=times,
-                n_backstop=backs,
-                diverged=dv,
+                cputime={s: float(cput[s][j]) for s in schemes},
+                n_backstop={s: int(falls[s][j]) for s in schemes},
+                diverged={s: bool(divs[s][j]) for s in schemes},
                 mean_adaptive_h=adaptive.mean_h,
                 n_adaptive_steps=adaptive.n_steps,
                 reference_terminal=ref,
-                terminal=term,
+                terminal={s: terminals[s][j] for s in schemes},
                 w_terminal=w_terminal[j],
                 moment_dw_sum=float(moments[j, 0]),
                 moment_normsq_sum=float(moments[j, 1]),
             )
         )
     return records
-
-
-def run_sample(config: ExperimentConfig, sample_index: int, h_max: float) -> SampleRecord:
-    """Full per-sample protocol for one sample path at one ``h_max``."""
-    adaptive = _solve_adaptive(config, h_max, sample_index)
-    return _run_block(config, h_max, [sample_index], [adaptive])[0]
 
 
 def _worker_count(workers: Optional[int]) -> int:
@@ -544,21 +599,22 @@ def _worker_count(workers: Optional[int]) -> int:
 def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> ConvergenceTable:
     """Run the whole sweep: every ``h_max``, ``samples`` paths each.
 
-    ``workers`` > 1 fans each ``h_max``'s adaptive solves out over samples,
-    and then its blocks, to processes (the default comes from the
-    ADAPTSDE_WORKERS environment variable, else 1).  Results are
-    bit-identical for any worker count: sample seeds, the block layout and
-    the aggregation order do not depend on it.
+    ``workers`` > 1 splits each ``h_max``'s samples into contiguous chunks,
+    one adaptive march per process, and then fans its blocks out to the
+    processes (the default comes from the ADAPTSDE_WORKERS environment
+    variable, else 1).  Results are bit-identical for any worker count:
+    sample seeds, each sample's adaptive solve, the block layout and the
+    aggregation order do not depend on it.
     """
     problem = _build_problem(config.problem, config.t_end)
     nworkers = _worker_count(workers)
-    samples = range(config.samples)
 
+    chunks = [c.tolist() for c in np.array_split(np.arange(config.samples), nworkers) if len(c)]
     by_h: dict[float, list[SampleRecord]] = {}
     with ProcessPoolExecutor(max_workers=nworkers) if nworkers > 1 else nullcontext() as pool:
         run = pool.map if pool else map
         for h_max in config.h_max_list:
-            solved = list(run(_solve_adaptive, repeat(config), repeat(h_max), samples))
+            solved = [r for rs in run(_solve_chunk, repeat(config), repeat(h_max), chunks) for r in rs]
             blocks = _layout(solved, config.levels, problem.m)
             block_solves = [[solved[i] for i in b] for b in blocks]
             block_records = run(_run_block, repeat(config), repeat(h_max), blocks, block_solves)

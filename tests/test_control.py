@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adaptsde.control import StepDecision, propose_step
+from adaptsde.control import StepDecision, propose_step, propose_steps
 from adaptsde.core import MeshConfig
 
 CFG = MeshConfig(h_max=0.1, rho=100.0)  # h_min = 0.001
@@ -81,3 +83,46 @@ def test_non_finite_input_raises():
     with pytest.raises(FloatingPointError):
         propose_step(np.array([1.0]), np.array([np.inf]), CFG)
 
+
+@st.composite
+def stacked_inputs(draw):
+    """Rows of (y, f) over many scales, with zero-drift rows and rows whose
+    drift is large enough to put the proposal on the floor."""
+    k = draw(st.integers(1, 8))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = rng.standard_normal((k, d)) * 10.0 ** rng.integers(-3, 4, size=(k, 1))
+    f = rng.standard_normal((k, d)) * 10.0 ** rng.integers(-3, 9, size=(k, 1))
+    kind = rng.integers(0, 3, size=k)
+    f[kind == 0] = 0.0
+    f[kind == 1] *= 1e6
+    config = MeshConfig(h_max=draw(st.floats(1e-4, 1.0)), rho=draw(st.sampled_from([1.0, 2.0, 100.0, 1e4])))
+    return y, f, config
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(stacked_inputs())
+def test_stacked_controller_equals_scalar_rows(inputs):
+    y, f, config = inputs
+    h, backstop = propose_steps(y, f, config)
+    assert h.shape == backstop.shape == (len(y),)
+    for i in range(len(y)):
+        row = propose_step(y[i], f[i], config)
+        assert h[i].tobytes() == np.float64(row.h).tobytes()
+        assert backstop[i] == row.use_backstop
+
+
+def test_stacked_controller_covers_zero_drift_and_floor():
+    cfg = MeshConfig(h_max=0.1, rho=100.0)
+    y = np.array([[2.0], [1.0], [3.0]])
+    f = np.array([[0.0], [1e6], [4.0]])
+    h, backstop = propose_steps(y, f, cfg)
+    assert h.tolist() == [cfg.h_max, cfg.h_min, 0.1 * (3.0 / 4.0)]
+    assert backstop.tolist() == [False, True, False]
+
+
+def test_stacked_controller_rejects_non_finite_rows():
+    with pytest.raises(FloatingPointError):
+        propose_steps(np.array([[1.0], [np.nan]]), np.ones((2, 1)), CFG)
+    with pytest.raises(FloatingPointError):
+        propose_steps(np.ones((2, 1)), np.array([[1.0], [np.inf]]), CFG)

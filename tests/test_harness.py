@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaptsde import harness
-from adaptsde.core import MeshConfig, SolveResult
+from adaptsde.core import MeshConfig, SdeProblem, SolveResult
 from adaptsde.harness import (
     CSV_HEADER,
     ConvergenceTable,
@@ -19,6 +19,9 @@ from adaptsde.harness import (
     TableRow,
     _layout,
     _march_batch,
+    _run_block,
+    _solve_adaptive_batch,
+    _solve_chunk,
     _worker_count,
     default_h_grid,
     default_levels,
@@ -27,11 +30,10 @@ from adaptsde.harness import (
     read_table_csv,
     rmse,
     run_experiment,
-    run_sample,
     write_table_csv,
 )
 from adaptsde.problems import PROBLEM_NAMES, gbm_exact_terminal, gl_truncation_functions, problem_by_name
-from adaptsde.schemes import FIXED_STEP_SCHEMES, solve
+from adaptsde.schemes import DIVERGENCE_THRESHOLD, FIXED_STEP_SCHEMES, solve
 from adaptsde.wiener import WienerPath
 
 
@@ -156,6 +158,11 @@ def assert_tables_match(a: ConvergenceTable, b: ConvergenceTable):
     assert a.moments.n_steps == b.moments.n_steps
 
 
+def sample_records(config, h_max, indices):
+    """Protocol steps 1-5 for the samples ``indices``, marched as one block."""
+    return _run_block(config, h_max, indices, _solve_chunk(config, h_max, indices))
+
+
 @pytest.fixture(scope="module")
 def baseline():
     return run_experiment(small_gbm_config(), workers=1)
@@ -168,22 +175,21 @@ class TestExperimentDeterminism:
     def test_worker_count_does_not_change_results(self, baseline):
         assert_tables_match(baseline, run_experiment(small_gbm_config(), workers=2))
 
-    def test_run_sample_matches_single_sample_experiment(self):
+    def test_sample_block_matches_single_sample_experiment(self):
         cfg = small_gbm_config(samples=1, h_max_list=(0.025,))
         table = run_experiment(cfg)
-        rec = run_sample(cfg, 0, 0.025)
+        rec = sample_records(cfg, 0.025, [0])[0]
         for scheme in cfg.schemes:
             row = [r for r in table.rows if r.scheme == scheme][0]
             assert row.rmse == math.sqrt(rec.sq_err[scheme])
             assert row.n_diverged == int(rec.diverged[scheme])
 
     def test_sample_record_contents(self, baseline):
-        rec = run_sample(small_gbm_config(), 2, 0.025)
+        rec, other = sample_records(small_gbm_config(), 0.025, [2, 3])
         # no state dependence in the gbm controller: uniform forty-step mesh
         assert rec.n_adaptive_steps == 40
         assert rec.mean_adaptive_h == pytest.approx(0.025)
         assert rec.w_terminal.shape == (1,)
-        other = run_sample(small_gbm_config(), 3, 0.025)
         assert other.w_terminal[0] != rec.w_terminal[0]
 
     def test_moment_accumulators_are_plausible(self, baseline):
@@ -241,6 +247,13 @@ class TestLayoutIndependence:
             ExperimentConfig(problem="gl", h_max_list=(0.25, 0.025), samples=4, levels=3, master_seed=11)
         )
 
+    def test_svol(self):
+        # The noise `S dW` is taken row by row, so a stack of rows rounds as
+        # one row does.
+        one_sample_blocks_match_default(
+            ExperimentConfig(problem="svol", h_max_list=(0.25, 0.025), samples=4, levels=3, master_seed=5)
+        )
+
     def test_fhn01_agrees_to_rounding(self):
         # fhn01's drift `y @ A.T` rounds differently for one row than for a
         # stacked batch, so its errors agree only to a few ulps across
@@ -271,6 +284,95 @@ def test_rebuilt_path_replays_the_adaptive_solve(name, seed, h_max):
     knots = path.knot_times
     assert rebuilt.values_on_grid(knots).tobytes() == path.values_on_grid(knots).tobytes()
     assert rebuilt.rng.bit_generator.state == path.rng.bit_generator.state
+
+
+def assert_solves_equal(a: SolveResult, b: SolveResult):
+    assert a.mesh.tobytes() == b.mesh.tobytes()
+    assert a.y_terminal.tobytes() == b.y_terminal.tobytes()
+    assert (a.n_backstop, a.diverged) == (b.n_backstop, b.diverged)
+
+
+def solve_each(problem, config, seeds):
+    return [
+        solve(problem, "adaptive_semi_implicit", WienerPath(problem.m, seed=s), config=config)
+        for s in seeds
+    ]
+
+
+class TestAdaptiveBatch:
+    """The harness's adaptive march against solve() on one path at a time."""
+
+    @pytest.mark.parametrize("name", PROBLEM_NAMES)
+    def test_equals_solve(self, name):
+        p = problem_by_name(name)
+        seeds = [3, 17, 40] if name == "spde" else [0, 5, 9, 1234, 77]
+        for h_max in (0.25, 0.005) if name == "spde" else (0.25, 0.0025):
+            config = MeshConfig(h_max=h_max)
+            for a, b in zip(_solve_adaptive_batch(p, config, seeds), solve_each(p, config, seeds)):
+                assert_solves_equal(a, b)
+
+    @settings(max_examples=4, deadline=None, derandomize=True)
+    @given(cuts=st.sets(st.integers(1, 5), max_size=5))
+    @pytest.mark.parametrize("name", PROBLEM_NAMES)
+    def test_any_split_of_the_seeds_equals_one_batch(self, name, cuts):
+        p = problem_by_name(name)
+        config = MeshConfig(h_max=0.05)
+        seeds = [11, 2, 305, 48, 9, 6]
+        whole = _solve_adaptive_batch(p, config, seeds)
+        edges = [0, *sorted(cuts), len(seeds)]
+        parts = [r for lo, hi in zip(edges, edges[1:]) for r in _solve_adaptive_batch(p, config, seeds[lo:hi])]
+        for a, b in zip(parts, whole):
+            assert_solves_equal(a, b)
+
+    def test_backstop_rows_equal_solve(self):
+        # Far from equilibrium the controller hits its floor, so some rows
+        # take balanced steps while the others take the main step.
+        p = SdeProblem(
+            d=1, m=1, A=np.array([[0.1]]),
+            f=lambda x: -0.1 * x**3,
+            g=lambda x: 0.2 * x, S=np.ones((1, 1)),
+            x0=np.array([40.0]), t_end=1.0,
+        )
+        config = MeshConfig(h_max=0.1)
+        batch = _solve_adaptive_batch(p, config, range(6))
+        assert all(r.n_backstop > 0 for r in batch)
+        for a, b in zip(batch, solve_each(p, config, range(6))):
+            assert_solves_equal(a, b)
+
+    def test_diverging_row_stops_while_the_others_finish(self):
+        # Zero drift keeps every step at h_max; the strong geometric noise
+        # blows up the path of seed 6 before T.
+        p = SdeProblem(
+            d=1, m=1, A=np.zeros((1, 1)),
+            f=lambda x: np.zeros_like(x),
+            g=lambda x: 30.0 * x, S=np.ones((1, 1)),
+            x0=np.ones(1), t_end=1.0,
+        )
+        config = MeshConfig(h_max=0.05)
+        batch = _solve_adaptive_batch(p, config, range(8))
+        assert batch[6].diverged and batch[6].n_steps < 20
+        assert abs(batch[6].y_terminal[0]) > DIVERGENCE_THRESHOLD
+        assert sum(not r.diverged for r in batch) >= 4
+        for r in batch:
+            if not r.diverged:
+                assert r.n_steps == 20 and r.mesh_times()[-1] == 1.0
+        for a, b in zip(batch, solve_each(p, config, range(8))):
+            assert_solves_equal(a, b)
+
+    def test_non_finite_drift_raises(self):
+        p = SdeProblem(
+            d=1, m=1, A=np.zeros((1, 1)),
+            f=lambda x: np.where(x > 0, np.inf, 0.0),
+            g=lambda x: np.ones_like(x), S=np.ones((1, 1)),
+            x0=np.ones(1), t_end=1.0,
+        )
+        with pytest.raises(FloatingPointError):
+            _solve_adaptive_batch(p, MeshConfig(h_max=0.25), [0, 1])
+
+    def test_wall_time_is_the_batch_share(self):
+        batch = _solve_adaptive_batch(problem_by_name("gl"), MeshConfig(h_max=0.025), range(4))
+        assert len({r.wall_time for r in batch}) == 1
+        assert batch[0].wall_time > 0
 
 
 @pytest.mark.parametrize(
@@ -305,8 +407,7 @@ class TestReferenceQuality:
             master_seed=3,
         )
         ref_sq, sch_sq = [], []
-        for i in range(cfg.samples):
-            rec = run_sample(cfg, i, 0.025)
+        for rec in sample_records(cfg, 0.025, range(cfg.samples)):
             exact = gbm_exact_terminal(rec.w_terminal[0])
             ref_sq.append((rec.reference_terminal[0] - exact) ** 2)
             sch_sq.append((rec.terminal["adaptive_semi_implicit"][0] - exact) ** 2)
