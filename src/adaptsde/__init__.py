@@ -16,7 +16,7 @@ from .core import (
     SolveResult,
     validate_hmax_bound,
 )
-from .control import StepDecision, propose_step, propose_steps
+from .control import StepDecision, propose_step
 from .wiener import WienerPath
 from .schemes import (
     SCHEME_IDS,
@@ -58,7 +58,6 @@ __all__ = [
     "validate_hmax_bound",
     "StepDecision",
     "propose_step",
-    "propose_steps",
     "WienerPath",
     "SCHEME_IDS",
     "LinearSolver",

@@ -29,7 +29,7 @@ import numpy as np
 
 from .core import MeshConfig
 
-__all__ = ["StepDecision", "propose_step", "propose_steps", "row_norms"]
+__all__ = ["StepDecision", "propose_step", "propose_steps"]
 
 
 @dataclass(frozen=True)

@@ -119,7 +119,9 @@ class LinearSolver:
         sides of one system.  With one ``h`` per row, a tridiagonal ``A``
         stacks the k systems into one of size k·d, with zero couplings
         between the blocks, and solves it with one ``gtsv`` call; each row
-        comes out as it would from a solve of its own.
+        comes out as it would from a solve of its own.  If any entry of that
+        solution is not finite, the rows are solved one by one instead, so
+        a non-finite row cannot spill into its neighbours.
         """
         # isinstance, not np.ndim: np.ndim costs about a microsecond on a
         # Python float, and solve() makes one call per step.
@@ -144,6 +146,10 @@ class LinearSolver:
             upper[:, :-1] = -hv * self._du
             diag = 1.0 - hv * self._dia
             x = self._tridiagonal(lower.ravel()[:-1], diag.ravel(), upper.ravel()[:-1], flat.reshape(-1, 1))
+            if not np.isfinite(x).all():
+                # gtsv carries 0 * inf = NaN across a zero coupling, so a
+                # non-finite row would spoil its neighbours: solve apart.
+                x = np.stack([self.solve(float(hi), bi) for hi, bi in zip(hv[:, 0], flat)])
         else:
             x = np.linalg.solve(np.eye(self.d) - hv[:, :, None] * self.A, flat[..., None])
         return x.reshape(b.shape)
@@ -185,13 +191,11 @@ class NewtonConfig:
 def _noise(problem: SdeProblem, amp: np.ndarray, dW) -> np.ndarray:
     """``g(y) dW`` from the amplitudes ``amp = g(y)``: ``amp * (S dW)``, (..., d).
 
-    A stack of increments is multiplied as a stack of (1, m) rows, so each
-    row's ``S dW`` takes the same bits as it does for one increment alone.
+    Every increment, one alone or a row of a stack, is multiplied as a
+    (1, m) row, so a row's ``S dW`` takes the same bits whatever is stacked
+    with it.
     """
-    dW = np.asarray(dW)
-    if dW.ndim == 1:
-        return amp * (dW @ problem.S.T)
-    return amp * (dW[..., None, :] @ problem.S.T)[..., 0, :]
+    return amp * (np.asarray(dW)[..., None, :] @ problem.S.T)[..., 0, :]
 
 
 def _col_norms(problem: SdeProblem, amp: np.ndarray) -> np.ndarray:

@@ -332,6 +332,22 @@ class TestLinearSolver:
         for i in range(k):
             assert xb[i].tobytes() == solver.solve(float(h[i]), b[i]).tobytes()
 
+    @pytest.mark.parametrize("name", ["fhn01", "spde"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_stacked_solve_keeps_non_finite_rows_apart(self, name, bad):
+        # gtsv computes 0 * b across a zero coupling, so one non-finite row
+        # in the stacked system would turn its neighbours into NaN.
+        p = problem_by_name(name)
+        solver = LinearSolver(p)
+        rng = np.random.default_rng(3)
+        h = rng.uniform(1e-4, 0.05, size=5)
+        b = rng.normal(size=(5, p.d))
+        b[2, 0] = bad
+        xb = solver.solve(h, b)
+        for i in range(5):
+            assert xb[i].tobytes() == solver.solve(float(h[i]), b[i]).tobytes()
+        assert np.isfinite(np.delete(xb, 2, axis=0)).all()
+
     def test_tridiagonal_agrees_with_dense(self):
         rng = np.random.default_rng(8)
         d = 6
