@@ -1,12 +1,16 @@
 """Monte-Carlo strong-convergence and efficiency experiments.
 
+Every march here is ``_march``, one loop that steps a stack of rows until
+each finishes or diverges, with each step's sizes and increments taken from
+a source: the controller, or a block's precomputed arrays.
+
 The measurement protocol, per ``h_max``:
 
 1. solve every sample path with the adaptive semi-implicit scheme, on the
    path a fresh :class:`~adaptsde.wiener.WienerPath` would draw (seed =
-   master seed XOR sample index), all samples as one vectorized march
-   (``_solve_adaptive_batch``), and keep only each sample's
-   :class:`~adaptsde.core.SolveResult`,
+   master seed XOR sample index), all samples as one march whose source is
+   the step-size controller (``_solve_adaptive_batch``), and keep only each
+   sample's :class:`~adaptsde.core.SolveResult`,
 2. lay the samples out in blocks from the realized meshes (below),
 3. per block, rebuild each sample's path from its seed and the knot times of
    its mesh, bisect every adaptive step ``levels`` times with Brownian
@@ -31,7 +35,9 @@ it holds ``k * L_max * (m + 1) * 8`` bytes.  Samples are taken in index
 order, and a block closes before the sample that would take it past a fixed
 512 MiB: every block of more than one sample fits that budget, and a sample
 that alone exceeds it is marched by itself.  Each sample's increments are
-written straight into its block's arrays; no per-sample copy is kept.
+written straight into its block's arrays; no per-sample copy is kept.  The
+source of a fixed-step march is one column of these arrays per step, and a
+row drops out after its own last step, so the zero padding is never stepped.
 
 Root-mean-square errors aggregate over samples with NaN exclusion (diverged
 runs are counted, not averaged).  Everything is deterministic given the
@@ -42,16 +48,12 @@ sample index.  With ``workers`` > 1 each ``h_max``'s samples split into one
 contiguous chunk per process, each chunk one adaptive march, and the blocks
 fan out over the processes; the tables do not change.
 
-The fixed-step marches are vectorized across a block of samples; ragged
-lengths are handled by stepping only the still-active rows.
-
-``mean_cputime_s`` is wall time (``time.perf_counter``), not CPU time, and
-every scheme's figure is a batched march divided by its number of rows,
-with path generation left out.  A fixed-step scheme marches a block, so its
-figure moves with the layout; its increments are drawn beforehand.  The
-adaptive scheme marches a chunk of samples (all of them with one worker);
-the time its rows spend drawing normals from their generators is measured
-apart and subtracted.
+``mean_cputime_s`` is wall time (``time.perf_counter``), not CPU time: for
+every scheme, the wall time of its march's loop divided by its number of
+rows, with path generation left out.  A fixed-step scheme marches a block, its
+increments drawn beforehand, so its figure moves with the layout.  The
+adaptive scheme marches a chunk of samples (all of them with one worker)
+and subtracts the time its rows spend drawing normals.
 """
 
 from __future__ import annotations
@@ -67,10 +69,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .control import propose_steps, row_norms
+from .control import propose_steps
 from .core import MeshConfig, SdeProblem, SolveResult, last_step
 from .problems import gl_truncation_functions, problem_by_name
-from .schemes import DIVERGENCE_THRESHOLD, SCHEME_IDS, NewtonConfig, step_balanced, step_map
+from .schemes import SCHEME_IDS, NewtonConfig, _diverged, step_balanced, step_map
 from .wiener import WienerPath
 
 __all__ = [
@@ -318,6 +320,51 @@ def _build_problem(name: str, t_end: Optional[float]) -> SdeProblem:
     return problem
 
 
+def _march(problem: SdeProblem, step, k: int, source) -> tuple:
+    """The one batched march: k rows from ``x0`` until each finishes or diverges.
+
+    At step n, ``source(n, rows, y)`` takes the active rows and their states
+    and returns ``(h, dW, done, balanced, f_y)`` for them: step sizes,
+    increments, the rows that finish with this step and the rows that take
+    a balanced step instead of ``step``'s (each None if no row does), and
+    the drift response an adaptive step reuses (None for fixed steps).
+    ``rows`` is ``slice(None)`` while every row is active, so rows are
+    views; after the first row drops, an index array.  Balanced rows step
+    one at a time, as in ``solve()``, since the drift's ``y @ A.T`` rounds
+    differently in a stack, and count as fallbacks.  Returns the states,
+    diverged mask, fallback counts, steps per row and the loop's wall time.
+    """
+    y = np.broadcast_to(problem.x0, (k, problem.d)).copy()
+    diverged = np.zeros(k, dtype=bool)
+    n_fallback = np.zeros(k, dtype=int)
+    n_steps = np.zeros(k, dtype=int)
+    rows, n = slice(None), 0
+    t0 = time.perf_counter()
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        while True:
+            ya = y[rows]
+            h, dW, done, balanced, f_y = source(n, rows, ya)
+            yn, fell = step(ya, h, dW) if f_y is None else step(ya, h, dW, f_y)
+            if balanced is not None and balanced.any():
+                for r in np.flatnonzero(balanced):
+                    yn[r] = step_balanced(problem, ya[r], h[r], dW[r])
+                fell = balanced if fell is None else fell | balanced
+            if fell is not None:
+                n_fallback[rows] += fell
+            y[rows] = yn
+            n += 1
+            bad = _diverged(yn)
+            drop = bad if done is None else bad | done
+            if np.count_nonzero(drop):  # a third of .any()'s cost on a small mask
+                idx = np.arange(k)[rows]
+                diverged[idx[bad]] = True
+                n_steps[idx[drop]] = n
+                rows = idx[~drop]
+                if not rows.size:
+                    break
+    return y, diverged, n_fallback, n_steps, time.perf_counter() - t0
+
+
 def _march_batch(
     problem: SdeProblem,
     scheme: str,
@@ -330,51 +377,21 @@ def _march_batch(
     mu_inv=None,
     H=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """March a batch of samples with one scheme over per-sample step arrays.
+    """March a batch of samples with one fixed-step scheme over step arrays.
 
-    ``dt`` has shape (k, L), ``dw`` (k, L, m); row i uses its first
-    ``lengths[i]`` steps.  Only still-active rows are stepped, so padding is
-    never touched.  Returns (terminal states, diverged mask, backstop/fallback
-    counts, elapsed wall time).
+    ``dt`` has shape (k, L), ``dw`` (k, L, m); row i takes its first
+    ``lengths[i]`` steps, at least one, so padding is never touched.
+    Returns (terminal states, diverged mask, fallback counts, wall time).
     """
-    k, L = dt.shape
-    y = np.broadcast_to(problem.x0, (k, problem.d)).copy()
-    diverged = np.zeros(k, dtype=bool)
-    n_fallback = np.zeros(k, dtype=int)
-
     step = step_map(problem, scheme, newton=newton, beta=beta, mu_inv=mu_inv, H=H)
+    # Which rows finish is worked out only at the steps where some row does.
+    ends = set(lengths.tolist())
 
-    # A state is diverged once any component leaves the finite ball of radius
-    # DIVERGENCE_THRESHOLD; comparing squared norms also sweeps in NaN/inf.
-    thr_sq = DIVERGENCE_THRESHOLD**2
-    min_len = int(lengths.min()) if k else 0
-    t0 = time.perf_counter()
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        i = 0
-        # Fast path while every row is active: column views, no row gathers.
-        while i < min_len:
-            yn, fell = step(y, dt[:, i], dw[:, i])
-            if fell is not None:
-                n_fallback += fell.astype(int)
-            y = yn
-            i += 1
-            ok = np.square(yn).sum(axis=-1) <= thr_sq
-            if not ok.all():
-                diverged = ~ok
-                break
-        while i < L:
-            act = np.flatnonzero((i < lengths) & ~diverged)
-            if act.size == 0:
-                break
-            yn, fell = step(y[act], dt[act, i], dw[act, i])
-            if fell is not None:
-                n_fallback[act] += fell.astype(int)
-            y[act] = yn
-            bad = ~(np.square(yn).sum(axis=-1) <= thr_sq)
-            if bad.any():
-                diverged[act[bad]] = True
-            i += 1
-    elapsed = time.perf_counter() - t0
+    def source(n, rows, y):
+        done = lengths[rows] == n + 1 if n + 1 in ends else None
+        return dt[rows, n], dw[rows, n], done, None, None
+
+    y, diverged, n_fallback, _, elapsed = _march(problem, step, len(lengths), source)
     return y, diverged, n_fallback, elapsed
 
 
@@ -391,69 +408,49 @@ def _solve_adaptive_batch(
     ``WienerPath`` does, ``(w + sqrt(t_next - t) z) - w``.  So every result
     equals ``solve()``'s bit for bit, whatever the other rows are.
 
-    All rows step together; a row drops out once it reaches T or diverges.
-    Each result's ``wall_time`` is the march's wall time, less the time
-    spent drawing normals, divided by the number of rows.
+    A row finishes when it lands on T; its floor hits are the march's
+    balanced rows.  Each result's ``wall_time`` is the march's wall time,
+    less the time spent drawing normals, divided by the number of rows.
     """
-    k, d, m, T = len(seeds), problem.d, problem.m, problem.t_end
-    h_min = mesh_config.h_min
+    k, m, T = len(seeds), problem.m, problem.t_end
     tiny = 1e-14 * T
-    step = step_map(problem, "adaptive_semi_implicit")
     rngs = [np.random.default_rng(seed) for seed in seeds]
     z = np.empty((k, _DRAW_CHUNK, m))
-    y = np.broadcast_to(problem.x0, (k, d)).copy()
     w = np.zeros((k, m))
     t = np.zeros(k)
     mesh = np.empty((64, k))
-    n_steps = np.zeros(k, dtype=int)
-    n_backstop = np.zeros(k, dtype=int)
-    diverged = np.zeros(k, dtype=bool)
-    act = np.arange(k)
-    n, draw_s = 0, 0.0
-    t0 = time.perf_counter()
-    while act.size:
+    draw_s = 0.0
+
+    def source(n, rows, y):
+        nonlocal mesh, draw_s
         j = n % _DRAW_CHUNK
         if j == 0:
             t_draw = time.perf_counter()
-            for i in act:
+            for i in np.arange(k)[rows]:
                 z[i] = rngs[i].standard_normal((_DRAW_CHUNK, m))
             draw_s += time.perf_counter() - t_draw
         if n == len(mesh):
             mesh = np.concatenate([mesh, np.empty_like(mesh)])
-        ya, ta = y[act], t[act]
-        h, backstop = propose_steps(ya, problem.f(ya), mesh_config)
+        f_y = problem.f(y)
+        h, backstop = propose_steps(y, f_y, mesh_config)
+        ta = t[rows]
         final = ta + h >= T - tiny
         if final.any():
             h[final] = last_step(ta[final], T)
             backstop &= ~final
         t_next = np.where(final, T, ta + h)
-        wa = w[act]
-        wn = wa + np.sqrt(t_next - ta)[:, None] * z[act, j]
+        wa = w[rows]
+        wn = wa + np.sqrt(t_next - ta)[:, None] * z[rows, j]
+        # Formed before w is written: while rows is a slice, wa is a view.
         dW = wn - wa
-        yn, _ = step(ya, h, dW)
-        if backstop.any():
-            # Row by row, as solve() takes them: the drift's `y @ A.T` rounds
-            # differently for a stack of rows.  Backstop steps are rare.
-            for r in np.flatnonzero(backstop):
-                yn[r] = step_balanced(problem, ya[r], h_min, dW[r])
-            n_backstop[act] += backstop
-        y[act], t[act], w[act] = yn, t_next, wn
-        mesh[n, act] = h
-        n_steps[act] += 1
-        bad = ~np.isfinite(yn).all(axis=-1)
-        bad[~bad] = row_norms(yn[~bad]) > DIVERGENCE_THRESHOLD
-        diverged[act[bad]] = True
-        act = act[~(final | bad)]
-        n += 1
-    wall = (time.perf_counter() - t0 - draw_s) / k
+        t[rows], w[rows], mesh[n, rows] = t_next, wn, h
+        return h, dW, final, backstop, f_y
+
+    step = step_map(problem, "adaptive_semi_implicit")
+    y, diverged, n_backstop, n_steps, elapsed = _march(problem, step, k, source)
+    wall = (elapsed - draw_s) / k
     return [
-        SolveResult(
-            y_terminal=y[i].copy(),
-            mesh=mesh[: n_steps[i], i].copy(),
-            n_backstop=int(n_backstop[i]),
-            wall_time=wall,
-            diverged=bool(diverged[i]),
-        )
+        SolveResult(y[i].copy(), mesh[: n_steps[i], i].copy(), int(n_backstop[i]), wall, bool(diverged[i]))
         for i in range(k)
     ]
 
@@ -564,7 +561,7 @@ def _run_block(
         errs: dict[str, float] = {}
         for scheme in schemes:
             y_term = terminals[scheme][j]
-            bad = divs[scheme][j] or ref_div[j] or not np.all(np.isfinite(y_term))
+            bad = divs[scheme][j] or ref_div[j]
             diff = y_term - ref
             errs[scheme] = float("nan") if bad else float(np.dot(diff, diff))
         records.append(

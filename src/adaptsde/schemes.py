@@ -9,16 +9,16 @@ linear solves treat each row of a stack on its own, so they give the same
 bits for a row whatever else is stacked with it.
 
 ``step_map`` turns a scheme id into one ``(y, h, dW) -> (y_next,
-fell_back)`` function; ``solve`` and the harness's batched marches step
-through it.  ``solve`` marches a single sample path from 0 to T and records
-the realized mesh as an array of step sizes.  Fixed-step schemes take a
-uniform step ``h``; the adaptive schemes take a
-:class:`~adaptsde.core.MeshConfig` and consult the controller each step,
-falling back to one balanced step of length ``h_min`` whenever the raw
-proposal reaches the floor.
+fell_back)`` function and :func:`_diverged` is the one divergence test;
+``solve`` and the harness's batched march both use them.  ``solve``
+marches a single sample path from 0 to T and records the realized mesh as
+an array of step sizes.  Fixed-step schemes take a uniform step ``h``; the
+adaptive schemes take a :class:`~adaptsde.core.MeshConfig` and consult the
+controller each step, falling back to one balanced step of length
+``h_min`` whenever the raw proposal reaches the floor.
 
 ``solve`` keeps its own scalar loop rather than running a batch of one
-through the harness's adaptive march.  It accepts a ``WienerPath`` that may
+through the harness's march.  It accepts a ``WienerPath`` that may
 already hold knots, bridging into them, where the march only draws forward
 from fresh streams.  And on one path the scalar loop is the faster: on
 ``fhn01`` at ``h_max = 0.025`` it took 10.7 ms per path against 18-20 ms for
@@ -27,7 +27,6 @@ a batch of one (256 paths, 2-core x86 host, BLAS on one thread).
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Literal, Optional
@@ -209,11 +208,12 @@ def step_semi_implicit(
     h,
     dW: np.ndarray,
     solver: Optional[LinearSolver] = None,
+    f_y: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """One step of ``(I - h A) Y' = Y + h f(Y) + g(Y) dW``."""
-    if solver is None:
-        solver = LinearSolver(problem)
-    rhs = y + _hcol(h, y) * problem.f(y) + _noise(problem, problem.g(y), dW)
+    """One step of ``(I - h A) Y' = Y + h f(Y) + g(Y) dW``; ``f_y`` is ``f(y)`` if known."""
+    solver = solver or LinearSolver(problem)
+    f_y = problem.f(y) if f_y is None else f_y
+    rhs = y + _hcol(h, y) * f_y + _noise(problem, problem.g(y), dW)
     return solver.solve(h, rhs)
 
 
@@ -281,9 +281,10 @@ def step_truncated(
     return y + _hcol(h, y) * problem.drift(z) + _noise(problem, problem.g(z), dW)
 
 
-def step_explicit_euler(problem: SdeProblem, y: np.ndarray, h, dW: np.ndarray) -> np.ndarray:
-    """Plain Euler-Maruyama: ``y + h (A y + f(y)) + g(y) dW``."""
-    return y + _hcol(h, y) * problem.drift(y) + _noise(problem, problem.g(y), dW)
+def step_explicit_euler(problem: SdeProblem, y: np.ndarray, h, dW: np.ndarray, D=None) -> np.ndarray:
+    """Plain Euler-Maruyama: ``y + h D + g(y) dW``; ``D`` is ``A y + f(y)`` if known."""
+    D = problem.drift(y) if D is None else D
+    return y + _hcol(h, y) * D + _noise(problem, problem.g(y), dW)
 
 
 def step_drift_implicit_batch(
@@ -354,22 +355,23 @@ def step_map(
     beta: float = 0.5,
     mu_inv: Optional[Callable] = None,
     H: Optional[Callable] = None,
-    solver: Optional[LinearSolver] = None,
-) -> Callable[[np.ndarray, object, np.ndarray], tuple[np.ndarray, object]]:
+) -> Callable[..., tuple[np.ndarray, object]]:
     """The one-step map of ``scheme`` as ``fn(y, h, dW) -> (y_next, fell_back)``.
 
     ``fell_back`` is the drift-implicit scheme's Newton-fallback mask and
-    None for every other scheme.  An adaptive scheme maps to its main step;
-    the controller and the backstop stay with the caller.  Each closure
-    looks its ``step_*`` function up as a module global when it is called,
-    so a rebinding of that name (a tracer's wrapper, say) reaches every
-    caller.
+    None for every other scheme.  An adaptive scheme maps to its main step,
+    ``fn(y, h, dW, f_y)``, where ``f_y`` is the response its controller
+    read: ``f(y)`` for the semi-implicit scheme, the full drift for the
+    explicit one.  The controller and the backstop stay with the caller.
+    Each closure looks its ``step_*`` function up as a module global when
+    it is called, so a rebinding of that name (a tracer's wrapper, say)
+    reaches every caller.
     """
     if scheme == "adaptive_semi_implicit":
-        solver = solver or LinearSolver(problem)
-        return lambda y, h, dW: (step_semi_implicit(problem, y, h, dW, solver=solver), None)
+        solver = LinearSolver(problem)
+        return lambda y, h, dW, f_y: (step_semi_implicit(problem, y, h, dW, solver, f_y), None)
     if scheme in ("adaptive_explicit", "explicit_euler"):
-        return lambda y, h, dW: (step_explicit_euler(problem, y, h, dW), None)
+        return lambda y, h, dW, D=None: (step_explicit_euler(problem, y, h, dW, D), None)
     if scheme == "drift_implicit":
         return lambda y, h, dW: step_drift_implicit_batch(problem, y, h, dW, newton)
     if scheme == "balanced":
@@ -388,8 +390,13 @@ def step_map(
 # -- single-path driver ------------------------------------------------------
 
 
-def _diverged(y: np.ndarray) -> bool:
-    return (not np.all(np.isfinite(y))) or math.sqrt(float(y @ y)) > DIVERGENCE_THRESHOLD
+def _diverged(y: np.ndarray):
+    """Whether a state ``(d,)``, or each row of a stack ``(k, d)``, is diverged.
+
+    ``not ||y||^2 <= DIVERGENCE_THRESHOLD^2`` is true for NaN and inf too,
+    and a row gets the same verdict alone as in a stack.
+    """
+    return ~(np.add.reduce(np.square(y), axis=-1) <= DIVERGENCE_THRESHOLD**2)
 
 
 def solve(
@@ -404,7 +411,6 @@ def solve(
     mu_inv: Optional[Callable] = None,
     H: Optional[Callable] = None,
     record_trajectory: bool = False,
-    solver: Optional[LinearSolver] = None,
 ) -> SolveResult:
     """March one sample path of ``problem`` from 0 to T with ``scheme``.
 
@@ -413,7 +419,7 @@ def solve(
     one with norm beyond ``DIVERGENCE_THRESHOLD`` aborts the run with the
     ``diverged`` flag set (expected for explicit Euler on stiff problems).
     """
-    step = step_map(problem, scheme, newton=newton, beta=beta, mu_inv=mu_inv, H=H, solver=solver)
+    step = step_map(problem, scheme, newton=newton, beta=beta, mu_inv=mu_inv, H=H)
     if path.dim != problem.m:
         raise ValueError(f"path has {path.dim} components, problem needs m={problem.m}")
     adaptive = scheme in ADAPTIVE_SCHEMES
@@ -452,7 +458,7 @@ def solve(
         if use_backstop:
             y_next, fell_back = step_balanced(problem, y, h_n, dW), True
         else:
-            y_next, fell_back = step(y, h_n, dW)
+            y_next, fell_back = step(y, h_n, dW, f_y) if adaptive else step(y, h_n, dW)
         n_backstop += bool(fell_back)
 
         mesh.append(h_n)

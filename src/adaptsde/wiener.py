@@ -59,13 +59,6 @@ class WienerPath:
 
     # -- basic queries ----------------------------------------------------
 
-    @property
-    def knot_times(self) -> list[float]:
-        return self._t[: self._n].tolist()
-
-    def n_knots(self) -> int:
-        return self._n
-
     def _search(self, t: float) -> int:
         return int(np.searchsorted(self._t[: self._n], t, side="left"))
 

@@ -2,12 +2,14 @@
 
 import io
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from adaptsde import harness
 from adaptsde.core import MeshConfig, SdeProblem, SolveResult
@@ -33,7 +35,7 @@ from adaptsde.harness import (
     write_table_csv,
 )
 from adaptsde.problems import PROBLEM_NAMES, gbm_exact_terminal, gl_truncation_functions, problem_by_name
-from adaptsde.schemes import DIVERGENCE_THRESHOLD, FIXED_STEP_SCHEMES, solve
+from adaptsde.schemes import DIVERGENCE_THRESHOLD, FIXED_STEP_SCHEMES, _diverged, solve, step_map
 from adaptsde.wiener import WienerPath
 
 
@@ -279,11 +281,15 @@ def test_rebuilt_path_replays_the_adaptive_solve(name, seed, h_max):
     path = WienerPath(p.m, seed=seed)
     res = solve(p, "adaptive_semi_implicit", path, config=MeshConfig(h_max=h_max))
     rebuilt = WienerPath(p.m, seed=seed)
-    rebuilt.value_at_many(res.mesh_times())
-    assert rebuilt.knot_times == path.knot_times
-    knots = path.knot_times
+    knots = res.mesh_times()
+    rebuilt.value_at_many(knots)
+    # Both hold the solve's knots with the same values.  The rebuilt path
+    # holds no others, and equal generator states mean equally many draws,
+    # so the solve's path holds no others either.
     assert rebuilt.values_on_grid(knots).tobytes() == path.values_on_grid(knots).tobytes()
     assert rebuilt.rng.bit_generator.state == path.rng.bit_generator.state
+    mids = 0.5 * (knots[:-1] + knots[1:])
+    assert rebuilt.value_at_many(mids).tobytes() == path.value_at_many(mids).tobytes()
 
 
 def assert_solves_equal(a: SolveResult, b: SolveResult):
@@ -375,25 +381,137 @@ class TestAdaptiveBatch:
         assert batch[0].wall_time > 0
 
 
-@pytest.mark.parametrize(
-    "name,scheme",
-    [("gl", s) for s in FIXED_STEP_SCHEMES]
-    + [("fhn01", s) for s in FIXED_STEP_SCHEMES if s != "truncated"],
-)
+FIXED_PAIRS = [(n, s) for n in PROBLEM_NAMES for s in FIXED_STEP_SCHEMES if s != "truncated" or n == "gl"]
+
+
+def truncation_kw(scheme):
+    mu_inv, H = gl_truncation_functions()
+    return dict(mu_inv=mu_inv, H=H) if scheme == "truncated" else {}
+
+
+@pytest.mark.parametrize("name,scheme", FIXED_PAIRS)
 def test_solve_and_batched_march_step_alike(name, scheme):
     # solve() on one path and one row of the harness's march over the same
     # knots must take the same steps, fallbacks included.
     p = problem_by_name(name)
-    mu_inv, H = gl_truncation_functions()
-    kw = dict(mu_inv=mu_inv, H=H) if scheme == "truncated" else {}
+    kw = truncation_kw(scheme)
     path = WienerPath(p.m, seed=0)
     res = solve(p, scheme, path, h=0.05, **kw)
     dw = np.diff(path.values_on_grid(res.mesh_times()), axis=0)
     dt = res.mesh
     y, diverged, n_fallback, _ = _march_batch(p, scheme, dt[None], dw[None], np.array([len(dt)]), **kw)
-    np.testing.assert_allclose(y[0], res.y_terminal, rtol=1e-12)
+    assert y[0].tobytes() == res.y_terminal.tobytes()
     assert diverged[0] == res.diverged
     assert n_fallback[0] == res.n_backstop
+
+
+def march_by_index(p, scheme, dt, dw, lengths, **kw):
+    """The march with its active rows gathered by index at every step."""
+    step = step_map(p, scheme, **kw)
+    y = np.tile(p.x0, (len(lengths), 1))
+    live = np.ones(len(lengths), dtype=bool)
+    for n in range(dt.shape[1]):
+        act = np.flatnonzero(live & (n < lengths))
+        with np.errstate(all="ignore"):
+            y[act] = step(y[act], dt[act, n], dw[act, n])[0]
+            live[act] = ~_diverged(y[act])
+    return y, ~live
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+@pytest.mark.parametrize("name,scheme", [(n, s) for n, s in FIXED_PAIRS if n in ("gl", "fhn01")])
+def test_each_row_of_a_ragged_block_marches_as_alone(name, scheme, data):
+    # Ragged lengths over zero padding, and one row whose NaN increment makes
+    # it diverge partway through: the march switches from all rows to an
+    # index array at the first row that drops.
+    p = problem_by_name(name)
+    kw = truncation_kw(scheme)
+    lengths = np.array(data.draw(st.lists(st.integers(1, 12), min_size=2, max_size=6)))
+    k, h = len(lengths), data.draw(st.sampled_from([0.05, 0.01]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dt = np.zeros((k, lengths.max()))
+    dw = np.zeros((k, lengths.max(), p.m))
+    for i, n in enumerate(lengths):
+        dt[i, :n] = h
+        dw[i, :n] = np.sqrt(h) * rng.standard_normal((n, p.m))
+    bad = data.draw(st.integers(0, k - 1))
+    dw[bad, data.draw(st.integers(0, lengths[bad] - 1))] = np.nan
+    y, diverged, n_fallback, _ = _march_batch(p, scheme, dt, dw, lengths, **kw)
+    assert diverged[bad]
+    y_ref, div_ref = march_by_index(p, scheme, dt, dw, lengths, **kw)
+    assert y.tobytes() == y_ref.tobytes()
+    assert diverged.tolist() == div_ref.tolist()
+    for i in range(k):
+        yi, di, fi, _ = _march_batch(p, scheme, dt[i : i + 1], dw[i : i + 1], lengths[i : i + 1], **kw)
+        assert (diverged[i], n_fallback[i]) == (di[0], fi[0])
+        if name == "gl":
+            assert y[i].tobytes() == yi[0].tobytes()
+        else:
+            # fhn01's drift `y @ A.T` rounds differently for a stack of rows
+            # than for one row (ROADMAP item 2), so alone it agrees to ulps.
+            np.testing.assert_allclose(y[i], yi[0], rtol=1e-12, atol=0.0)
+
+
+THR = DIVERGENCE_THRESHOLD
+BOUNDARY = [0.0, np.nan, np.inf, -np.inf, THR, -THR, np.nextafter(THR, 0.0), np.nextafter(THR, np.inf),
+            THR / math.sqrt(2.0), np.nextafter(THR / math.sqrt(2.0), np.inf), 1e-300]
+
+
+class PlantedPath:
+    """A stand-in path whose every increment is one planted value."""
+
+    def __init__(self, dw):
+        self.dim, self.dw = len(dw), dw
+
+    def increment(self, t_a, t_b):
+        return self.dw.copy()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    stack=hnp.arrays(
+        float,
+        st.tuples(st.integers(1, 8), st.sampled_from([1, 2, 3, 9, 100])),
+        elements=st.one_of(st.sampled_from(BOUNDARY), st.floats(0.5 * THR, 1.5 * THR), st.floats()),
+    )
+)
+def test_divergence_verdicts_agree_alone_in_a_stack_and_in_solve(stack):
+    # States at the threshold, one ulp either side of it, NaN and +-inf.
+    with np.errstate(over="ignore"):
+        verdicts = _diverged(stack).tolist()
+        assert [bool(_diverged(row)) for row in stack] == verdicts
+    if stack.shape[1] > 3:
+        return
+    # Zero drift and unit noise: one Euler step from 0 lands on dW exactly
+    # when dW is finite, so the march and solve() see the planted states.
+    k, d = stack.shape
+    p = SdeProblem(d=d, m=d, A=np.zeros((d, d)), f=np.zeros_like, g=np.ones_like, S=np.eye(d),
+                   x0=np.zeros(d), t_end=1.0)
+    _, diverged, _, _ = _march_batch(p, "explicit_euler", np.ones((k, 1)), stack[:, None], np.ones(k, dtype=int))
+    assert diverged.tolist() == verdicts
+    with np.errstate(all="ignore"):
+        assert [solve(p, "explicit_euler", PlantedPath(row), h=1.0).diverged for row in stack] == verdicts
+
+
+def test_the_drift_is_evaluated_once_per_adaptive_step():
+    gl = problem_by_name("gl")
+    calls = []
+
+    def f(y):
+        calls.append(y.shape)
+        return gl.f(y)
+
+    p = replace(gl, f=f)
+    config = MeshConfig(h_max=0.0025)
+    batch = _solve_adaptive_batch(p, config, range(32))
+    assert max(r.n_steps for r in batch) == 401
+    assert len(calls) == 401
+    for scheme in ("adaptive_semi_implicit", "adaptive_explicit"):
+        calls.clear()
+        res = solve(p, scheme, WienerPath(1, seed=0), config=config)
+        assert res.n_backstop == 0
+        assert len(calls) == res.n_steps
 
 
 class TestReferenceQuality:

@@ -20,11 +20,29 @@ def uniform_knots(n, T=1.0):
     return mesh_times(np.full(n, T / n))
 
 
+def knots_drawn(path):
+    """How many knots the path has drawn: each new knot takes ``dim`` normals
+    from the path's generator, so replaying its seed counts them."""
+    rng = np.random.default_rng(path.seed)
+    for n in range(10_000):
+        if rng.bit_generator.state == path.rng.bit_generator.state:
+            return n
+        rng.standard_normal(path.dim)
+    raise AssertionError("the generator state is not a replay of the seed")
+
+
+def assert_knots(path, times):
+    """The path's knots are exactly ``times``, which include 0: every one of
+    them is a knot, and the path drew no others."""
+    path.values_on_grid(times)
+    assert knots_drawn(path) == len(times) - 1
+
+
 def test_starts_pinned_at_zero():
     p = WienerPath(2, seed=0)
-    assert p.n_knots() == 1
+    assert_knots(p, [0.0])
     np.testing.assert_array_equal(p.value_at(0.0), np.zeros(2))
-    assert p.knot_times == [0.0]
+    assert_knots(p, [0.0])
 
 
 def test_dim_validation():
@@ -53,7 +71,8 @@ def test_same_seed_same_path():
     ts = [0.3, 0.9, 0.6, 2.0, 1.7]
     for t in ts:
         np.testing.assert_array_equal(a.value_at(t), b.value_at(t))
-    assert a.knot_times == b.knot_times
+    assert_knots(a, [0.0, *sorted(ts)])
+    assert_knots(b, [0.0, *sorted(ts)])
 
 
 def test_different_seeds_differ():
@@ -75,10 +94,10 @@ def test_bridge_preserves_existing_knots():
     p = WienerPath(2, seed=9)
     w2 = p.value_at(2.0)
     w1 = p.value_at(1.0)  # bridge insertion between 0 and 2
-    assert p.n_knots() == 3
     np.testing.assert_array_equal(p.value_at(2.0), w2)
     # the interior knot lies strictly between its neighbours in time
-    assert p.knot_times == [0.0, 1.0, 2.0]
+    assert_knots(p, [0.0, 1.0, 2.0])
+    np.testing.assert_array_equal(p.values_on_grid([0.0, 1.0, 2.0]), [np.zeros(2), w1, w2])
     assert np.all(np.isfinite(w1))
 
 
@@ -91,13 +110,16 @@ class TestDrawOrderContract:
             m = int(rng.integers(1, 4))
             seed = int(rng.integers(0, 2**31))
             p1, p2 = WienerPath(m, seed), WienerPath(m, seed)
-            for t in np.sort(rng.uniform(0, 2, size=4)):
+            first = np.sort(rng.uniform(0, 2, size=4))
+            for t in first:
                 np.testing.assert_array_equal(p1.value_at(t), p2.value_at(t))
             qs = np.unique(np.round(rng.uniform(0, 3, size=15), 5))
             got = p1.value_at_many(qs)
             want = np.stack([p2.value_at(t) for t in qs])
             np.testing.assert_array_equal(got, want)
-            assert p1.knot_times == p2.knot_times
+            knots = np.unique(np.concatenate(([0.0], first, qs)))
+            assert_knots(p1, knots)
+            assert_knots(p2, knots)
 
     def test_refine_bitwise_equals_midpoint_loop(self):
         knots = uniform_knots(5)
@@ -115,7 +137,8 @@ class TestDrawOrderContract:
             nxt = np.empty(2 * len(g) - 1)
             nxt[0::2], nxt[1::2] = g, mids
             g = nxt
-        assert p1.knot_times == p2.knot_times
+        assert_knots(p1, fine)
+        assert_knots(p2, fine)
         np.testing.assert_array_equal(p1.values_on_grid(fine), p2.values_on_grid(fine))
 
     def test_extension_batch_matches_loop(self):
@@ -150,7 +173,7 @@ def test_refine_counts_and_spacings():
     p.value_at_many(np.linspace(0, 1, 17)[1:])
     fine = p.refine_uniform(knots, levels=2)
     assert len(fine) == 16 * 4 + 1
-    assert p.n_knots() == 65
+    assert_knots(p, fine)
     np.testing.assert_allclose(np.diff(fine), 1 / 64, rtol=1e-12)
 
     p2 = WienerPath(1, seed=13)
@@ -171,12 +194,12 @@ def test_refine_twice_skips_existing_midpoints():
     knots = uniform_knots(4)
     p.value_at_many(np.linspace(0, 1, 5)[1:])
     p.refine_uniform(knots, levels=1)
-    n = p.n_knots()
+    n = knots_drawn(p)
     vals_before = p.values_on_grid(np.linspace(0, 1, 9))
     fine = p.refine_uniform(knots, levels=2)  # first level already present
     assert len(fine) == 17
-    assert p.n_knots() == 17
-    assert n == 9
+    assert_knots(p, fine)
+    assert n == 8
     np.testing.assert_array_equal(p.values_on_grid(np.linspace(0, 1, 9)), vals_before)
 
 
@@ -184,10 +207,10 @@ def test_values_on_grid_gathers_without_drawing():
     p = WienerPath(2, seed=4)
     ts = [0.25, 0.5, 1.0]
     want = np.stack([p.value_at(t) for t in ts])
-    n = p.n_knots()
+    n = knots_drawn(p)
     got = p.values_on_grid(ts)
     np.testing.assert_array_equal(got, want)
-    assert p.n_knots() == n
+    assert knots_drawn(p) == n
     with pytest.raises(ValueError, match="not a knot"):
         p.values_on_grid([0.3])
 
@@ -241,9 +264,10 @@ def test_dump_replay_byte_identical():
     def build():
         q = WienerPath(2, seed=99)
         q.value_at_many([0.2, 0.7, 1.9])
-        q.refine_uniform([0.0, 0.2, 0.7, 1.9], levels=2)
-        return q.knot_times, q.values_on_grid(q.knot_times)
+        fine = q.refine_uniform([0.0, 0.2, 0.7, 1.9], levels=2)
+        assert_knots(q, fine)
+        return fine, q.values_on_grid(fine)
 
     (t1, w1), (t2, w2) = build(), build()
-    assert t1 == t2
+    assert t1.tobytes() == t2.tobytes()
     assert w1.tobytes() == w2.tobytes()
