@@ -15,7 +15,10 @@ The measurement protocol, per ``h_max``:
 3. per block, rebuild each sample's path from its seed and the knot times of
    its mesh, bisect every adaptive step ``levels`` times with Brownian
    bridges and march the balanced method over the fine grid: that is the
-   reference solution for this sample,
+   reference solution for this sample.  The mesh is then every knot of the
+   path, so ``refine_uniform`` fills the fine grid level by level in strided
+   slices of one new store, and ``values_on_grid`` returns the fine values
+   as a view of that store, differenced straight into the block's arrays,
 4. set the uniform step ``h_u = T / round(T / h_bar)`` from the sample's own
    mean adaptive step ``h_bar`` and run every fixed-step scheme on that grid,
    with increments bridged from the same path,
@@ -516,7 +519,7 @@ def _run_block(
         moments[j] = (dws / np.sqrt(hs)[:, None]).sum(), ((dws**2).sum(axis=1) / hs).sum()
 
         fine = path.refine_uniform(times, config.levels)
-        vals = path.values_on_grid(fine)
+        vals = path.values_on_grid(fine)  # one run of knots: a view, no gather
         n = len_fine[j]
         # np.diff's own arithmetic, minus the (L, m) temporary.
         np.subtract(fine[1:], fine[:-1], out=dt_fine[j, :n])

@@ -82,9 +82,9 @@ def _hcol(h, y):
     return np.asarray(h)[..., None]
 
 
-def _vnorm(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Euclidean norm along one axis; cheaper than np.linalg.norm in a loop."""
-    return np.sqrt(np.square(x).sum(axis=axis))
+def _vnorm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm along the last axis; cheaper than np.linalg.norm in a loop."""
+    return np.sqrt(np.add.reduce(np.square(x), axis=-1))
 
 
 class LinearSolver:
@@ -228,7 +228,8 @@ def step_balanced(problem: SdeProblem, y: np.ndarray, h, dW: np.ndarray) -> np.n
     dW = np.asarray(dW)
     num = _hcol(h, y) * D + _noise(problem, amp, dW)
     # ||g_r dW_r|| = |dW_r| ||g_r||
-    denom = 1.0 + np.asarray(h) * _vnorm(D) + (np.abs(dW) * _col_norms(problem, amp)).sum(axis=-1)
+    noise_norm = np.add.reduce(np.abs(dW) * _col_norms(problem, amp), axis=-1)
+    denom = 1.0 + np.asarray(h) * _vnorm(D) + noise_norm
     return y + num / denom[..., None]
 
 
@@ -253,7 +254,7 @@ def step_fully_tamed(
     amp = problem.g(y)
     num = _hcol(h, y) * D + _noise(problem, amp, dW)
     hb = np.asarray(h) ** beta
-    denom = 1.0 + hb * _vnorm(D) + hb * _col_norms(problem, amp).sum(axis=-1)
+    denom = 1.0 + hb * _vnorm(D) + hb * np.add.reduce(_col_norms(problem, amp), axis=-1)
     return y + num / denom[..., None]
 
 

@@ -12,25 +12,47 @@ conditionally sampled), so callers that need reproducibility must query in a
 canonical order.  The harness uses: adaptive run first, then reference
 refinement, then fixed-grid queries, everything in ascending time.
 
-Batched queries (``value_at_many``, ``refine_uniform``) draw several normals
-with one generator call.  numpy's Generator fills arrays from the stream in
-row order, so a batch of k draws consumes the stream exactly like k single
-draws; the batched methods therefore produce bit-identical knots to the
-equivalent sequence of ``value_at`` calls.  A unit test pins that property.
+Draw-order contract.  ``value_at_many`` and ``refine_uniform`` leave the
+knots, bit for bit, and the generator state that ``value_at`` calls in
+ascending time would: numpy fills arrays from the stream in row order, the
+batched methods draw in ascending time order, and ``_bridge_rows`` does the
+scalar bridge's arithmetic.
 
-Knots are held in flat numpy buffers with amortized-constant appends, so
-marching a path forward, bisecting every interval of a mesh, and gathering
-values on a large grid all run at array speed.
+Storage.  Knots sit in sorted buffers with amortized-constant appends.
+``value_at_many`` classifies its times with one search, bridges new interior
+times in vector passes by rank in their host interval (rank r is flanked by
+the rank r - 1 value, rank 0 by existing knots), extends past the end and
+merges once.  ``refine_uniform`` on every knot over its span builds the fine
+store once, old knots at stride ``2**levels``, and fills each level into
+strided slices; other grids take one ``value_at_many`` per level.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = ["WienerPath"]
+
+
+def _bridge_rows(t, ta, tb, wa, wb, z, out=None, work=None) -> np.ndarray:
+    """``WienerPath._bridge``'s arithmetic (IEEE + and * commute), one row
+    per time, into ``out``; ``z`` and the (3, len(t)) ``work`` are scratch."""
+    after, span, sd = np.empty((3, len(t))) if work is None else work
+    np.subtract(t, ta, out=after)
+    np.subtract(tb, ta, out=span)
+    np.subtract(tb, t, out=sd)
+    sd *= after
+    sd /= span
+    after /= span
+    out = np.subtract(wb, wa, out=out)
+    out *= after[:, None]
+    out += wa
+    z *= np.sqrt(sd, out=sd)[:, None]
+    out += z
+    return out
 
 
 class WienerPath:
@@ -62,14 +84,22 @@ class WienerPath:
     def _search(self, t: float) -> int:
         return int(np.searchsorted(self._t[: self._n], t, side="left"))
 
+    def _knot_rows(self, ts: np.ndarray) -> np.ndarray:
+        """Store rows of ``ts``, every one of which must be a knot."""
+        rows = np.searchsorted(self._t[: self._n], ts, side="left")
+        known = self._t[np.minimum(rows, self._n - 1)] == ts
+        if not known.all():
+            raise ValueError(f"time {ts[~known][0]} is not a knot of this path")
+        return rows
+
     def value_at(self, t: float) -> np.ndarray:
         """Brownian value W(t), drawing and recording it if unknown.
 
         Returns a copy; knot values are immutable once created.
         """
         t = float(t)
-        if t < 0:
-            raise ValueError(f"time must be nonnegative, got {t}")
+        if not 0.0 <= t < math.inf:
+            raise ValueError(f"time must be finite and nonnegative, got {t}")
         idx = self._search(t)
         if idx < self._n and self._t[idx] == t:
             return self._w[idx].copy()
@@ -134,27 +164,6 @@ class WienerPath:
         self._insert_block(np.array([idx]), np.array([t]), val[None, :])
         return val
 
-    def _bridge_batch(self, host_idx: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        """Bridge-draw several times at once, one per distinct host interval.
-
-        ``host_idx[j]`` is the index of the right flanking knot of ``ts[j]``
-        (all intervals distinct, so the draws are conditionally independent).
-        Consumes the stream exactly like sequential ``value_at`` calls in
-        list order, then rebuilds the knot storage once.
-        """
-        ts = np.asarray(ts, dtype=float)
-        host_idx = np.asarray(host_idx)
-        ta = self._t[host_idx - 1]
-        tb = self._t[host_idx]
-        wa = self._w[host_idx - 1]
-        wb = self._w[host_idx]
-        alpha = (ts - ta) / (tb - ta)
-        var = (ts - ta) * (tb - ts) / (tb - ta)
-        z = self.rng.standard_normal((len(ts), self.dim))
-        new_vals = wa + alpha[:, None] * (wb - wa) + np.sqrt(var)[:, None] * z
-        self._insert_block(host_idx, ts, new_vals)
-        return new_vals
-
     def _extend_batch(self, ts: Sequence[float]) -> np.ndarray:
         """Forward-draw several ascending times past the last knot at once."""
         ts = np.asarray(ts, dtype=float)
@@ -169,108 +178,83 @@ class WienerPath:
 
     # -- batched queries ---------------------------------------------------
 
-    def value_at_many(self, ts: Iterable[float]) -> np.ndarray:
-        """Values at an ascending sequence of times, shape ``(len(ts), m)``.
-
-        Draw order is ascending, identical to calling ``value_at`` on each
-        time in turn, and the results are bit-identical to doing so.  Existing
-        knots are returned without consuming randomness.
-        """
-        ts = [float(t) for t in ts]
-        if any(t < 0 for t in ts):
-            raise ValueError("times must be nonnegative")
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+    def value_at_many(self, ts: Sequence[float]) -> np.ndarray:
+        """Values at strictly ascending times, shape ``(len(ts), m)``: the
+        knots and generator state of ``value_at`` on each time in turn."""
+        ts = np.asarray(ts, dtype=float)
+        if len(ts) and not (ts[0] >= 0.0 and ts[-1] < math.inf):
+            raise ValueError("times must be finite and nonnegative")
+        if not (ts[1:] > ts[:-1]).all():
             raise ValueError("times must be strictly ascending")
-        n = len(ts)
-        out = np.empty((n, self.dim))
-        pending: list[tuple[int, float, int]] = []  # (output slot, time, host idx)
-
-        def flush_pending():
-            if not pending:
-                return
-            vals = self._bridge_batch(
-                np.array([p[2] for p in pending]), np.array([p[1] for p in pending])
-            )
-            for (slot, _, _), v in zip(pending, vals):
-                out[slot] = v
-            pending.clear()
-
-        j = 0
-        while j < n:
-            t = ts[j]
-            idx = self._search(t)
-            if idx < self._n and self._t[idx] == t:
-                out[j] = self._w[idx]
-                j += 1
-                continue
-            if idx == self._n:
-                # Everything from here on extends the path; one cumsum batch.
-                flush_pending()
-                out[j:] = self._extend_batch(ts[j:])
-                break
-            # Interior insertion. Batch only if this host interval holds no
-            # other pending or upcoming new time; otherwise draws within the
-            # interval are sequentially dependent.
-            next_in_same = j + 1 < n and ts[j + 1] < self._t[idx]
-            prev_in_same = bool(pending) and pending[-1][2] == idx
-            if next_in_same or prev_in_same:
-                flush_pending()
-                out[j] = self.value_at(t)
-            else:
-                pending.append((j, t, idx))
-            j += 1
-        flush_pending()
+        n, out = self._n, np.empty((len(ts), self.dim))
+        host = np.searchsorted(self._t[:n], ts, side="left")
+        known = self._t[np.minimum(host, n - 1)] == ts
+        out[known] = self._w[host[known]]
+        inner = np.flatnonzero(~known & (host < n))
+        if len(inner):
+            t, h = ts[inner], host[inner]
+            # rank: new times before this one in its host interval
+            rank = np.arange(len(h)) - np.searchsorted(h, h, side="left")
+            z = self.rng.standard_normal((len(t), self.dim))
+            vals = np.empty_like(z)
+            by_rank = np.argsort(rank, kind="stable")
+            for r, j in enumerate(np.split(by_rank, np.cumsum(np.bincount(rank))[:-1])):
+                ta, wa = (t[j - 1], vals[j - 1]) if r else (self._t[h[j] - 1], self._w[h[j] - 1])
+                vals[j] = _bridge_rows(t[j], ta, self._t[h[j]], wa, self._w[h[j]], z[j])
+            out[inner] = vals
+            self._insert_block(h, t, vals)
+        tail = host == n
+        if tail.any():
+            out[tail] = self._extend_batch(ts[tail])
         return out
 
     def refine_uniform(self, times: Sequence[float], levels: int = 1) -> np.ndarray:
         """Bisect every interval of the ascending knot ``times`` ``levels`` times.
 
-        The times must already be knots of the path (a solve's
-        ``mesh_times()`` are, after the solve).  Midpoints are inserted level
-        by level, left to right, which is the canonical refinement order.
-        Returns the fine time grid, ``(len(times) - 1) * 2**levels + 1`` knots.
+        The times must be knots, as a solve's ``mesh_times()`` are.
+        Midpoints are drawn level by level, left to right, the canonical
+        order; one that is already a knot is kept without a draw.  Returns
+        the fine grid, ``(len(times) - 1) * 2**levels + 1`` times.
         """
         if levels < 1:
             raise ValueError("levels must be >= 1")
         grid = np.asarray(times, dtype=float)
-        pos = np.searchsorted(self._t[: self._n], grid, side="left")
-        known = (pos < self._n) & (self._t[np.minimum(pos, self._n - 1)] == grid)
-        if not known.all():
-            bad = grid[~known][0]
-            raise ValueError(f"time {bad} is not a knot of this path")
-        for _ in range(levels):
-            mids = 0.5 * (grid[:-1] + grid[1:])
-            self._insert_midpoints(mids)
-            fine = np.empty(2 * len(grid) - 1)
-            fine[0::2] = grid
-            fine[1::2] = mids
-            grid = fine
-        return grid
-
-    def _insert_midpoints(self, mids: np.ndarray) -> None:
-        """Insert ascending interior times whose host intervals are distinct.
-
-        Times that already exist as knots are skipped without consuming
-        randomness (can happen when a mesh is refined twice).
-        """
-        times = self._t[: self._n]
-        idx = np.searchsorted(times, mids, side="left")
-        fresh = (idx == self._n) | (times[np.minimum(idx, self._n - 1)] != mids)
-        mids, idx = mids[fresh], idx[fresh]
-        if len(mids) == 0:
-            return
-        interior = idx < self._n
-        self._bridge_batch(idx[interior], mids[interior])
-        tail = mids[~interior]
-        if len(tail):
-            self._extend_batch(tail)
+        if not len(grid):
+            raise ValueError("times must hold at least one knot")
+        n, stride, pos = self._n, 1 << levels, self._knot_rows(grid)
+        fine = np.empty((len(grid) - 1) * stride + 1)
+        fine[::stride] = grid
+        strides = [stride >> i for i in range(levels)]
+        for s in strides:
+            mid = np.add(fine[:-1:s], fine[s::s], out=fine[s // 2 :: s])
+            mid *= 0.5
+        lo, hi = pos[0], pos[0] + len(grid)
+        if not (np.array_equal(pos, np.arange(lo, hi)) and (fine[1:] > fine[:-1]).all()):
+            # A subset of the knots, or midpoints that round onto a knot.
+            for s in strides:
+                self.value_at_many(np.unique(fine[s // 2 :: s]))
+            return fine
+        t = np.concatenate((self._t[:lo], fine, self._t[hi:n]))
+        w = np.empty((len(t), self.dim))
+        w[:lo], w[lo + len(fine) :] = self._w[:lo], self._w[hi:n]
+        fw = w[lo : lo + len(fine)]
+        fw[::stride] = self._w[lo:hi]
+        work, z = np.empty((3, len(fine) // 2)), np.empty((len(fine) // 2, self.dim))
+        for s in strides:  # scratch for the last level serves every level
+            k, mid = len(fine) // s, slice(s // 2, None, s)
+            self.rng.standard_normal(out=z[:k])
+            ends = fine[mid], fine[:-1:s], fine[s::s], fw[:-1:s], fw[s::s]
+            _bridge_rows(*ends, z[:k], fw[mid], work[:, :k])
+        self._t, self._w, self._n, self._cap = t, w, len(t), len(t)
+        return fine
 
     def values_on_grid(self, ts: Sequence[float]) -> np.ndarray:
-        """Gather existing knot values without drawing; error on missing times."""
+        """Knot values at ``ts`` without drawing; a run of consecutive knots,
+        such as a grid just refined, comes back as a read-only view."""
         ts = np.asarray(ts, dtype=float)
-        idx = np.searchsorted(self._t[: self._n], ts, side="left")
-        ok = (idx < self._n) & (self._t[np.minimum(idx, self._n - 1)] == ts)
-        if not ok.all():
-            bad = float(ts[~ok][0])
-            raise ValueError(f"time {bad} is not a knot of this path")
-        return self._w[idx].copy()
+        lo = self._search(ts[0]) if len(ts) else 0
+        if np.array_equal(self._t[lo : min(lo + len(ts), self._n)], ts):
+            view = self._w[lo : lo + len(ts)]
+            view.flags.writeable = False
+            return view
+        return self._w[self._knot_rows(ts)]

@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptsde.core import mesh_times
 from adaptsde.wiener import WienerPath
@@ -45,6 +47,30 @@ def test_starts_pinned_at_zero():
     assert_knots(p, [0.0])
 
 
+def midpoint_loop(path, grid, levels):
+    """Refine ``grid`` the slow way: one ``value_at`` per midpoint, level by
+    level, left to right.  Returns the fine grid."""
+    g = np.asarray(grid, dtype=float)
+    for _ in range(levels):
+        mids = 0.5 * (g[:-1] + g[1:])
+        for t in mids:
+            path.value_at(t)
+        nxt = np.empty(2 * len(g) - 1)
+        nxt[0::2], nxt[1::2] = g, mids
+        g = nxt
+    return g
+
+
+def assert_same_paths(p1, p2, knots):
+    """Both paths hold exactly ``knots``, with the same values bit for bit,
+    and their generators are in the same state."""
+    knots = np.unique(knots)
+    assert_knots(p1, knots)
+    assert_knots(p2, knots)
+    assert p1.values_on_grid(knots).tobytes() == p2.values_on_grid(knots).tobytes()
+    assert p1.rng.bit_generator.state == p2.rng.bit_generator.state
+
+
 def test_dim_validation():
     with pytest.raises(ValueError):
         WienerPath(0, seed=1)
@@ -54,6 +80,42 @@ def test_negative_time_rejected():
     p = WienerPath(1, seed=1)
     with pytest.raises(ValueError):
         p.value_at(-0.5)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_time_rejected_and_path_unharmed(t):
+    p, q = WienerPath(1, seed=0), WienerPath(1, seed=0)
+    with pytest.raises(ValueError):
+        p.value_at(t)
+    with pytest.raises(ValueError):
+        p.increment(0.0, t)
+    np.testing.assert_array_equal(p.value_at(0.5), q.value_at(0.5))
+    assert np.isfinite(p.value_at(0.25)).all()
+
+
+@pytest.mark.parametrize(
+    "ts", [[0.25, math.inf], [0.25, math.nan, 0.5], [math.nan], [0.25, 0.5, math.nan], [-math.inf, 1.0]]
+)
+def test_value_at_many_rejects_non_finite_times(ts):
+    p, q = WienerPath(2, seed=3), WienerPath(2, seed=3)
+    with pytest.raises(ValueError):
+        p.value_at_many(ts)
+    assert_same_paths(p, q, [0.0])
+    np.testing.assert_array_equal(p.value_at_many([0.5, 1.0]), q.value_at_many([0.5, 1.0]))
+
+
+def test_refine_rejects_empty_and_non_finite_grids():
+    p = WienerPath(1, seed=8)
+    p.value_at(1.0)
+    with pytest.raises(ValueError):
+        p.refine_uniform([])
+    with pytest.raises(ValueError, match="not a knot"):
+        p.refine_uniform([0.0, math.nan, 1.0])
+    with pytest.raises(ValueError, match="not a knot"):
+        p.refine_uniform([0.0, 1.0, math.inf])
+    with pytest.raises(ValueError, match="not a knot"):
+        p.values_on_grid([0.0, math.nan])
+    assert_knots(p, [0.0, 1.0])
 
 
 def test_value_is_reproducible_and_immutable():
@@ -213,6 +275,95 @@ def test_values_on_grid_gathers_without_drawing():
     assert knots_drawn(p) == n
     with pytest.raises(ValueError, match="not a knot"):
         p.values_on_grid([0.3])
+
+
+def test_refined_grid_values_are_a_read_only_view():
+    p = WienerPath(2, seed=5)
+    p.value_at_many(np.linspace(0, 1, 5)[1:])
+    fine = p.refine_uniform(uniform_knots(4), levels=2)
+    vals = p.values_on_grid(fine)
+    before = vals.tobytes()
+    with pytest.raises(ValueError):
+        vals[0] = 1.0
+    p.value_at_many(np.linspace(0.01, 1.5, 7))  # bridges and extends
+    assert vals.tobytes() == before
+    assert p.values_on_grid(fine).tobytes() == before
+
+
+def test_refine_midpoints_that_round_onto_knots():
+    """Knots one ulp apart: some midpoints round onto a knot and are kept
+    without a draw, exactly as the per-midpoint loop keeps them."""
+    ts = np.concatenate(([0.0], 1.0 + np.spacing(1.0) * np.arange(6), [1.5]))
+    p1, p2 = WienerPath(2, seed=41), WienerPath(2, seed=41)
+    p1.value_at_many(ts[1:])
+    p2.value_at_many(ts[1:])
+    fine = p1.refine_uniform(ts, levels=3)
+    want = midpoint_loop(p2, ts, 3)
+    assert fine.tobytes() == want.tobytes()
+    assert len(np.unique(fine)) < len(fine)
+    assert_same_paths(p1, p2, fine)
+
+
+# Times on a 1/1024 lattice, knots on a 1/8 one: many new times share a host
+# interval (ranks >= 1), some hit existing knots, some lie past the end.
+lattice = st.integers(1, 3 * 1024).map(lambda i: i / 1024)
+coarse = st.integers(1, 16).map(lambda i: i / 8)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    m=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    first=st.lists(coarse, max_size=8),
+    queries=st.lists(lattice | coarse, max_size=40),
+)
+def test_value_at_many_is_sequential_value_at(m, seed, first, queries):
+    p1, p2 = WienerPath(m, seed), WienerPath(m, seed)
+    for t in first:  # in query order, so bridges among the knots too
+        p1.value_at(t)
+        p2.value_at(t)
+    qs = np.unique(queries)
+    got = p1.value_at_many(qs)
+    want = np.array([p2.value_at(t) for t in qs]).reshape(len(qs), m)
+    assert got.tobytes() == want.tobytes()
+    assert_same_paths(p1, p2, np.concatenate(([0.0], first, qs)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    m=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.lists(st.floats(1e-3, 0.5), min_size=1, max_size=10),
+    levels=st.integers(1, 3),
+    again=st.integers(0, 2),
+    data=st.data(),
+)
+def test_refine_is_the_midpoint_loop(m, seed, steps, levels, again, data):
+    """On every knot of the path (strided fill), on a contiguous run of
+    knots, on any subset of them, and refined a second time."""
+    knots = mesh_times(np.array(steps))
+    p1, p2 = WienerPath(m, seed), WienerPath(m, seed)
+    p1.value_at_many(knots[1:])
+    p2.value_at_many(knots[1:])
+    pick = data.draw(st.sampled_from(["all", "run", "subset"]))
+    grid = knots
+    if pick == "run":
+        lo = data.draw(st.integers(0, len(knots) - 1))
+        grid = knots[lo : data.draw(st.integers(lo + 1, len(knots)))]
+    elif pick == "subset":
+        keep = data.draw(st.lists(st.booleans(), min_size=len(knots), max_size=len(knots)))
+        grid = knots[np.array(keep)] if any(keep) else knots[:1]
+    fine = p1.refine_uniform(grid, levels)
+    want = midpoint_loop(p2, grid, levels)
+    assert fine.tobytes() == want.tobytes()
+    drawn = [knots, fine]
+    if again:
+        fine = p1.refine_uniform(grid, levels + again)
+        want = midpoint_loop(p2, grid, levels + again)
+        assert fine.tobytes() == want.tobytes()
+        drawn.append(fine)
+    assert_same_paths(p1, p2, np.concatenate(drawn))
+    assert p1.values_on_grid(fine).tobytes() == p2.values_on_grid(fine).tobytes()
 
 
 class TestDistribution:
