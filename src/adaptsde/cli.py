@@ -97,6 +97,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         if scheme in ("adaptive_semi_implicit", "adaptive_explicit"):
             kwargs["config"] = MeshConfig(h_max=args.hmax, rho=args.rho)
         else:
+            if not 0 < args.hmax <= problem.t_end:
+                raise ValueError(
+                    f"step size must satisfy 0 < h <= t_end = {problem.t_end}, got {args.hmax}"
+                )
             kwargs["h"] = args.hmax
         if scheme == "truncated":
             if args.problem != "gl":
@@ -190,6 +194,9 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         seed = pick(args.seed, "seed", 0, int)
         rho = pick(args.rho, "rho", 100.0, float)
         levels = pick(args.refine, "refine", default_levels(problem), int)
+        if levels < 1:
+            # ExperimentConfig reads levels == 0 as "use the default".
+            raise ValueError(f"refine must be >= 1, got {levels}")
         out = pick(args.out, "out", None, str)
 
         config = ExperimentConfig(

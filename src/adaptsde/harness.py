@@ -39,8 +39,11 @@ order, and a block closes before the sample that would take it past a fixed
 512 MiB: every block of more than one sample fits that budget, and a sample
 that alone exceeds it is marched by itself.  Each sample's increments are
 written straight into its block's arrays; no per-sample copy is kept.  The
-source of a fixed-step march is one column of these arrays per step, and a
-row drops out after its own last step, so the zero padding is never stepped.
+source of a fixed-step march reads these arrays a chunk of ``_STEP_CHUNK``
+steps at a time: it copies the chunk's step sizes and increments step-major
+and forms their mixed increments ``S dW`` in one stacked product, so each
+step reads contiguous views and its step map skips that product.  A row
+drops out after its own last step, so the zero padding is never stepped.
 
 Root-mean-square errors aggregate over samples with NaN exclusion (diverged
 runs are counted, not averaged).  Everything is deterministic given the
@@ -54,7 +57,9 @@ fan out over the processes; the tables do not change.
 ``mean_cputime_s`` is wall time (``time.perf_counter``), not CPU time: for
 every scheme, the wall time of its march's loop divided by its number of
 rows, with path generation left out.  A fixed-step scheme marches a block, its
-increments drawn beforehand, so its figure moves with the layout.  The
+increments drawn beforehand, so its figure moves with the layout; the chunk
+copies and products above run inside that timed loop, so they count as the
+scheme's own work, as when each step formed its noise itself.  The
 adaptive scheme marches a chunk of samples (all of them with one worker)
 and subtracts the time its rows spend drawing normals.
 """
@@ -75,7 +80,7 @@ import numpy as np
 from .control import propose_steps
 from .core import MeshConfig, SdeProblem, SolveResult, last_step
 from .problems import gl_truncation_functions, problem_by_name
-from .schemes import SCHEME_IDS, NewtonConfig, _diverged, step_balanced, step_map
+from .schemes import SCHEME_IDS, NewtonConfig, _diverged, _mix, step_balanced, step_map
 from .wiener import WienerPath
 
 __all__ = [
@@ -315,6 +320,9 @@ _BLOCK_BYTES = 512 * 2**20
 #: Forward normals each row of the adaptive march draws per generator call.
 _DRAW_CHUNK = 256
 
+#: Steps of a fixed-step march whose y-independent operands are formed at once.
+_STEP_CHUNK = 256
+
 
 def _build_problem(name: str, t_end: Optional[float]) -> SdeProblem:
     problem = problem_by_name(name)
@@ -327,10 +335,11 @@ def _march(problem: SdeProblem, step, k: int, source) -> tuple:
     """The one batched march: k rows from ``x0`` until each finishes or diverges.
 
     At step n, ``source(n, rows, y)`` takes the active rows and their states
-    and returns ``(h, dW, done, balanced, f_y)`` for them: step sizes,
-    increments, the rows that finish with this step and the rows that take
-    a balanced step instead of ``step``'s (each None if no row does), and
-    the drift response an adaptive step reuses (None for fixed steps).
+    and returns ``(h, dW, done, balanced, f_y, noise)`` for them: step
+    sizes, increments, the rows that finish with this step and the rows that
+    take a balanced step instead of ``step``'s (each None if no row does),
+    the drift response an adaptive step reuses (None for fixed steps) and
+    the mixed increments ``S dW`` a fixed step reuses (None for adaptive).
     ``rows`` is ``slice(None)`` while every row is active, so rows are
     views; after the first row drops, an index array.  Balanced rows step
     one at a time, as in ``solve()``, since the drift's ``y @ A.T`` rounds
@@ -346,8 +355,8 @@ def _march(problem: SdeProblem, step, k: int, source) -> tuple:
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         while True:
             ya = y[rows]
-            h, dW, done, balanced, f_y = source(n, rows, ya)
-            yn, fell = step(ya, h, dW) if f_y is None else step(ya, h, dW, f_y)
+            h, dW, done, balanced, f_y, noise = source(n, rows, ya)
+            yn, fell = step(ya, h, dW, noise=noise) if f_y is None else step(ya, h, dW, f_y)
             if balanced is not None and balanced.any():
                 for r in np.flatnonzero(balanced):
                     yn[r] = step_balanced(problem, ya[r], h[r], dW[r])
@@ -384,15 +393,25 @@ def _march_batch(
 
     ``dt`` has shape (k, L), ``dw`` (k, L, m); row i takes its first
     ``lengths[i]`` steps, at least one, so padding is never touched.
-    Returns (terminal states, diverged mask, fallback counts, wall time).
+    The source reads them a chunk at a time, as the module docstring says;
+    once rows drop, each step gathers its rows from the chunk.  Returns
+    (terminal states, diverged mask, fallback counts, wall time).
     """
     step = step_map(problem, scheme, newton=newton, beta=beta, mu_inv=mu_inv, H=H)
     # Which rows finish is worked out only at the steps where some row does.
     ends = set(lengths.tolist())
+    hs = dws = noises = None
 
     def source(n, rows, y):
+        nonlocal hs, dws, noises
+        j = n % _STEP_CHUNK
+        if j == 0:
+            cols = slice(n, n + _STEP_CHUNK)
+            hs = np.ascontiguousarray(dt[:, cols].T)
+            dws = np.ascontiguousarray(dw[:, cols].swapaxes(0, 1))
+            noises = _mix(problem, dws)
         done = lengths[rows] == n + 1 if n + 1 in ends else None
-        return dt[rows, n], dw[rows, n], done, None, None
+        return hs[j, rows], dws[j, rows], done, None, None, noises[j, rows]
 
     y, diverged, n_fallback, _, elapsed = _march(problem, step, len(lengths), source)
     return y, diverged, n_fallback, elapsed
@@ -447,7 +466,7 @@ def _solve_adaptive_batch(
         # Formed before w is written: while rows is a slice, wa is a view.
         dW = wn - wa
         t[rows], w[rows], mesh[n, rows] = t_next, wn, h
-        return h, dW, final, backstop, f_y
+        return h, dW, final, backstop, f_y, None
 
     step = step_map(problem, "adaptive_semi_implicit")
     y, diverged, n_backstop, n_steps, elapsed = _march(problem, step, k, source)

@@ -8,8 +8,15 @@ zero-padded step leaves a state as it is.  The noise ``g(y) dW`` and the
 linear solves treat each row of a stack on its own, so they give the same
 bits for a row whatever else is stacked with it.
 
-``step_map`` turns a scheme id into one ``(y, h, dW) -> (y_next,
-fell_back)`` function and :func:`_diverged` is the one divergence test;
+Every ``step_*`` function also takes ``noise=None``: the mixed increment
+``S dW`` of shape ``(..., d)``, formed by :func:`_mix`, when the caller
+already has it.  Like ``f_y`` and ``D`` it only carries a value and selects
+no behaviour: the step then skips that product and gives the same bits.
+The harness's fixed-step marches form it a chunk of steps at a time;
+``solve`` and the adaptive march pass nothing.
+
+``step_map`` turns a scheme id into one ``(y, h, dW, noise=None) ->
+(y_next, fell_back)`` function and :func:`_diverged` is the one divergence test;
 ``solve`` and the harness's batched march both use them.  ``solve``
 marches a single sample path from 0 to T and records the realized mesh as
 an array of step sizes.  Fixed-step schemes take a uniform step ``h``; the
@@ -71,6 +78,9 @@ FIXED_STEP_SCHEMES = tuple(s for s in SCHEME_IDS if s not in ADAPTIVE_SCHEMES)
 
 #: States whose norm passes this are flagged diverged (also any non-finite).
 DIVERGENCE_THRESHOLD = 1e12
+_THRESHOLD_SQ = DIVERGENCE_THRESHOLD**2
+#: ``_diverged``'s one-reduction test: the threshold less a 2**-20 margin.
+_STACK_SQ = _THRESHOLD_SQ * (1.0 - 2.0**-20)
 
 
 def _hcol(h, y):
@@ -187,14 +197,22 @@ class NewtonConfig:
 # -- one-step maps ----------------------------------------------------------
 
 
-def _noise(problem: SdeProblem, amp: np.ndarray, dW) -> np.ndarray:
-    """``g(y) dW`` from the amplitudes ``amp = g(y)``: ``amp * (S dW)``, (..., d).
+def _mix(problem: SdeProblem, dW) -> np.ndarray:
+    """The mixed increment ``S dW``, shape (..., d), for increments (..., m).
 
     Every increment, one alone or a row of a stack, is multiplied as a
     (1, m) row, so a row's ``S dW`` takes the same bits whatever is stacked
-    with it.
+    with it, a chunk of steps included.
     """
-    return amp * (np.asarray(dW)[..., None, :] @ problem.S.T)[..., 0, :]
+    return (np.asarray(dW)[..., None, :] @ problem.S.T)[..., 0, :]
+
+
+def _noise(problem: SdeProblem, amp: np.ndarray, dW, noise=None) -> np.ndarray:
+    """``g(y) dW`` from the amplitudes ``amp = g(y)``: ``amp * (S dW)``, (..., d).
+
+    ``noise`` is ``S dW`` if the caller has formed it with :func:`_mix`.
+    """
+    return amp * (_mix(problem, dW) if noise is None else noise)
 
 
 def _col_norms(problem: SdeProblem, amp: np.ndarray) -> np.ndarray:
@@ -209,15 +227,16 @@ def step_semi_implicit(
     dW: np.ndarray,
     solver: Optional[LinearSolver] = None,
     f_y: Optional[np.ndarray] = None,
+    noise: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """One step of ``(I - h A) Y' = Y + h f(Y) + g(Y) dW``; ``f_y`` is ``f(y)`` if known."""
     solver = solver or LinearSolver(problem)
     f_y = problem.f(y) if f_y is None else f_y
-    rhs = y + _hcol(h, y) * f_y + _noise(problem, problem.g(y), dW)
+    rhs = y + _hcol(h, y) * f_y + _noise(problem, problem.g(y), dW, noise)
     return solver.solve(h, rhs)
 
 
-def step_balanced(problem: SdeProblem, y: np.ndarray, h, dW: np.ndarray) -> np.ndarray:
+def step_balanced(problem: SdeProblem, y: np.ndarray, h, dW: np.ndarray, noise=None) -> np.ndarray:
     """Balanced step: increment divided by ``1 + h ||D|| + sum_r ||g_r dW_r||``.
 
     ``D = A y + f(y)`` is the full drift.  The denominator is at least 1, so
@@ -226,22 +245,22 @@ def step_balanced(problem: SdeProblem, y: np.ndarray, h, dW: np.ndarray) -> np.n
     D = problem.drift(y)
     amp = problem.g(y)
     dW = np.asarray(dW)
-    num = _hcol(h, y) * D + _noise(problem, amp, dW)
+    num = _hcol(h, y) * D + _noise(problem, amp, dW, noise)
     # ||g_r dW_r|| = |dW_r| ||g_r||
     noise_norm = np.add.reduce(np.abs(dW) * _col_norms(problem, amp), axis=-1)
     denom = 1.0 + np.asarray(h) * _vnorm(D) + noise_norm
     return y + num / denom[..., None]
 
 
-def step_increment_tamed(problem: SdeProblem, y: np.ndarray, h, dW: np.ndarray) -> np.ndarray:
+def step_increment_tamed(problem: SdeProblem, y: np.ndarray, h, dW: np.ndarray, noise=None) -> np.ndarray:
     """Tame the whole Euler increment: ``y + v / max(1, h ||v||)``."""
-    v = _hcol(h, y) * problem.drift(y) + _noise(problem, problem.g(y), dW)
+    v = _hcol(h, y) * problem.drift(y) + _noise(problem, problem.g(y), dW, noise)
     denom = np.maximum(1.0, np.asarray(h) * _vnorm(v))
     return y + v / denom[..., None]
 
 
 def step_fully_tamed(
-    problem: SdeProblem, y: np.ndarray, h, dW: np.ndarray, beta: float = 0.5
+    problem: SdeProblem, y: np.ndarray, h, dW: np.ndarray, beta: float = 0.5, noise=None
 ) -> np.ndarray:
     """Tame drift and diffusion separately with an ``h**beta`` weight.
 
@@ -252,7 +271,7 @@ def step_fully_tamed(
         raise ValueError("beta must lie in (0, 1]")
     D = problem.drift(y)
     amp = problem.g(y)
-    num = _hcol(h, y) * D + _noise(problem, amp, dW)
+    num = _hcol(h, y) * D + _noise(problem, amp, dW, noise)
     hb = np.asarray(h) ** beta
     denom = 1.0 + hb * _vnorm(D) + hb * np.add.reduce(_col_norms(problem, amp), axis=-1)
     return y + num / denom[..., None]
@@ -265,6 +284,7 @@ def step_truncated(
     dW: np.ndarray,
     mu_inv: Callable[[float], float],
     H: Callable[[float], float],
+    noise: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Explicit Euler on the state clamped to the ball of radius ``mu_inv(H(h))``.
 
@@ -279,13 +299,15 @@ def step_truncated(
         bound = np.where(harr > 0, mu_inv(H(np.where(harr > 0, harr, 1.0))), np.inf)
     scale = np.where(r > 0, np.minimum(r, bound) / np.where(r > 0, r, 1.0), 0.0)
     z = scale[..., None] * y
-    return y + _hcol(h, y) * problem.drift(z) + _noise(problem, problem.g(z), dW)
+    return y + _hcol(h, y) * problem.drift(z) + _noise(problem, problem.g(z), dW, noise)
 
 
-def step_explicit_euler(problem: SdeProblem, y: np.ndarray, h, dW: np.ndarray, D=None) -> np.ndarray:
+def step_explicit_euler(
+    problem: SdeProblem, y: np.ndarray, h, dW: np.ndarray, D=None, noise=None
+) -> np.ndarray:
     """Plain Euler-Maruyama: ``y + h D + g(y) dW``; ``D`` is ``A y + f(y)`` if known."""
     D = problem.drift(y) if D is None else D
-    return y + _hcol(h, y) * D + _noise(problem, problem.g(y), dW)
+    return y + _hcol(h, y) * D + _noise(problem, problem.g(y), dW, noise)
 
 
 def step_drift_implicit_batch(
@@ -294,6 +316,7 @@ def step_drift_implicit_batch(
     h,
     dW: np.ndarray,
     newton: Optional[NewtonConfig] = None,
+    noise: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fully drift-implicit step: solve ``x = y + h (A x + f(x)) + g(y) dW``.
 
@@ -309,7 +332,7 @@ def step_drift_implicit_batch(
     newton = newton or NewtonConfig()
     y = np.asarray(y, dtype=float)
     lead, d = y.shape[:-1], problem.d
-    c = (y + _noise(problem, problem.g(y), dW)).reshape(-1, d)
+    c = (y + _noise(problem, problem.g(y), dW, noise)).reshape(-1, d)
     y = y.reshape(-1, d)
     dW = np.asarray(dW).reshape(-1, problem.m)
     k = y.shape[0]
@@ -357,8 +380,9 @@ def step_map(
     mu_inv: Optional[Callable] = None,
     H: Optional[Callable] = None,
 ) -> Callable[..., tuple[np.ndarray, object]]:
-    """The one-step map of ``scheme`` as ``fn(y, h, dW) -> (y_next, fell_back)``.
+    """The one-step map of ``scheme`` as ``fn(y, h, dW, noise=None) -> (y_next, fell_back)``.
 
+    ``noise`` is the mixed increment ``S dW`` if the caller has it.
     ``fell_back`` is the drift-implicit scheme's Newton-fallback mask and
     None for every other scheme.  An adaptive scheme maps to its main step,
     ``fn(y, h, dW, f_y)``, where ``f_y`` is the response its controller
@@ -372,19 +396,19 @@ def step_map(
         solver = LinearSolver(problem)
         return lambda y, h, dW, f_y: (step_semi_implicit(problem, y, h, dW, solver, f_y), None)
     if scheme in ("adaptive_explicit", "explicit_euler"):
-        return lambda y, h, dW, D=None: (step_explicit_euler(problem, y, h, dW, D), None)
+        return lambda y, h, dW, D=None, noise=None: (step_explicit_euler(problem, y, h, dW, D, noise), None)
     if scheme == "drift_implicit":
-        return lambda y, h, dW: step_drift_implicit_batch(problem, y, h, dW, newton)
+        return lambda y, h, dW, noise=None: step_drift_implicit_batch(problem, y, h, dW, newton, noise)
     if scheme == "balanced":
-        return lambda y, h, dW: (step_balanced(problem, y, h, dW), None)
+        return lambda y, h, dW, noise=None: (step_balanced(problem, y, h, dW, noise), None)
     if scheme == "increment_tamed":
-        return lambda y, h, dW: (step_increment_tamed(problem, y, h, dW), None)
+        return lambda y, h, dW, noise=None: (step_increment_tamed(problem, y, h, dW, noise), None)
     if scheme == "fully_tamed":
-        return lambda y, h, dW: (step_fully_tamed(problem, y, h, dW, beta), None)
+        return lambda y, h, dW, noise=None: (step_fully_tamed(problem, y, h, dW, beta, noise), None)
     if scheme == "truncated":
         if mu_inv is None or H is None:
             raise ValueError("truncated scheme needs mu_inv and H")
-        return lambda y, h, dW: (step_truncated(problem, y, h, dW, mu_inv, H), None)
+        return lambda y, h, dW, noise=None: (step_truncated(problem, y, h, dW, mu_inv, H, noise), None)
     raise ValueError(f"unknown scheme {scheme!r}; choose one of {', '.join(SCHEME_IDS)}")
 
 
@@ -396,8 +420,17 @@ def _diverged(y: np.ndarray):
 
     ``not ||y||^2 <= DIVERGENCE_THRESHOLD^2`` is true for NaN and inf too,
     and a row gets the same verdict alone as in a stack.
+
+    One reduction settles a stack in the common case: the sum of all its
+    squared entries, which bounds every row's squared norm up to rounding.
+    Below the threshold by a relative margin of 2**-20, which covers the
+    rounding of both for any stack that fits in memory, it clears every row
+    at once.  A NaN or inf anywhere fails that test, and only then is the
+    per-row mask formed.
     """
-    return ~(np.add.reduce(np.square(y), axis=-1) <= DIVERGENCE_THRESHOLD**2)
+    if y.ndim > 1 and np.vdot(y, y) <= _STACK_SQ:
+        return np.zeros(y.shape[:-1], dtype=bool)
+    return ~(np.add.reduce(np.square(y), axis=-1) <= _THRESHOLD_SQ)
 
 
 def solve(

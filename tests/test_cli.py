@@ -82,6 +82,12 @@ class TestRunCommand:
         code, _, err = run_cli(capsys, "run", "--problem", "gl", "--scheme", "rk4")
         assert code == 2 and "candidates" in err
 
+    @pytest.mark.parametrize("hmax", ["0", "2", "-0.1", "nan"])
+    def test_bad_fixed_step_is_rejected(self, capsys, hmax):
+        code, out, err = run_cli(capsys, "run", "--problem", "gl", "--scheme", "balanced", "--hmax", hmax)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "step size" in err
+
     def test_unwritable_output_is_io_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "traj.csv"
         code, _, err = run_cli(
@@ -205,6 +211,17 @@ class TestConvergenceCommand:
             capsys, "convergence", "--problem", "gbm", "--hmax-list", "2.0", "--samples", "2",
         )
         assert code == 2 and "h_max" in err
+
+    @pytest.mark.parametrize("refine", ["0", "-1"])
+    def test_refine_below_one_rejected(self, capsys, tmp_path, refine):
+        code, out, err = run_cli(
+            capsys, "convergence", "--problem", "gbm", "--samples", "2", "--refine", refine
+        )
+        assert code == 2 and out == "" and "refine must be >= 1" in err
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"problem = gbm\nsamples = 2\nrefine = {refine}\n")
+        code, out, err = run_cli(capsys, "convergence", "--config", str(cfg))
+        assert code == 2 and out == "" and "refine must be >= 1" in err
 
 
 SYNTH_CSV = (

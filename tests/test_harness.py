@@ -406,16 +406,20 @@ def test_solve_and_batched_march_step_alike(name, scheme):
 
 
 def march_by_index(p, scheme, dt, dw, lengths, **kw):
-    """The march with its active rows gathered by index at every step."""
+    """The march with its active rows gathered by index at every step, each
+    step forming its own noise: (states, diverged mask, fallback counts)."""
     step = step_map(p, scheme, **kw)
     y = np.tile(p.x0, (len(lengths), 1))
     live = np.ones(len(lengths), dtype=bool)
+    n_fallback = np.zeros(len(lengths), dtype=int)
     for n in range(dt.shape[1]):
         act = np.flatnonzero(live & (n < lengths))
         with np.errstate(all="ignore"):
-            y[act] = step(y[act], dt[act, n], dw[act, n])[0]
+            y[act], fell = step(y[act], dt[act, n], dw[act, n])
+            if fell is not None:
+                n_fallback[act] += fell
             live[act] = ~_diverged(y[act])
-    return y, ~live
+    return y, ~live, n_fallback
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -439,7 +443,7 @@ def test_each_row_of_a_ragged_block_marches_as_alone(name, scheme, data):
     dw[bad, data.draw(st.integers(0, lengths[bad] - 1))] = np.nan
     y, diverged, n_fallback, _ = _march_batch(p, scheme, dt, dw, lengths, **kw)
     assert diverged[bad]
-    y_ref, div_ref = march_by_index(p, scheme, dt, dw, lengths, **kw)
+    y_ref, div_ref, _ = march_by_index(p, scheme, dt, dw, lengths, **kw)
     assert y.tobytes() == y_ref.tobytes()
     assert diverged.tolist() == div_ref.tolist()
     for i in range(k):
@@ -451,6 +455,38 @@ def test_each_row_of_a_ragged_block_marches_as_alone(name, scheme, data):
             # fhn01's drift `y @ A.T` rounds differently for a stack of rows
             # than for one row (ROADMAP item 2), so alone it agrees to ulps.
             np.testing.assert_allclose(y[i], yi[0], rtol=1e-12, atol=0.0)
+
+
+CHUNK = harness._STEP_CHUNK
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(data=st.data())
+@pytest.mark.parametrize("name,scheme", FIXED_PAIRS)
+def test_chunked_march_equals_a_per_step_march(name, scheme, data):
+    # The march forms each chunk's S dW in one stacked product and reads
+    # step-major copies; a march that forms the noise inside every step must
+    # give the same bytes.  Lengths straddle the chunk boundaries, rows
+    # finish mid-chunk, and a NaN increment may make one row diverge there.
+    p = problem_by_name(name)
+    kw = truncation_kw(scheme)
+    boundary = st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    lengths = np.array(data.draw(st.lists(boundary | st.integers(1, 2 * CHUNK + 3), min_size=2, max_size=4)))
+    k, h = len(lengths), data.draw(st.sampled_from([1e-3, 2e-3]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    dt = np.zeros((k, lengths.max()))
+    dw = np.zeros((k, lengths.max(), p.m))
+    for i, n in enumerate(lengths):
+        dt[i, :n] = h
+        dw[i, :n] = np.sqrt(h) * rng.standard_normal((n, p.m))
+    if data.draw(st.booleans()):
+        bad = data.draw(st.integers(0, k - 1))
+        dw[bad, data.draw(st.integers(0, lengths[bad] - 1))] = np.nan
+    y, diverged, n_fallback, _ = _march_batch(p, scheme, dt, dw, lengths, **kw)
+    y_ref, div_ref, fall_ref = march_by_index(p, scheme, dt, dw, lengths, **kw)
+    assert y.tobytes() == y_ref.tobytes()
+    assert diverged.tolist() == div_ref.tolist()
+    assert n_fallback.tolist() == fall_ref.tolist()
 
 
 THR = DIVERGENCE_THRESHOLD
@@ -492,6 +528,36 @@ def test_divergence_verdicts_agree_alone_in_a_stack_and_in_solve(stack):
     assert diverged.tolist() == verdicts
     with np.errstate(all="ignore"):
         assert [solve(p, "explicit_euler", PlantedPath(row), h=1.0).diverged for row in stack] == verdicts
+
+
+PLANTED = [np.nan, np.inf, -np.inf, np.nextafter(THR, np.inf), -np.nextafter(THR, np.inf), THR,
+           np.nextafter(THR, 0.0)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    k=st.integers(1, 40),
+    d=st.sampled_from([1, 2, 3, 100]),
+    scale=st.sampled_from([1.0, 1e6, 0.3 * THR, 0.6 * THR]),
+    planted=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 99), st.sampled_from(PLANTED)), max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_reduction_divergence_test_flags_exactly_the_diverged_rows(k, d, scale, planted, seed):
+    # Stacks whose one whole-stack reduction sees a NaN, an inf or a norm
+    # one ulp over the threshold in one row, among rows far below, near or
+    # (summed) over it: the verdicts must be the per-row ones.
+    stack = scale / math.sqrt(d) * np.random.default_rng(seed).uniform(-1.0, 1.0, (k, d))
+    for row, col, value in planted:
+        stack[row % k] = 0.0
+        stack[row % k, col % d] = value
+    with np.errstate(over="ignore", invalid="ignore"):
+        verdicts = _diverged(stack)
+        alone = [bool(_diverged(row)) for row in stack]
+    assert verdicts.shape == (k,) and verdicts.dtype == bool
+    assert verdicts.tolist() == alone
+    sq = [sum(float(v) ** 2 for v in row) for row in stack]
+    expected = [not q <= THR**2 for q in sq]
+    assert verdicts.tolist() == expected
 
 
 def test_the_drift_is_evaluated_once_per_adaptive_step():

@@ -34,6 +34,7 @@ from adaptsde.schemes import (
     step_semi_implicit,
     step_truncated,
 )
+from adaptsde.schemes import _mix
 from adaptsde.wiener import WienerPath
 
 
@@ -525,9 +526,9 @@ STEP_MAPS = {
     "balanced": step_balanced,
     "increment_tamed": step_increment_tamed,
     "fully_tamed": step_fully_tamed,
-    "truncated": lambda p, y, h, dW: step_truncated(p, y, h, dW, MU_INV, GAUGE),
+    "truncated": lambda p, y, h, dW, **kw: step_truncated(p, y, h, dW, MU_INV, GAUGE, **kw),
     "explicit_euler": step_explicit_euler,
-    "drift_implicit": lambda p, y, h, dW: step_drift_implicit_batch(p, y, h, dW)[0],
+    "drift_implicit": lambda p, y, h, dW, **kw: step_drift_implicit_batch(p, y, h, dW, **kw)[0],
 }
 
 
@@ -720,6 +721,28 @@ def test_batch_matches_rows(name, step, data):
     assert batch.shape == y.shape
     for i in range(len(y)):
         _assert_close(batch[i], STEP_MAPS[step](p, y[i], float(h[i]), dW[i]), rtol=1e-13)
+
+
+@pytest.mark.parametrize("step", sorted(STEP_MAPS))
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_noise_formed_over_a_chunk_of_steps_gives_the_same_bytes(name, step, data):
+    # The harness forms S dW for a chunk of steps in one stacked product and
+    # hands each step its slice as `noise`; the step must come out as if it
+    # had formed the noise itself.
+    p = CATALOG[name]
+    y, h, dW = data.draw(step_inputs(p))
+    n_steps = data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    chunk = np.sqrt(np.mean(h)) * rng.standard_normal((n_steps,) + dW.shape)
+    noise = _mix(p, chunk)
+    assert noise.shape == chunk.shape[:-1] + (p.d,)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n_steps):
+            alone = STEP_MAPS[step](p, y, h, chunk[j])
+            given_noise = STEP_MAPS[step](p, y, h, chunk[j], noise=noise[j])
+            assert given_noise.tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
