@@ -13,7 +13,7 @@ Subcommands
 
 Exit codes: 0 ok, 2 bad arguments, 3 I/O failure, 4 malformed input file.
 Sweep parallelism honors the ADAPTSDE_WORKERS environment variable
-(default: 1, a single process).
+(default: 1, a single process); a value that is not an integer exits 2.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .core import MeshConfig
 from .harness import (
     ConvergenceTable,
     ExperimentConfig,
+    _worker_count,
     default_h_grid,
     default_levels,
     default_schemes,
@@ -93,6 +94,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         problem = problem_by_name(args.problem)
         scheme = _resolve_scheme(args.scheme)
+        if args.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {args.seed}")
         kwargs = {}
         if scheme in ("adaptive_semi_implicit", "adaptive_explicit"):
             kwargs["config"] = MeshConfig(h_max=args.hmax, rho=args.rho)
@@ -208,10 +211,11 @@ def cmd_convergence(args: argparse.Namespace) -> int:
             levels=levels,
             master_seed=seed,
         )
+        workers = _worker_count(None)
     except ValueError as exc:
         return _fail(str(exc), 2)
 
-    table = run_experiment(config)
+    table = run_experiment(config, workers=workers)
 
     try:
         if out is not None:

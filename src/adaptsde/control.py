@@ -18,6 +18,11 @@ step aside) are the backstop steps.  A zero drift response proposes
 stack of them, row by row; the two give the same bits.  Both take norms as
 the square root of a dot product, :func:`row_norms` in the stacked case:
 a sum of squares rounds differently, and a different norm changes the mesh.
+
+Both raise ``FloatingPointError`` on a NaN or infinite entry of the state or
+the drift response.  Such an entry makes its squared norm non-finite, so the
+entrywise test runs only then; a finite state whose squared norm overflows
+passes it.
 """
 
 from __future__ import annotations
@@ -49,14 +54,18 @@ def propose_step(y: np.ndarray, f_y: np.ndarray, config: MeshConfig) -> StepDeci
     """
     y = np.asarray(y, dtype=float)
     f_y = np.asarray(f_y, dtype=float)
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(f_y))):
+    ff = float(f_y @ f_y)
+    yy = float(y @ y)
+    if not (math.isfinite(ff) and math.isfinite(yy)) and not (
+        np.isfinite(y).all() and np.isfinite(f_y).all()
+    ):
         raise FloatingPointError("non-finite state or drift passed to step controller")
-    norm_f = math.sqrt(float(f_y @ f_y))
+    norm_f = math.sqrt(ff)
     h_max = config.h_max
     h_min = config.h_min
     if norm_f == 0.0:
         return StepDecision(h=h_max, use_backstop=False)
-    norm_y = math.sqrt(float(y @ y))
+    norm_y = math.sqrt(yy)
     raw = h_max * min(max(1.0, norm_y) / norm_f, 1.0)
     if raw <= h_min:
         return StepDecision(h=h_min, use_backstop=True)
@@ -81,11 +90,13 @@ def propose_steps(
     Returns the step sizes and the backstop mask, both of shape (k,), equal
     bit for bit to the row-by-row decisions.  Raises on non-finite inputs.
     """
-    if not (np.isfinite(y).all() and np.isfinite(f_y).all()):
+    norm_f, norm_y = row_norms(f_y), row_norms(y)
+    if not np.isfinite(norm_f + norm_y).all() and not (
+        np.isfinite(y).all() and np.isfinite(f_y).all()
+    ):
         raise FloatingPointError("non-finite state or drift passed to step controller")
-    norm_f = row_norms(f_y)
     with np.errstate(divide="ignore"):
         # A zero drift response divides to inf and so proposes h_max.
-        raw = config.h_max * np.minimum(np.maximum(1.0, row_norms(y)) / norm_f, 1.0)
+        raw = config.h_max * np.minimum(np.maximum(1.0, norm_y) / norm_f, 1.0)
     backstop = (raw <= config.h_min) & (norm_f != 0.0)
     return np.where(backstop, config.h_min, raw), backstop

@@ -163,6 +163,8 @@ class ExperimentConfig:
             raise ValueError("samples must be >= 1")
         if self.levels < 1:
             raise ValueError("levels must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if any(not 0 < h <= 1 for h in self.h_max_list):
             raise ValueError("every h_max must lie in (0, 1]")
         for s in self.schemes:
@@ -611,7 +613,10 @@ def _worker_count(workers: Optional[int]) -> int:
         return max(1, workers)
     env = os.environ.get("ADAPTSDE_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"ADAPTSDE_WORKERS must be an integer, got {env!r}") from None
     return 1
 
 

@@ -118,7 +118,7 @@ def fhn(epsilon: float, x0=(0.0, 0.0), t_end: float = 1.0) -> SdeProblem:
         return out
 
     def g(x):
-        return np.broadcast_to(1.0, np.shape(x))
+        return np.ones(np.shape(x))
 
     def df(x):
         x = np.asarray(x)
@@ -227,7 +227,7 @@ def stoch_vol_32(t_end: float = 1.0) -> SdeProblem:
     def g(x):
         x = np.asarray(x)
         n = np.sqrt(np.square(x).sum(axis=-1, keepdims=True))
-        return np.broadcast_to(n**1.5, x.shape)
+        return np.repeat(n**1.5, x.shape[-1], axis=-1)
 
     def df(x):
         x = np.asarray(x)

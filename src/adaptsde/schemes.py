@@ -24,12 +24,10 @@ adaptive schemes take a :class:`~adaptsde.core.MeshConfig` and consult the
 controller each step, falling back to one balanced step of length
 ``h_min`` whenever the raw proposal reaches the floor.
 
-``solve`` keeps its own scalar loop rather than running a batch of one
-through the harness's march.  It accepts a ``WienerPath`` that may
-already hold knots, bridging into them, where the march only draws forward
-from fresh streams.  And on one path the scalar loop is the faster: on
-``fhn01`` at ``h_max = 0.025`` it took 10.7 ms per path against 18-20 ms for
-a batch of one (256 paths, 2-core x86 host, BLAS on one thread).
+``solve`` keeps its own scalar loop, not the harness's march with a batch
+of one, because it accepts a ``WienerPath`` that may already hold knots
+and bridges into them, where the march only draws forward from fresh
+streams.
 """
 
 from __future__ import annotations

@@ -16,7 +16,9 @@ Draw-order contract.  ``value_at_many`` and ``refine_uniform`` leave the
 knots, bit for bit, and the generator state that ``value_at`` calls in
 ascending time would: numpy fills arrays from the stream in row order, the
 batched methods draw in ascending time order, and ``_bridge_rows`` does the
-scalar bridge's arithmetic.
+scalar bridge's arithmetic.  ``increment(t_a, t_b)`` leaves what
+``value_at(t_a)`` then ``value_at(t_b)`` would; a forward step, from the
+last knot to a later time, goes straight to ``_extend``.
 
 Storage.  Knots sit in sorted buffers with amortized-constant appends.
 ``value_at_many`` classifies its times with one search, bridges new interior
@@ -110,9 +112,16 @@ class WienerPath:
         return val.copy()
 
     def increment(self, t_a: float, t_b: float) -> np.ndarray:
-        """W(t_b) - W(t_a) for 0 <= t_a <= t_b."""
+        """W(t_b) - W(t_a) for 0 <= t_a <= t_b.
+
+        A forward step from the last knot skips :meth:`value_at`'s searches.
+        """
         if t_a > t_b:
             raise ValueError(f"need t_a <= t_b, got {t_a} > {t_b}")
+        last = self._n - 1
+        if t_a == self._t[last] and t_a < t_b < math.inf:
+            wa = self._w[last]  # the view keeps its values if the store grows
+            return self._extend(t_b) - wa
         wa = self.value_at(t_a)
         wb = self.value_at(t_b)
         return wb - wa
@@ -146,11 +155,16 @@ class WienerPath:
     # -- internal draw helpers --------------------------------------------
 
     def _extend(self, t: float) -> np.ndarray:
-        """Draw W(t) past the last knot: forward increment N(0, (t-t_L) I)."""
-        dt = t - self._t[self._n - 1]
+        """Draw W(t) past the last knot, a forward increment N(0, (t-t_L) I),
+        and append it in place."""
+        n = self._n
         z = self.rng.standard_normal(self.dim)
-        val = self._w[self._n - 1] + math.sqrt(dt) * z
-        self._append_block(np.array([t]), val[None, :])
+        if n == self._cap:
+            self._grow_to(n + 1)
+        val = self._w[n - 1] + math.sqrt(t - self._t[n - 1]) * z
+        self._t[n] = t
+        self._w[n] = val
+        self._n = n + 1
         return val
 
     def _bridge(self, idx: int, t: float) -> np.ndarray:

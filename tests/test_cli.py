@@ -88,6 +88,11 @@ class TestRunCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "step size" in err
 
+    def test_negative_seed_is_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "run", "--problem", "gl", "--scheme", "adaptive-si", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "seed must be >= 0" in err
+
     def test_unwritable_output_is_io_error(self, capsys, tmp_path):
         target = tmp_path / "missing" / "traj.csv"
         code, _, err = run_cli(
@@ -222,6 +227,23 @@ class TestConvergenceCommand:
         cfg.write_text(f"problem = gbm\nsamples = 2\nrefine = {refine}\n")
         code, out, err = run_cli(capsys, "convergence", "--config", str(cfg))
         assert code == 2 and out == "" and "refine must be >= 1" in err
+
+
+    def test_negative_seed_rejected(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "convergence", "--problem", "gbm", "--samples", "2", "--seed", "-1")
+        assert code == 2 and out == "" and "seed must be >= 0" in err
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("problem = gbm\nsamples = 2\nseed = -1\n")
+        code, out, err = run_cli(capsys, "convergence", "--config", str(cfg))
+        assert code == 2 and out == "" and "seed must be >= 0" in err
+
+    # Only malformed values: a valid large count would start that many processes.
+    @pytest.mark.parametrize("value", ["abc", "2.5"])
+    def test_malformed_worker_count_rejected(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("ADAPTSDE_WORKERS", value)
+        code, out, err = run_cli(capsys, *CONV_ARGS)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "ADAPTSDE_WORKERS" in err and repr(value) in err
 
 
 SYNTH_CSV = (

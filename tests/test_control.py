@@ -1,5 +1,7 @@
 """Step-controller unit tests with hand-computed proposals."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,3 +128,57 @@ def test_stacked_controller_rejects_non_finite_rows():
         propose_steps(np.array([[1.0], [np.nan]]), np.ones((2, 1)), CFG)
     with pytest.raises(FloatingPointError):
         propose_steps(np.ones((2, 1)), np.array([[1.0], [np.inf]]), CFG)
+
+
+def entrywise_decision(y, f_y, config):
+    """The controller with the entrywise finiteness test first, then its
+    norms: the rule ``propose_step`` must keep while it reads finiteness
+    from the squared norms instead."""
+    if not (np.isfinite(y).all() and np.isfinite(f_y).all()):
+        raise FloatingPointError("non-finite state or drift passed to step controller")
+    norm_f = math.sqrt(float(f_y @ f_y))
+    if norm_f == 0.0:
+        return StepDecision(h=config.h_max, use_backstop=False)
+    raw = config.h_max * min(max(1.0, math.sqrt(float(y @ y))) / norm_f, 1.0)
+    if raw <= config.h_min:
+        return StepDecision(h=config.h_min, use_backstop=True)
+    return StepDecision(h=raw, use_backstop=False)
+
+
+def same_float(a, b) -> bool:
+    return (math.isnan(a) and math.isnan(b)) or np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    inputs=stacked_inputs(),
+    plant=st.sampled_from([math.nan, math.inf, -math.inf, 1e200, -1e200, 1e160, None]),
+    in_f=st.booleans(),
+    where=st.integers(0, 2**16),
+)
+def test_finiteness_read_from_norms_raises_exactly_where_the_entrywise_test_does(inputs, plant, in_f, where):
+    # NaN and +-inf must raise from one state and from a stack holding it;
+    # 1e200 and 1e160 are finite, but their squares overflow.
+    y, f, config = inputs
+    target = f if in_f else y
+    row = where % len(y)
+    if plant is not None:
+        target[row, (where // len(y)) % y.shape[1]] = plant
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            want = [entrywise_decision(y[i], f[i], config) for i in range(len(y))]
+        except FloatingPointError:
+            want = None
+        if want is None:
+            assert not math.isfinite(plant)
+            with pytest.raises(FloatingPointError):
+                propose_step(y[row], f[row], config)
+            with pytest.raises(FloatingPointError):
+                propose_steps(y, f, config)
+            return
+        h, backstop = propose_steps(y, f, config)
+        for i, d in enumerate(want):
+            got = propose_step(y[i], f[i], config)
+            assert same_float(got.h, d.h) and got.use_backstop == d.use_backstop
+            assert same_float(h[i], d.h) and backstop[i] == d.use_backstop
+

@@ -1,6 +1,7 @@
 """Integrator tests: one-step worked examples, linear solver checks, the
 bookkeeping of solve(), and step-map properties over the catalog."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -757,3 +758,27 @@ def test_semi_implicit_rows_are_bit_identical(name, data):
     batch = step_semi_implicit(p, y, h, dW)
     for i in range(len(y)):
         assert batch[i].tobytes() == step_semi_implicit(p, y[i], float(h[i]), dW[i]).tobytes()
+
+
+#: ``g`` as ``fhn`` and ``stoch_vol_32`` gave it as broadcast views, before
+#: they returned arrays of their own.
+BROADCAST_G = {
+    "fhn05": lambda x: np.broadcast_to(1.0, np.shape(x)),
+    "fhn01": lambda x: np.broadcast_to(1.0, np.shape(x)),
+    "svol": lambda x: np.broadcast_to(np.sqrt(np.square(x).sum(axis=-1, keepdims=True)) ** 1.5, x.shape),
+}
+
+
+@pytest.mark.parametrize("step", sorted(STEP_MAPS))
+@pytest.mark.parametrize("name", sorted(BROADCAST_G))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_constant_amplitudes_as_own_arrays_give_the_same_bytes(name, step, data):
+    p = CATALOG[name]
+    y, h, dW = data.draw(step_inputs(p))
+    viewed = dataclasses.replace(p, g=BROADCAST_G[name])
+    amp, old = p.g(y), viewed.g(y)
+    assert amp.shape == old.shape and amp.dtype == old.dtype
+    assert amp.tobytes() == old.tobytes()
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert STEP_MAPS[step](p, y, h, dW).tobytes() == STEP_MAPS[step](viewed, y, h, dW).tobytes()

@@ -422,3 +422,47 @@ def test_dump_replay_byte_identical():
     (t1, w1), (t2, w2) = build(), build()
     assert t1.tobytes() == t2.tobytes()
     assert w1.tobytes() == w2.tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    m=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    warm=st.sampled_from([0, 1, 62, 63, 64, 126, 127]),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["forward", "forward", "same", "back", "bridge"]),
+            st.floats(1e-4, 0.1),
+            st.integers(0, 2**16),
+        ),
+        max_size=60,
+    ),
+)
+def test_increment_is_a_value_at_pair(m, seed, warm, ops):
+    """Forward steps across the store's growth points, zero-length and
+    backward-starting increments, and bridge queries in between leave the
+    knots, values, returned increments and generator state of the
+    ``value_at(t_a)``, ``value_at(t_b)`` pairs."""
+    p1, p2 = WienerPath(m, seed), WienerPath(m, seed)
+    knots = [0.0]
+    steps = [("forward", 1 / 128, 0)] * warm + ops
+    for kind, dt, pick in steps:
+        if kind == "bridge":
+            t = knots[-1] * pick / 2**16
+            assert p1.value_at(t).tobytes() == p2.value_at(t).tobytes()
+            knots = sorted(set(knots) | {t})
+            continue
+        if kind == "forward":
+            t_a = knots[-1]
+        elif kind == "same":
+            t_a = knots[pick % len(knots)]
+        else:  # a knot before the last, once there is one
+            t_a = knots[pick % max(1, len(knots) - 1)]
+        t_b = t_a if kind == "same" else t_a + dt
+        got = p1.increment(t_a, t_b)
+        wa = p2.value_at(t_a)
+        want = p2.value_at(t_b) - wa
+        assert got.shape == (m,) and got.tobytes() == want.tobytes()
+        got[:] = np.nan  # the increment is the caller's own array
+        knots = sorted(set(knots) | {t_a, t_b})
+    assert_same_paths(p1, p2, knots)
