@@ -30,7 +30,7 @@ def main():
 
     print(f"{'scheme':<24} {'slope':>7}   rmse at coarsest/finest h")
     for scheme in config.schemes:
-        rows = table.rows_for(scheme)
+        rows = [r for r in table.rows if r.scheme == scheme]
         fit = table.slopes[scheme]
         print(
             f"{scheme:<24} {fit.slope:>7.3f}   {rows[0].rmse:.3e} -> {rows[-1].rmse:.3e}"

@@ -14,7 +14,6 @@ from .core import (
     MeshConfig,
     SdeProblem,
     SolveResult,
-    validate_hmax_bound,
 )
 from .control import StepDecision, propose_step
 from .wiener import WienerPath
@@ -55,7 +54,6 @@ __all__ = [
     "MeshConfig",
     "SdeProblem",
     "SolveResult",
-    "validate_hmax_bound",
     "StepDecision",
     "propose_step",
     "WienerPath",

@@ -19,7 +19,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Literal, Optional
 
@@ -31,8 +30,6 @@ __all__ = [
     "SdeProblem",
     "MeshConfig",
     "SolveResult",
-    "HmaxBoundReport",
-    "validate_hmax_bound",
     "infer_structure",
     "mesh_times",
     "last_step",
@@ -198,68 +195,3 @@ def last_step(t, t_end: float):
         h = np.where(short, np.nextafter(h, np.where(s < t_end, np.inf, 0.0)), h)
     return h if np.ndim(h) else float(h)
 
-
-@dataclass(frozen=True)
-class HmaxBoundReport:
-    """Result of the step-size bound check.
-
-    ``holds`` is None when the principal square root of ``A`` is not finite
-    and the bound could not be evaluated; ``lhs`` is then NaN.
-    """
-
-    holds: Optional[bool]
-    lhs: float
-    delta: float
-    message: str = ""
-
-
-def _sqrt_norm_symmetric(A: np.ndarray) -> float:
-    """``||A^(1/2)||^2`` for symmetric A: the spectral radius of ``|A|``."""
-    eig = np.linalg.eigvalsh(A)
-    return float(np.max(np.abs(eig)))
-
-
-def validate_hmax_bound(problem: SdeProblem, config: MeshConfig, delta: float = 0.0) -> HmaxBoundReport:
-    """Check ``h_max (||A^(1/2)||^2 + (1 + h_max/2) ||A||^2) <= 1 - delta``.
-
-    This is the sufficient condition under which the implicit solve in the
-    semi-implicit scheme is well behaved.  Benchmark parameter sets routinely
-    violate it and still run fine, so a violation only emits a warning and
-    never blocks a run.
-
-    For symmetric ``A`` the term ``||A^(1/2)||^2`` equals the spectral radius
-    of ``|A|`` and is computed by eigendecomposition; otherwise the principal
-    square root comes from ``scipy.linalg.sqrtm``.
-    """
-    if not 0 <= delta <= 1:
-        raise ValueError("delta must lie in [0, 1]")
-    A = problem.A
-    h = config.h_max
-    norm_A = np.linalg.norm(A, 2)
-    if np.allclose(A, A.T, rtol=0.0, atol=1e-13 * max(1.0, float(np.max(np.abs(A))))):
-        sqrt_norm_sq = _sqrt_norm_symmetric(A)
-    else:
-        # Imported here, not at the top: loading scipy from this module,
-        # ahead of the rest of the package, slowed `import adaptsde` by
-        # about a tenth (median of 40 fresh interpreters, 2-core host).
-        import scipy.linalg
-
-        # A singular A is reported by the warning below, not by scipy's.
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-            root = scipy.linalg.sqrtm(A)
-        if not np.all(np.isfinite(root)):
-            msg = "matrix square root is not finite; bound indeterminate"
-            warnings.warn(msg)
-            return HmaxBoundReport(holds=None, lhs=float("nan"), delta=delta, message=msg)
-        sqrt_norm_sq = np.linalg.norm(root, 2) ** 2
-    lhs = h * (sqrt_norm_sq + (1.0 + h / 2.0) * norm_A**2)
-    holds = bool(lhs <= 1.0 - delta)
-    msg = ""
-    if not holds:
-        msg = (
-            f"step-size bound violated: h_max*(||A^(1/2)||^2 + (1+h_max/2)*||A||^2) "
-            f"= {lhs:.6g} > {1.0 - delta:.6g}; proceeding anyway"
-        )
-        warnings.warn(msg)
-    return HmaxBoundReport(holds=holds, lhs=float(lhs), delta=delta, message=msg)

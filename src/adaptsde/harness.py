@@ -1,67 +1,40 @@
 """Monte-Carlo strong-convergence and efficiency experiments.
 
-Every march here is ``_march``, one loop that steps a stack of rows until
-each finishes or diverges, with each step's sizes and increments taken from
-a source: the controller, or a block's precomputed arrays.
-
 The measurement protocol, per ``h_max``:
 
 1. solve every sample path with the adaptive semi-implicit scheme, on the
    path a fresh :class:`~adaptsde.wiener.WienerPath` would draw (seed =
-   master seed XOR sample index), all samples as one march whose source is
-   the step-size controller (``_solve_adaptive_batch``), and keep only each
-   sample's :class:`~adaptsde.core.SolveResult`,
-2. lay the samples out in blocks from the realized meshes (below),
+   master seed XOR sample index), all samples as one march; each result
+   equals ``solve()``'s on that path, bit for bit,
+2. lay the samples out in blocks from the realized meshes (``_layout``),
 3. per block, rebuild each sample's path from its seed and the knot times of
    its mesh, bisect every adaptive step ``levels`` times with Brownian
    bridges and march the balanced method over the fine grid: that is the
-   reference solution for this sample.  The mesh is then every knot of the
-   path, so ``refine_uniform`` fills the fine grid level by level in strided
-   slices of one new store, and ``values_on_grid`` returns the fine values
-   as a view of that store, differenced straight into the block's arrays,
+   reference solution for this sample,
 4. set the uniform step ``h_u = T / round(T / h_bar)`` from the sample's own
    mean adaptive step ``h_bar`` and run every fixed-step scheme on that grid,
    with increments bridged from the same path,
-5. record squared terminal errors against the reference plus per-scheme
-   wall times.
+5. record, per scheme and in sample order, squared terminal errors against
+   the reference, divergence flags, fallback counts and wall times.
 
-The march in step 1 gives each sample the result ``solve()`` gives on its
-path, bit for bit.  Rebuilding a path in step 3 reproduces it exactly: the
-march only draws forward, from each sample's own generator, and
-``value_at_many`` at the solve's knot times consumes the generator the same
-way, so refinement and grid queries see the knots and generator state a
-``solve()`` would have left behind.
-
-Block layout.  A block's reference march steps ``(k, L_max)`` and
-``(k, L_max, m)`` arrays of increments, ``L_i = n_steps_i * 2**levels``, so
-it holds ``k * L_max * (m + 1) * 8`` bytes.  Samples are taken in index
-order, and a block closes before the sample that would take it past a fixed
-512 MiB: every block of more than one sample fits that budget, and a sample
-that alone exceeds it is marched by itself.  Each sample's increments are
-written straight into its block's arrays; no per-sample copy is kept.  The
-source of a fixed-step march reads these arrays a chunk of ``_STEP_CHUNK``
-steps at a time: it copies the chunk's step sizes and increments step-major
-and forms their mixed increments ``S dW`` in one stacked product, so each
-step reads contiguous views and its step map skips that product.  A row
-drops out after its own last step, so the zero padding is never stepped.
+Rebuilding a path in step 3 reproduces it exactly: the adaptive march only
+draws forward, from each sample's own generator, and ``value_at_many`` at
+the solve's knot times consumes the generator the same way.
 
 Root-mean-square errors aggregate over samples with NaN exclusion (diverged
 runs are counted, not averaged).  Everything is deterministic given the
-master seed: per-sample seeding is worker independent, a sample's adaptive
-solve does not depend on the other rows of its march, the block layout
-depends only on the realized meshes, and the aggregation is ordered by
-sample index.  With ``workers`` > 1 each ``h_max``'s samples split into one
-contiguous chunk per process, each chunk one adaptive march, and the blocks
-fan out over the processes; the tables do not change.
+master seed: the block layout depends only on the realized meshes, and the
+aggregation is ordered by sample index.  With ``workers`` > 1 each
+``h_max``'s samples split into one contiguous chunk per process, and the
+blocks fan out over the processes; the tables do not change.
 
 ``mean_cputime_s`` is wall time (``time.perf_counter``), not CPU time: for
 every scheme, the wall time of its march's loop divided by its number of
-rows, with path generation left out.  A fixed-step scheme marches a block, its
-increments drawn beforehand, so its figure moves with the layout; the chunk
-copies and products above run inside that timed loop, so they count as the
-scheme's own work, as when each step formed its noise itself.  The
-adaptive scheme marches a chunk of samples (all of them with one worker)
-and subtracts the time its rows spend drawing normals.
+rows, with path generation left out.  A fixed-step scheme's increments are
+drawn before its march, so its figure moves with the layout; forming their
+mixed increments ``S dW`` happens inside the timed loop and counts as the
+scheme's own work, as when each step formed its noise itself.  The adaptive
+march draws its normals as it steps, so it subtracts the time spent drawing.
 """
 
 from __future__ import annotations
@@ -85,7 +58,6 @@ from .wiener import WienerPath
 
 __all__ = [
     "ExperimentConfig",
-    "SampleRecord",
     "TableRow",
     "OrderFit",
     "RmseResult",
@@ -165,8 +137,8 @@ class ExperimentConfig:
             raise ValueError("levels must be >= 1")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
-        if any(not 0 < h <= 1 for h in self.h_max_list):
-            raise ValueError("every h_max must lie in (0, 1]")
+        for h in self.h_max_list:
+            MeshConfig(h, self.rho)  # raises on a bad h_max or rho
         for s in self.schemes:
             if s not in SCHEME_IDS:
                 raise ValueError(f"unknown scheme {s!r}; choose from {', '.join(SCHEME_IDS)}")
@@ -179,36 +151,12 @@ class ExperimentConfig:
             raise ValueError("the truncated scheme is only wired up for the 'gl' problem")
 
 
-@dataclass
-class SampleRecord:
-    """Everything measured for one sample path at one ``h_max``."""
-
-    sample_index: int
-    h_max: float
-    sq_err: dict[str, float]
-    cputime: dict[str, float]
-    n_backstop: dict[str, int]
-    diverged: dict[str, bool]
-    mean_adaptive_h: float
-    n_adaptive_steps: int
-    reference_terminal: np.ndarray
-    terminal: dict[str, np.ndarray]
-    w_terminal: np.ndarray
-    moment_dw_sum: float
-    moment_normsq_sum: float
-
-
 @dataclass(frozen=True)
 class RmseResult:
     """Root-mean-square error with the excluded (non-finite) sample count."""
 
     value: float
     n_excluded: int
-    n_total: int
-
-    @property
-    def ok(self) -> bool:
-        return self.n_excluded < self.n_total
 
 
 def rmse(errors: Sequence[float]) -> RmseResult:
@@ -216,7 +164,7 @@ def rmse(errors: Sequence[float]) -> RmseResult:
 
     Diverged samples contribute NaN squared errors; they are excluded from
     the mean and reported in ``n_excluded``.  An all-NaN input yields a NaN
-    value with ``ok == False`` (no finite samples).
+    value.
     """
     arr = np.asarray(list(errors), dtype=float)
     if arr.size == 0:
@@ -224,10 +172,8 @@ def rmse(errors: Sequence[float]) -> RmseResult:
     finite = np.isfinite(arr)
     n_exc = int(arr.size - finite.sum())
     if n_exc == arr.size:
-        return RmseResult(value=float("nan"), n_excluded=n_exc, n_total=arr.size)
-    return RmseResult(
-        value=float(np.sqrt(arr[finite].mean())), n_excluded=n_exc, n_total=arr.size
-    )
+        return RmseResult(value=float("nan"), n_excluded=n_exc)
+    return RmseResult(value=float(np.sqrt(arr[finite].mean())), n_excluded=n_exc)
 
 
 @dataclass(frozen=True)
@@ -309,9 +255,6 @@ class ConvergenceTable:
     rows: list[TableRow]
     slopes: dict[str, OrderFit]
     moments: Optional[MomentStats] = None
-
-    def rows_for(self, scheme: str) -> list[TableRow]:
-        return [r for r in self.rows if r.scheme == scheme]
 
 
 # -- the per-sample engine ----------------------------------------------------
@@ -395,8 +338,10 @@ def _march_batch(
 
     ``dt`` has shape (k, L), ``dw`` (k, L, m); row i takes its first
     ``lengths[i]`` steps, at least one, so padding is never touched.
-    The source reads them a chunk at a time, as the module docstring says;
-    once rows drop, each step gathers its rows from the chunk.  Returns
+    The source copies ``_STEP_CHUNK`` steps at a time step-major and forms
+    their ``S dW`` in one stacked product, so each step reads contiguous
+    views and its step map skips that product; once rows drop, each step
+    gathers its rows from the chunk.  Returns
     (terminal states, diverged mask, fallback counts, wall time).
     """
     step = step_map(problem, scheme, newton=newton, beta=beta, mu_inv=mu_inv, H=H)
@@ -507,20 +452,24 @@ def _layout(solved: Sequence[SolveResult], levels: int, m: int) -> list[range]:
 
 
 def _run_block(
-    config: ExperimentConfig, h_max: float, indices: Sequence[int], solved: Sequence[SolveResult]
-) -> list[SampleRecord]:
+    config: ExperimentConfig, indices: Sequence[int], solved: Sequence[SolveResult]
+) -> tuple[np.ndarray, dict[str, tuple[np.ndarray, ...]]]:
     """Protocol steps 3-5 for a block of samples whose adaptive solves are done.
 
     The adaptive march only draws forward, so querying a fresh path with the
     same seed at the solve's knot times replays its draws exactly; the
     rebuilt path then continues as if ``solve()`` had just run on it.  Its
     increments are written straight into the block's stacked arrays.
+
+    Returns each sample's two :class:`MomentStats` sums as a (k, 2) array
+    and, per scheme, four columns in sample order: squared terminal errors
+    against the reference (NaN where the scheme or the reference diverged),
+    divergence flags, backstop or fallback counts and wall times.
     """
     problem = _build_problem(config.problem, config.t_end)
     T, m, k = problem.t_end, problem.m, len(indices)
-    schemes = config.schemes
     mu_inv = H = None
-    if "truncated" in schemes:
+    if "truncated" in config.schemes:
         mu_inv, H = gl_truncation_functions()
 
     len_fine = np.array([res.n_steps << config.levels for res in solved])
@@ -529,7 +478,6 @@ def _run_block(
     dw_fine = np.zeros((k, len_fine.max(), m))
     dt_grid = np.zeros((k, len_grid.max()))
     dw_grid = np.zeros((k, len_grid.max(), m))
-    w_terminal = np.empty((k, m))
     moments = np.empty((k, 2))
     for j, (index, adaptive) in enumerate(zip(indices, solved)):
         path = WienerPath(m, seed=config.master_seed ^ index)
@@ -551,61 +499,37 @@ def _run_block(
         n = len_grid[j]
         dt_grid[j, :n] = np.diff(grid)
         dw_grid[j, :n] = np.diff(vals, axis=0)
-        w_terminal[j] = path.value_at(T)
     del path, vals
 
     ref_y, ref_div, _, _ = _march_batch(problem, "balanced", dt_fine, dw_fine, len_fine)
     del dt_fine, dw_fine
 
-    # Per scheme, one entry per row: terminal states, divergence flags,
-    # backstop or fallback counts and wall time per sample.
-    terminals = {"adaptive_semi_implicit": np.array([r.y_terminal for r in solved])}
-    divs = {"adaptive_semi_implicit": [r.diverged for r in solved]}
-    falls = {"adaptive_semi_implicit": [r.n_backstop for r in solved]}
-    cput = {"adaptive_semi_implicit": [r.wall_time for r in solved]}
-    for scheme in schemes:
+    columns = {}
+    for scheme in config.schemes:
         if scheme == "adaptive_semi_implicit":
-            continue
-        terminals[scheme], divs[scheme], falls[scheme], elapsed = _march_batch(
-            problem,
-            scheme,
-            dt_grid,
-            dw_grid,
-            len_grid,
-            newton=config.newton,
-            beta=config.beta,
-            mu_inv=mu_inv,
-            H=H,
-        )
-        cput[scheme] = [elapsed / k] * k
-
-    records = []
-    for j, (index, adaptive) in enumerate(zip(indices, solved)):
-        ref = ref_y[j]
-        errs: dict[str, float] = {}
-        for scheme in schemes:
-            y_term = terminals[scheme][j]
-            bad = divs[scheme][j] or ref_div[j]
-            diff = y_term - ref
-            errs[scheme] = float("nan") if bad else float(np.dot(diff, diff))
-        records.append(
-            SampleRecord(
-                sample_index=index,
-                h_max=h_max,
-                sq_err=errs,
-                cputime={s: float(cput[s][j]) for s in schemes},
-                n_backstop={s: int(falls[s][j]) for s in schemes},
-                diverged={s: bool(divs[s][j]) for s in schemes},
-                mean_adaptive_h=adaptive.mean_h,
-                n_adaptive_steps=adaptive.n_steps,
-                reference_terminal=ref,
-                terminal={s: terminals[s][j] for s in schemes},
-                w_terminal=w_terminal[j],
-                moment_dw_sum=float(moments[j, 0]),
-                moment_normsq_sum=float(moments[j, 1]),
+            y = np.array([r.y_terminal for r in solved])
+            div = np.array([r.diverged for r in solved])
+            fall = np.array([r.n_backstop for r in solved])
+            wall = np.array([r.wall_time for r in solved])
+        else:
+            y, div, fall, elapsed = _march_batch(
+                problem,
+                scheme,
+                dt_grid,
+                dw_grid,
+                len_grid,
+                newton=config.newton,
+                beta=config.beta,
+                mu_inv=mu_inv,
+                H=H,
             )
-        )
-    return records
+            wall = np.full(k, elapsed / k)
+        diff = y - ref_y
+        # Row by row, this rounds as np.dot(diff[j], diff[j]) does.
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq_err = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
+        columns[scheme] = (np.where(div | ref_div, np.nan, sq_err), div, fall, wall)
+    return moments, columns
 
 
 def _worker_count(workers: Optional[int]) -> int:
@@ -634,43 +558,40 @@ def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> C
     nworkers = _worker_count(workers)
 
     chunks = [c.tolist() for c in np.array_split(np.arange(config.samples), nworkers) if len(c)]
-    by_h: dict[float, list[SampleRecord]] = {}
+    rows: list[TableRow] = []
+    mom = MomentStats(m=problem.m)
     with ProcessPoolExecutor(max_workers=nworkers) if nworkers > 1 else nullcontext() as pool:
         run = pool.map if pool else map
         for h_max in config.h_max_list:
             solved = [r for rs in run(_solve_chunk, repeat(config), repeat(h_max), chunks) for r in rs]
             blocks = _layout(solved, config.levels, problem.m)
             block_solves = [[solved[i] for i in b] for b in blocks]
-            block_records = run(_run_block, repeat(config), repeat(h_max), blocks, block_solves)
-            by_h[h_max] = [r for recs in block_records for r in recs]
-
-    run_schemes = list(config.schemes)
-    rows: list[TableRow] = []
-    mom = MomentStats(m=problem.m)
-    for h_max in config.h_max_list:
-        recs = by_h[h_max]
-        mean_ad_h = float(np.mean([r.mean_adaptive_h for r in recs]))
-        for r in recs:
-            mom.dw_sum += r.moment_dw_sum
-            mom.normsq_sum += r.moment_normsq_sum
-            mom.n_steps += r.n_adaptive_steps
-        for scheme in run_schemes:
-            res = rmse([r.sq_err[scheme] for r in recs])
-            rows.append(
-                TableRow(
-                    scheme=scheme,
-                    h_max=h_max,
-                    rmse=res.value,
-                    n_excluded=res.n_excluded,
-                    mean_cputime_s=float(np.mean([r.cputime[scheme] for r in recs])),
-                    mean_adaptive_h=mean_ad_h,
-                    n_backstop=int(sum(r.n_backstop[scheme] for r in recs)),
-                    n_diverged=int(sum(r.diverged[scheme] for r in recs)),
+            results = list(run(_run_block, repeat(config), blocks, block_solves))
+            # A left-to-right fold over (h_max, sample): np.sum, math.fsum
+            # and, from Python 3.12, sum() of floats all round differently.
+            for dw_sum, normsq_sum in np.concatenate([mom_k for mom_k, _ in results]).tolist():
+                mom.dw_sum += dw_sum
+                mom.normsq_sum += normsq_sum
+            mom.n_steps += sum(r.n_steps for r in solved)
+            mean_ad_h = float(np.mean([r.mean_h for r in solved]))
+            for scheme in config.schemes:
+                sq_err, div, fall, wall = map(np.concatenate, zip(*(cols[scheme] for _, cols in results)))
+                res = rmse(sq_err)
+                rows.append(
+                    TableRow(
+                        scheme=scheme,
+                        h_max=h_max,
+                        rmse=res.value,
+                        n_excluded=res.n_excluded,
+                        mean_cputime_s=float(np.mean(wall)),
+                        mean_adaptive_h=mean_ad_h,
+                        n_backstop=int(fall.sum()),
+                        n_diverged=int(div.sum()),
+                    )
                 )
-            )
 
     slopes = {}
-    for scheme in run_schemes:
+    for scheme in config.schemes:
         srows = [r for r in rows if r.scheme == scheme]
         slopes[scheme] = fit_order([r.h_max for r in srows], [r.rmse for r in srows])
 

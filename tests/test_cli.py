@@ -237,6 +237,19 @@ class TestConvergenceCommand:
         code, out, err = run_cli(capsys, "convergence", "--config", str(cfg))
         assert code == 2 and out == "" and "seed must be >= 0" in err
 
+    def test_rho_below_one_rejected(self, capsys, tmp_path):
+        # Rejected while the sweep is configured, not by a crash inside it.
+        code, out, err = run_cli(
+            capsys, "convergence", "--problem", "gbm", "--rho", "0.5", "--samples", "1", "--hmax-list", "0.25"
+        )
+        assert code == 2 and out == "" and err.startswith("error: ") and "rho" in err
+        assert "Traceback" not in err
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("problem = gbm\nsamples = 1\nhmax-list = 0.25\nrho = 0.5\n")
+        code, out, err = run_cli(capsys, "convergence", "--config", str(cfg))
+        assert code == 2 and out == "" and err.startswith("error: ") and "rho" in err
+        assert "Traceback" not in err
+
     # Only malformed values: a valid large count would start that many processes.
     @pytest.mark.parametrize("value", ["abc", "2.5"])
     def test_malformed_worker_count_rejected(self, capsys, monkeypatch, value):

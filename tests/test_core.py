@@ -1,23 +1,20 @@
-"""Unit tests for the shared domain types and the step-size bound check."""
+"""Unit tests for the shared domain types and the package's exports."""
 
-import math
-import warnings
+import importlib
+import pkgutil
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adaptsde
 from adaptsde.core import (
-    HmaxBoundReport,
     MeshConfig,
     SdeProblem,
     infer_structure,
     mesh_times,
-    validate_hmax_bound,
 )
-from adaptsde.problems import fhn, gbm
 
 
 def make_problem(A, d=None):
@@ -131,71 +128,18 @@ def test_mesh_times_match_left_to_right_accumulation(steps):
     assert mesh_times(np.array(steps)).tolist() == expected
 
 
-class TestHmaxBound:
-    """The check h_max (||A^(1/2)||^2 + (1 + h_max/2) ||A||^2) <= 1 - delta."""
 
-    def test_zero_operator(self):
-        rep = validate_hmax_bound(make_problem([[0.0]]), MeshConfig(h_max=1.0))
-        assert rep.holds is True
-        assert rep.lhs == 0.0
 
-    def test_scalar_worked_example_holds(self):
-        # A = 0.5, h = 0.25: lhs = 0.25*(0.5 + 1.125*0.25) = 0.1953125
-        rep = validate_hmax_bound(make_problem([[0.5]]), MeshConfig(h_max=0.25))
-        assert rep.lhs == pytest.approx(0.1953125, rel=1e-12)
-        assert rep.holds is True
-        assert rep.message == ""
-
-    def test_gbm_operator_violates_and_warns(self):
-        # A = -8, h = 0.25: lhs = 0.25*(8 + 1.125*64) = 20, way past 1.
-        # Benchmark parameters violate the sufficient condition on purpose.
-        with pytest.warns(UserWarning, match="bound violated"):
-            rep = validate_hmax_bound(gbm(), MeshConfig(h_max=0.25))
-        assert rep.holds is False
-        assert rep.lhs == pytest.approx(20.0, rel=1e-12)
-
-    def test_delta_tightens_the_bound(self):
-        p = make_problem([[0.5]])
-        assert validate_hmax_bound(p, MeshConfig(h_max=0.25), delta=0.5).holds is True
-        with pytest.warns(UserWarning):
-            rep = validate_hmax_bound(p, MeshConfig(h_max=0.25), delta=0.9)
-        assert rep.holds is False
-        with pytest.raises(ValueError):
-            validate_hmax_bound(p, MeshConfig(h_max=0.25), delta=1.5)
-
-    def test_nonsymmetric_matches_scipy_sqrtm(self):
-        """The non-symmetric branch on the FHN operator, whose eigenvalues
-        form a complex-conjugate pair."""
-        prob = fhn(0.5)
-        h = 0.01
-        with np.errstate(all="ignore"):
-            rep = validate_hmax_bound(prob, MeshConfig(h_max=h))
-        root = scipy.linalg.sqrtm(prob.A)
-        expected = h * (
-            np.linalg.norm(root, 2) ** 2
-            + (1 + h / 2) * np.linalg.norm(prob.A, 2) ** 2
-        )
-        assert rep.lhs == pytest.approx(expected, rel=1e-8)
-
-    def test_symmetric_spd_matches_eigendecomposition(self):
-        A = np.array([[2.0, 1.0], [1.0, 2.0]])
-        h = 0.05
-        rep = validate_hmax_bound(make_problem(A), MeshConfig(h_max=h))
-        # for symmetric A the square-root norm squared is the spectral radius
-        expected = h * (3.0 + (1 + h / 2) * 9.0)
-        assert rep.lhs == pytest.approx(expected, rel=1e-10)
-
-    def test_root_not_finite_is_indeterminate(self):
-        # a nonzero nilpotent operator has no square root
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            rep = validate_hmax_bound(make_problem([[0.0, 1.0], [0.0, 0.0]]), MeshConfig(h_max=0.1))
-        assert [type(w.message) for w in caught] == [UserWarning]
-        assert "indeterminate" in str(caught[0].message)
-        assert rep.holds is None
-        assert math.isnan(rep.lhs)
-
-    def test_report_is_frozen_dataclass(self):
-        rep = HmaxBoundReport(holds=True, lhs=0.1, delta=0.0)
-        with pytest.raises(Exception):
-            rep.lhs = 0.2
+def test_every_export_resolves():
+    # A name left in an __all__ after its definition is deleted breaks
+    # star imports; every module of the package is checked.
+    modules = [adaptsde] + [
+        importlib.import_module(f"adaptsde.{info.name}") for info in pkgutil.iter_modules(adaptsde.__path__)
+    ]
+    assert {"adaptsde.core", "adaptsde.harness", "adaptsde.cli"} <= {mod.__name__ for mod in modules}
+    for mod in modules:
+        missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+        assert missing == [], f"{mod.__name__}.__all__ names undefined {missing}"
+    namespace = {}
+    exec("from adaptsde import *", namespace)
+    assert set(adaptsde.__all__) <= namespace.keys()
