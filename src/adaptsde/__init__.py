@@ -20,7 +20,6 @@ from .wiener import WienerPath
 from .schemes import (
     SCHEME_IDS,
     LinearSolver,
-    NewtonConfig,
     solve,
     step_balanced,
     step_drift_implicit_batch,
@@ -59,7 +58,6 @@ __all__ = [
     "WienerPath",
     "SCHEME_IDS",
     "LinearSolver",
-    "NewtonConfig",
     "solve",
     "step_balanced",
     "step_drift_implicit_batch",

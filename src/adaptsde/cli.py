@@ -30,9 +30,7 @@ from .harness import (
     ConvergenceTable,
     ExperimentConfig,
     _worker_count,
-    default_h_grid,
     default_levels,
-    default_schemes,
     read_table_csv,
     run_experiment,
     write_table_csv,
@@ -69,7 +67,7 @@ SCHEME_BLURBS = {
     "drift-implicit": "fixed-step drift-implicit Euler (Newton per step)",
     "balanced": "fixed-step balanced method",
     "increment-tamed": "fixed-step increment-tamed Euler",
-    "fully-tamed": "fixed-step fully tamed Euler (beta=1/2)",
+    "fully-tamed": "fixed-step fully tamed Euler (weight h^1/2)",
     "truncated": "fixed-step truncated Euler (Ginzburg-Landau only)",
     "explicit-euler": "fixed-step explicit Euler-Maruyama (no stabilization)",
 }
@@ -181,18 +179,12 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         problem = pick(args.problem, "problem", None, str)
         if problem is None:
             raise ValueError("a problem name is required (flag --problem or config file)")
-        problem_by_name(problem)  # validates, raising with candidates
-
-        schemes_raw = pick(args.schemes, "schemes", None, str)
-        if schemes_raw is None:
-            schemes = default_schemes(problem)
-        else:
-            schemes = tuple(_resolve_scheme(s.strip()) for s in schemes_raw.split(",") if s.strip())
-        hmax_raw = pick(args.hmax_list, "hmax-list", None, str)
-        if hmax_raw is None:
-            h_list = default_h_grid(problem)
-        else:
-            h_list = tuple(float(x) for x in hmax_raw.split(",") if x.strip())
+        # An empty scheme list or h_max grid lets ExperimentConfig fill in
+        # the problem's defaults.
+        schemes_raw = pick(args.schemes, "schemes", "", str)
+        schemes = tuple(_resolve_scheme(s.strip()) for s in schemes_raw.split(",") if s.strip())
+        hmax_raw = pick(args.hmax_list, "hmax-list", "", str)
+        h_list = tuple(float(x) for x in hmax_raw.split(",") if x.strip())
         samples = pick(args.samples, "samples", 100, int)
         seed = pick(args.seed, "seed", 0, int)
         rho = pick(args.rho, "rho", 100.0, float)

@@ -63,9 +63,6 @@ class SdeProblem:
         Initial state, shape ``(d,)``.
     t_end
         Horizon ``T > 0``.
-    name
-        Optional catalog name; problems built by :mod:`adaptsde.problems`
-        carry one so multiprocessing workers can rebuild them.
     """
 
     d: int
@@ -77,7 +74,6 @@ class SdeProblem:
     x0: np.ndarray
     t_end: float
     df: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    name: Optional[str] = None
     S2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

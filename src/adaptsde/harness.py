@@ -44,7 +44,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional, Sequence
 
@@ -53,7 +53,7 @@ import numpy as np
 from .control import propose_steps
 from .core import MeshConfig, SdeProblem, SolveResult, last_step
 from .problems import gl_truncation_functions, problem_by_name
-from .schemes import SCHEME_IDS, NewtonConfig, _diverged, _mix, step_balanced, step_map
+from .schemes import SCHEME_IDS, _diverged, _mix, step_balanced, step_map
 from .wiener import WienerPath
 
 __all__ = [
@@ -110,7 +110,10 @@ class ExperimentConfig:
     ``problem`` is a catalog name (``gbm | fhn05 | fhn01 | gl | svol |
     spde``) so worker processes can rebuild it.  ``schemes`` lists what to
     compare; the adaptive semi-implicit run happens regardless because it
-    defines the random mesh and the fixed uniform step.
+    defines the random mesh and the fixed uniform step.  Empty ``schemes``
+    and ``h_max_list`` and a zero ``levels`` take the problem's defaults.
+    Every field is checked here, so a bad sweep fails before any worker
+    starts.
     """
 
     problem: str
@@ -120,11 +123,13 @@ class ExperimentConfig:
     samples: int = 100
     levels: int = 0
     master_seed: int = 0
-    t_end: Optional[float] = None
-    beta: float = 0.5
-    newton: NewtonConfig = field(default_factory=NewtonConfig)
 
     def __post_init__(self):
+        problem_by_name(self.problem)  # raises on an unknown name
+        for key in ("samples", "levels", "master_seed"):
+            value = getattr(self, key)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         object.__setattr__(self, "schemes", tuple(self.schemes) or default_schemes(self.problem))
         object.__setattr__(
             self, "h_max_list", tuple(self.h_max_list) or default_h_grid(self.problem)
@@ -269,13 +274,6 @@ _DRAW_CHUNK = 256
 _STEP_CHUNK = 256
 
 
-def _build_problem(name: str, t_end: Optional[float]) -> SdeProblem:
-    problem = problem_by_name(name)
-    if t_end is not None and t_end != problem.t_end:
-        problem = replace(problem, t_end=t_end)
-    return problem
-
-
 def _march(problem: SdeProblem, step, k: int, source) -> tuple:
     """The one batched march: k rows from ``x0`` until each finishes or diverges.
 
@@ -329,8 +327,6 @@ def _march_batch(
     dw: np.ndarray,
     lengths: np.ndarray,
     *,
-    newton: Optional[NewtonConfig] = None,
-    beta: float = 0.5,
     mu_inv=None,
     H=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -344,7 +340,7 @@ def _march_batch(
     gathers its rows from the chunk.  Returns
     (terminal states, diverged mask, fallback counts, wall time).
     """
-    step = step_map(problem, scheme, newton=newton, beta=beta, mu_inv=mu_inv, H=H)
+    step = step_map(problem, scheme, mu_inv=mu_inv, H=H)
     # Which rows finish is worked out only at the steps where some row does.
     ends = set(lengths.tolist())
     hs = dws = noises = None
@@ -426,7 +422,7 @@ def _solve_adaptive_batch(
 
 def _solve_chunk(config: ExperimentConfig, h_max: float, indices: Sequence[int]) -> list[SolveResult]:
     """Protocol step 1 for the samples ``indices`` of one ``h_max``."""
-    problem = _build_problem(config.problem, config.t_end)
+    problem = problem_by_name(config.problem)
     seeds = [config.master_seed ^ i for i in indices]
     return _solve_adaptive_batch(problem, MeshConfig(h_max=h_max, rho=config.rho), seeds)
 
@@ -466,7 +462,7 @@ def _run_block(
     against the reference (NaN where the scheme or the reference diverged),
     divergence flags, backstop or fallback counts and wall times.
     """
-    problem = _build_problem(config.problem, config.t_end)
+    problem = problem_by_name(config.problem)
     T, m, k = problem.t_end, problem.m, len(indices)
     mu_inv = H = None
     if "truncated" in config.schemes:
@@ -513,15 +509,7 @@ def _run_block(
             wall = np.array([r.wall_time for r in solved])
         else:
             y, div, fall, elapsed = _march_batch(
-                problem,
-                scheme,
-                dt_grid,
-                dw_grid,
-                len_grid,
-                newton=config.newton,
-                beta=config.beta,
-                mu_inv=mu_inv,
-                H=H,
+                problem, scheme, dt_grid, dw_grid, len_grid, mu_inv=mu_inv, H=H
             )
             wall = np.full(k, elapsed / k)
         diff = y - ref_y
@@ -554,7 +542,7 @@ def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> C
     sample seeds, each sample's adaptive solve, the block layout and the
     aggregation order do not depend on it.
     """
-    problem = _build_problem(config.problem, config.t_end)
+    problem = problem_by_name(config.problem)
     nworkers = _worker_count(workers)
 
     chunks = [c.tolist() for c in np.array_split(np.arange(config.samples), nworkers) if len(c)]

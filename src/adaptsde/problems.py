@@ -52,7 +52,7 @@ GBM_R = -8.0
 GBM_SIGMA = 3.0
 
 
-def gbm(u0: float = 1.0, t_end: float = 1.0) -> SdeProblem:
+def gbm() -> SdeProblem:
     """Geometric Brownian motion ``du = r u dt + sigma u dW``, r=-8, sigma=3."""
 
     def f(x):
@@ -65,7 +65,6 @@ def gbm(u0: float = 1.0, t_end: float = 1.0) -> SdeProblem:
         x = np.asarray(x)
         return np.zeros(x.shape + (1,))
 
-    name = "gbm" if (u0 == 1.0 and t_end == 1.0) else None
     return SdeProblem(
         d=1,
         m=1,
@@ -74,9 +73,8 @@ def gbm(u0: float = 1.0, t_end: float = 1.0) -> SdeProblem:
         g=g,
         S=np.ones((1, 1)),
         df=df,
-        x0=np.array([float(u0)]),
-        t_end=t_end,
-        name=name,
+        x0=np.array([1.0]),
+        t_end=1.0,
     )
 
 
@@ -89,7 +87,7 @@ def gbm_exact_terminal(w_t: np.ndarray, t: float = 1.0, u0: float = 1.0) -> np.n
     return u0 * np.exp((GBM_R - 0.5 * GBM_SIGMA**2) * t + GBM_SIGMA * np.asarray(w_t))
 
 
-def fhn(epsilon: float, x0=(0.0, 0.0), t_end: float = 1.0) -> SdeProblem:
+def fhn(epsilon: float) -> SdeProblem:
     """FitzHugh-Nagumo with additive noise.
 
     The voltage equation ``eps dV = [V - V^3 + w] dt + sigma_1 sqrt(eps) dW_1``
@@ -98,8 +96,7 @@ def fhn(epsilon: float, x0=(0.0, 0.0), t_end: float = 1.0) -> SdeProblem:
     ``dw = [-V - beta w + alpha] dt + sigma_2 dW_2``.  With ``eps = 0.5`` the
     matrix has a complex-conjugate eigenvalue pair, with ``eps = 0.1`` two
     real eigenvalues.  alpha=0.1, beta=0.01, sigma_1=0.05, sigma_2=0.1.
-
-    The initial state defaults to the origin.
+    The initial state is the origin.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -126,12 +123,6 @@ def fhn(epsilon: float, x0=(0.0, 0.0), t_end: float = 1.0) -> SdeProblem:
         out[..., 0, 0] = -3.0 * x[..., 0] ** 2 / eps
         return out
 
-    default = x0 == (0.0, 0.0) and t_end == 1.0
-    name = None
-    if default and eps == 0.5:
-        name = "fhn05"
-    elif default and eps == 0.1:
-        name = "fhn01"
     return SdeProblem(
         d=2,
         m=2,
@@ -140,13 +131,12 @@ def fhn(epsilon: float, x0=(0.0, 0.0), t_end: float = 1.0) -> SdeProblem:
         g=g,
         S=G0,
         df=df,
-        x0=np.asarray(x0, dtype=float),
-        t_end=t_end,
-        name=name,
+        x0=np.zeros(2),
+        t_end=1.0,
     )
 
 
-def ginzburg_landau(t_end: float = 1.0) -> SdeProblem:
+def ginzburg_landau() -> SdeProblem:
     """Scalar stochastic Ginzburg-Landau ``dx = a x (b - x^2) dt + c x dW``.
 
     a=0.1, b=1, c=0.2, x(0)=2.  The drift splits as ``A = a b`` (linear) and
@@ -173,8 +163,7 @@ def ginzburg_landau(t_end: float = 1.0) -> SdeProblem:
         S=np.ones((1, 1)),
         df=df,
         x0=np.array([2.0]),
-        t_end=t_end,
-        name="gl" if t_end == 1.0 else None,
+        t_end=1.0,
     )
 
 
@@ -208,7 +197,7 @@ def gl_truncation_functions() -> tuple[Callable, Callable]:
     return mu_inv, H
 
 
-def stoch_vol_32(t_end: float = 1.0) -> SdeProblem:
+def stoch_vol_32() -> SdeProblem:
     """Two-dimensional 3/2-volatility model.
 
     ``dX = lam X (mu - ||X||) dt + ||X||^(3/2) B dW`` with lam=2.5, mu=1,
@@ -247,17 +236,11 @@ def stoch_vol_32(t_end: float = 1.0) -> SdeProblem:
         S=B,
         df=df,
         x0=np.array([1.0, 1.0]),
-        t_end=t_end,
-        name="svol" if t_end == 1.0 else None,
+        t_end=1.0,
     )
 
 
-def spde_fd(
-    epsilon: float = 0.1,
-    J: int = 101,
-    modes: Optional[int] = None,
-    t_end: float = 1.0,
-) -> SdeProblem:
+def spde_fd(epsilon: float = 0.1, J: int = 101, modes: Optional[int] = None) -> SdeProblem:
     """Finite-difference system for a stochastic reaction-diffusion PDE.
 
     Central differences on (0,1) with zero Dirichlet boundaries and grid
@@ -299,7 +282,6 @@ def spde_fd(
         out[..., idx, idx] = 3.0 * u**2 - 5.0 * lam_q * u**4
         return out
 
-    default = eps == 0.1 and J == 101 and modes == J and t_end == 1.0
     return SdeProblem(
         d=d,
         m=int(modes),
@@ -309,8 +291,7 @@ def spde_fd(
         S=S,
         df=df,
         x0=2.0 * np.sin(np.pi * xs),
-        t_end=t_end,
-        name="spde" if default else None,
+        t_end=1.0,
     )
 
 

@@ -33,8 +33,7 @@ streams.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable, Literal, Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -46,9 +45,7 @@ from .wiener import WienerPath
 __all__ = [
     "SCHEME_IDS",
     "ADAPTIVE_SCHEMES",
-    "FIXED_STEP_SCHEMES",
     "LinearSolver",
-    "NewtonConfig",
     "step_semi_implicit",
     "step_balanced",
     "step_increment_tamed",
@@ -72,13 +69,17 @@ SCHEME_IDS = (
     "explicit_euler",
 )
 ADAPTIVE_SCHEMES = ("adaptive_semi_implicit", "adaptive_explicit")
-FIXED_STEP_SCHEMES = tuple(s for s in SCHEME_IDS if s not in ADAPTIVE_SCHEMES)
 
 #: States whose norm passes this are flagged diverged (also any non-finite).
 DIVERGENCE_THRESHOLD = 1e12
 _THRESHOLD_SQ = DIVERGENCE_THRESHOLD**2
 #: ``_diverged``'s one-reduction test: the threshold less a 2**-20 margin.
 _STACK_SQ = _THRESHOLD_SQ * (1.0 - 2.0**-20)
+
+#: Drift-implicit Newton iteration: converged once the residual norm is at
+#: most ``_NEWTON_TOL``, failed after ``_NEWTON_MAX_ITER`` updates.
+_NEWTON_TOL = 1e-10
+_NEWTON_MAX_ITER = 50
 
 
 def _hcol(h, y):
@@ -169,29 +170,6 @@ class LinearSolver:
         return x
 
 
-@dataclass(frozen=True)
-class NewtonConfig:
-    """Newton-iteration settings for the drift-implicit scheme.
-
-    The iteration starts from the current state and stops once the residual
-    norm is at most ``tol``, or fails after ``max_iter`` Newton updates.
-    ``fallback`` selects what happens when it fails: take one balanced-method
-    step instead (the backstop), or raise.
-    """
-
-    tol: float = 1e-10
-    max_iter: int = 50
-    fallback: Literal["balanced_backstop", "fail"] = "balanced_backstop"
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.fallback not in ("balanced_backstop", "fail"):
-            raise ValueError(f"unknown fallback {self.fallback!r}")
-
-
 # -- one-step maps ----------------------------------------------------------
 
 
@@ -257,20 +235,16 @@ def step_increment_tamed(problem: SdeProblem, y: np.ndarray, h, dW: np.ndarray, 
     return y + v / denom[..., None]
 
 
-def step_fully_tamed(
-    problem: SdeProblem, y: np.ndarray, h, dW: np.ndarray, beta: float = 0.5, noise=None
-) -> np.ndarray:
-    """Tame drift and diffusion separately with an ``h**beta`` weight.
+def step_fully_tamed(problem: SdeProblem, y: np.ndarray, h, dW: np.ndarray, noise=None) -> np.ndarray:
+    """Tame drift and diffusion separately with the standard ``h**(1/2)`` weight.
 
-    ``y + [h D + g dW] / (1 + h^beta ||D|| + h^beta sum_j ||g_j||)`` with
-    ``D = A y + f(y)``.  ``beta = 1/2`` is the standard order-1/2 choice.
+    ``y + [h D + g dW] / (1 + h^(1/2) ||D|| + h^(1/2) sum_j ||g_j||)`` with
+    ``D = A y + f(y)``.
     """
-    if not 0 < beta <= 1:
-        raise ValueError("beta must lie in (0, 1]")
     D = problem.drift(y)
     amp = problem.g(y)
     num = _hcol(h, y) * D + _noise(problem, amp, dW, noise)
-    hb = np.asarray(h) ** beta
+    hb = np.asarray(h) ** 0.5
     denom = 1.0 + hb * _vnorm(D) + hb * np.add.reduce(_col_norms(problem, amp), axis=-1)
     return y + num / denom[..., None]
 
@@ -313,7 +287,6 @@ def step_drift_implicit_batch(
     y: np.ndarray,
     h,
     dW: np.ndarray,
-    newton: Optional[NewtonConfig] = None,
     noise: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fully drift-implicit step: solve ``x = y + h (A x + f(x)) + g(y) dW``.
@@ -321,13 +294,13 @@ def step_drift_implicit_batch(
     ``y`` holds one state ``(d,)`` or a batch ``(..., d)``.  Each state runs
     its own Newton iteration on ``F(x) = x - h (A x + f(x)) - y - g(y) dW``
     with Jacobian ``I - h (A + Df(x))``.  Where the iteration does not
-    converge (or meets a singular Jacobian) the configured fallback applies;
-    the default takes one balanced step over the same ``h``.  Returns
+    converge, meets a singular Jacobian or leaves the finite numbers, that
+    state takes one balanced step over the same ``h`` instead, and the
+    other states of the batch are not affected.  Returns
     ``(y_next, used_fallback)``, the mask of shape ``y.shape[:-1]``.
     """
     if problem.df is None:
         raise ValueError("drift-implicit scheme needs problem.df (Jacobian of f)")
-    newton = newton or NewtonConfig()
     y = np.asarray(y, dtype=float)
     lead, d = y.shape[:-1], problem.d
     c = (y + _noise(problem, problem.g(y), dW, noise)).reshape(-1, d)
@@ -339,42 +312,48 @@ def step_drift_implicit_batch(
     eye = np.eye(d)
     converged = np.zeros(k, dtype=bool)
     failed = np.zeros(k, dtype=bool)
-    for _ in range(newton.max_iter + 1):
+    for _ in range(_NEWTON_MAX_ITER + 1):
         active = ~(converged | failed)
         if not active.any():
             break
         xa = x[active]
         F = xa - hv[active, None] * problem.drift(xa) - c[active]
-        ok = np.linalg.norm(F, axis=-1) <= newton.tol
+        ok = np.linalg.norm(F, axis=-1) <= _NEWTON_TOL
         idx = np.flatnonzero(active)
         converged[idx[ok]] = True
         live = idx[~ok]
         if live.size == 0:
             continue
         J = eye[None] - hv[live, None, None] * (problem.A[None] + problem.df(x[live]))
-        try:
-            dx = np.linalg.solve(J, F[~ok][..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            failed[live] = True
-            continue
-        xn = x[live] - dx
+        xn = x[live] - _newton_updates(J, F[~ok])
         bad = ~np.all(np.isfinite(xn), axis=-1)
         x[live] = np.where(bad[:, None], x[live], xn)
         failed[live[bad]] = True
     failed |= ~converged
     if failed.any():
-        if newton.fallback == "fail":
-            raise RuntimeError("Newton iteration failed to converge for some batch rows")
         x[failed] = step_balanced(problem, y[failed], hv[failed], dW[failed])
     return x.reshape(lead + (d,)), failed.reshape(lead)
+
+
+def _newton_updates(J: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Solve ``J_i dx_i = F_i`` for a stack ``J`` (k, d, d); NaN rows where singular.
+
+    ``np.linalg.solve`` raises for the whole stack if one matrix is
+    singular, so the stack is then solved one matrix at a time, and only
+    the singular ones come out NaN.
+    """
+    try:
+        return np.linalg.solve(J, F[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        if len(J) == 1:
+            return np.full_like(F, np.nan)
+        return np.concatenate([_newton_updates(J[i : i + 1], F[i : i + 1]) for i in range(len(J))])
 
 
 def step_map(
     problem: SdeProblem,
     scheme: str,
     *,
-    newton: Optional[NewtonConfig] = None,
-    beta: float = 0.5,
     mu_inv: Optional[Callable] = None,
     H: Optional[Callable] = None,
 ) -> Callable[..., tuple[np.ndarray, object]]:
@@ -396,13 +375,13 @@ def step_map(
     if scheme in ("adaptive_explicit", "explicit_euler"):
         return lambda y, h, dW, D=None, noise=None: (step_explicit_euler(problem, y, h, dW, D, noise), None)
     if scheme == "drift_implicit":
-        return lambda y, h, dW, noise=None: step_drift_implicit_batch(problem, y, h, dW, newton, noise)
+        return lambda y, h, dW, noise=None: step_drift_implicit_batch(problem, y, h, dW, noise)
     if scheme == "balanced":
         return lambda y, h, dW, noise=None: (step_balanced(problem, y, h, dW, noise), None)
     if scheme == "increment_tamed":
         return lambda y, h, dW, noise=None: (step_increment_tamed(problem, y, h, dW, noise), None)
     if scheme == "fully_tamed":
-        return lambda y, h, dW, noise=None: (step_fully_tamed(problem, y, h, dW, beta, noise), None)
+        return lambda y, h, dW, noise=None: (step_fully_tamed(problem, y, h, dW, noise), None)
     if scheme == "truncated":
         if mu_inv is None or H is None:
             raise ValueError("truncated scheme needs mu_inv and H")
@@ -438,8 +417,6 @@ def solve(
     *,
     config: Optional[MeshConfig] = None,
     h: Optional[float] = None,
-    newton: Optional[NewtonConfig] = None,
-    beta: float = 0.5,
     mu_inv: Optional[Callable] = None,
     H: Optional[Callable] = None,
     record_trajectory: bool = False,
@@ -451,7 +428,7 @@ def solve(
     one with norm beyond ``DIVERGENCE_THRESHOLD`` aborts the run with the
     ``diverged`` flag set (expected for explicit Euler on stiff problems).
     """
-    step = step_map(problem, scheme, newton=newton, beta=beta, mu_inv=mu_inv, H=H)
+    step = step_map(problem, scheme, mu_inv=mu_inv, H=H)
     if path.dim != problem.m:
         raise ValueError(f"path has {path.dim} components, problem needs m={problem.m}")
     adaptive = scheme in ADAPTIVE_SCHEMES

@@ -73,7 +73,6 @@ class WienerPath:
         if dim < 1:
             raise ValueError("dim must be a positive integer")
         self.dim = int(dim)
-        self.seed = seed
         self.rng = np.random.default_rng(seed)
         # Sorted knot storage in preallocated buffers; row 0 is t=0 -> 0.
         self._cap = 64

@@ -211,6 +211,12 @@ class TestConvergenceCommand:
         code, _, err = run_cli(capsys, "convergence", "--samples", "2")
         assert code == 2 and "problem name is required" in err
 
+    def test_unknown_problem_rejected(self, capsys):
+        code, out, err = run_cli(capsys, "convergence", "--problem", "nope", "--samples", "2")
+        assert code == 2 and out == ""
+        assert err.startswith("error: unknown problem 'nope'")
+        assert "Traceback" not in err
+
     def test_bad_hmax_rejected(self, capsys):
         code, _, err = run_cli(
             capsys, "convergence", "--problem", "gbm", "--hmax-list", "2.0", "--samples", "2",

@@ -24,3 +24,15 @@ def test_bridge_refinement_demo_keeps_coarse_knots():
     done = run_demo("bridge_refinement.py")
     assert done.returncode == 0, done.stderr
     assert "coarse knots unchanged" in done.stdout
+
+
+def test_stiff_stability_demo_runs():
+    done = run_demo("stiff_stability.py")
+    assert done.returncode == 0, done.stderr
+    assert "rmse(adaptive vs exact) = " in done.stdout
+
+
+def test_neuron_adaptivity_demo_runs():
+    done = run_demo("neuron_adaptivity.py")
+    assert done.returncode == 0, done.stderr
+    assert "firing events (upward crossings of V = 1): " in done.stdout

@@ -35,7 +35,7 @@ from adaptsde.harness import (
     write_table_csv,
 )
 from adaptsde.problems import PROBLEM_NAMES, gbm_exact_terminal, gl_truncation_functions, problem_by_name
-from adaptsde.schemes import DIVERGENCE_THRESHOLD, FIXED_STEP_SCHEMES, _diverged, solve, step_map
+from adaptsde.schemes import ADAPTIVE_SCHEMES, DIVERGENCE_THRESHOLD, SCHEME_IDS, _diverged, solve, step_map
 from adaptsde.wiener import WienerPath
 
 
@@ -110,10 +110,17 @@ class TestConfig:
         dict(rho=0.5),
         dict(schemes=("adaptive_semi_implicit", "midpoint")),
         dict(schemes=("adaptive_explicit",)),
+        dict(samples=2.5),
+        dict(levels=2.5),
+        dict(master_seed=1.5),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             ExperimentConfig(problem="gbm", **kwargs)
+
+    def test_rejects_unknown_problem(self):
+        with pytest.raises(ValueError, match="unknown problem 'nope'"):
+            ExperimentConfig(problem="nope", samples=1, h_max_list=(0.25,))
 
     def test_truncated_needs_gl(self):
         with pytest.raises(ValueError, match="truncated"):
@@ -386,7 +393,10 @@ class TestAdaptiveBatch:
         assert batch[0].wall_time > 0
 
 
-FIXED_PAIRS = [(n, s) for n in PROBLEM_NAMES for s in FIXED_STEP_SCHEMES if s != "truncated" or n == "gl"]
+FIXED_PAIRS = [
+    (n, s) for n in PROBLEM_NAMES for s in SCHEME_IDS
+    if s not in ADAPTIVE_SCHEMES and (s != "truncated" or n == "gl")
+]
 
 
 def truncation_kw(scheme):

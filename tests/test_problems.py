@@ -45,7 +45,6 @@ class TestGbm:
         assert diffusion(p, x)[0, 0] == pytest.approx(3.0 * 1.7)
         assert p.x0[0] == 1.0
         assert LinearSolver(p).structure == "scalar"
-        assert p.name == "gbm"
 
     def test_drift_is_purely_linear(self):
         p = gbm()
@@ -73,8 +72,8 @@ class TestFhn:
         np.testing.assert_allclose(p.A, [[2.0, 2.0], [-1.0, -0.01]])
         G = diffusion(p, np.array([0.3, -0.2]))
         np.testing.assert_allclose(G, [[0.05 / math.sqrt(0.5), 0.0], [0.0, 0.1]])
-        assert p.name == "fhn05"
-        assert fhn(0.1).name == "fhn01"
+        np.testing.assert_array_equal(problem_by_name("fhn05").A, p.A)
+        np.testing.assert_array_equal(problem_by_name("fhn01").A, fhn(0.1).A)
         # every 2x2 operator is banded, so the solver takes LAPACK's gtsv path
         assert LinearSolver(p).structure == "tridiagonal"
 
@@ -177,7 +176,6 @@ class TestSpde:
         assert LinearSolver(p).structure == "tridiagonal"
         xs = np.arange(1, 101) / 101.0
         np.testing.assert_allclose(p.x0, 2.0 * np.sin(np.pi * xs))
-        assert p.name == "spde"
 
     def test_linear_operator_eigenvalues(self):
         J, eps, eta = 8, 0.3, 11.0
@@ -269,9 +267,10 @@ class TestGrowthRates:
 class TestCatalogLookup:
     def test_all_names_resolve(self):
         assert set(PROBLEM_NAMES) == {"gbm", "fhn05", "fhn01", "gl", "svol", "spde"}
+        dims = {"gbm": (1, 1), "fhn05": (2, 2), "fhn01": (2, 2), "gl": (1, 1), "svol": (2, 2), "spde": (100, 101)}
         for name in PROBLEM_NAMES:
             p = problem_by_name(name)
-            assert p.name == name
+            assert (p.d, p.m) == dims[name]
             assert p.t_end == 1.0
 
     def test_unknown_name(self):

@@ -22,10 +22,8 @@ from adaptsde.problems import (
 from adaptsde.schemes import (
     ADAPTIVE_SCHEMES,
     DIVERGENCE_THRESHOLD,
-    FIXED_STEP_SCHEMES,
     SCHEME_IDS,
     LinearSolver,
-    NewtonConfig,
     solve,
     step_balanced,
     step_drift_implicit_batch,
@@ -113,15 +111,8 @@ class TestOneStepWorkedExamples:
     def test_fully_tamed(self):
         # h=0.25: num = -0.4, denom = 1 + 0.5*2 + 0.5*0.5 = 2.25
         p = cubic_problem()
-        out = step_fully_tamed(p, Y1, 0.25, DW, beta=0.5)
+        out = step_fully_tamed(p, Y1, 0.25, DW)
         assert out[0] == pytest.approx(37.0 / 45.0, abs=1e-14)
-
-    def test_fully_tamed_rejects_bad_beta(self):
-        p = cubic_problem()
-        with pytest.raises(ValueError):
-            step_fully_tamed(p, Y1, 0.25, DW, beta=0.0)
-        with pytest.raises(ValueError):
-            step_fully_tamed(p, Y1, 0.25, DW, beta=1.5)
 
     def test_truncated_clamps_state(self):
         # mu_inv(H(0.5)) = 2 clamps y=3 to z=2, then Euler from y:
@@ -198,7 +189,7 @@ class TestDenominatorClamps:
     def test_fully_tamed_pure_drift(self):
         # num = 0.25, denom = 1 + 0.5 = 1.5: 1/6
         p = const_drift_problem(1.0)
-        out = step_fully_tamed(p, np.zeros(1), 0.25, np.zeros(1), beta=0.5)
+        out = step_fully_tamed(p, np.zeros(1), 0.25, np.zeros(1))
         assert out[0] == pytest.approx(1.0 / 6.0, abs=1e-15)
 
 
@@ -244,27 +235,43 @@ class TestBatchConsistency:
             np.testing.assert_allclose(batch[i], row, rtol=1e-12, atol=1e-15)
 
 
+def with_jacobian(p, value, above=-np.inf):
+    """``p`` with ``df`` replaced by the constant ``value`` where ``x > above``.
+
+    A wrong Jacobian is how a problem makes the drift-implicit Newton
+    iteration fail: ``1 + h = value * h`` makes ``I - h (A + Df)`` singular
+    for ``A = -1``, and a large negative value shrinks every Newton update
+    so far that the iteration runs out of updates before it converges.
+    """
+    return dataclasses.replace(p, df=lambda x: np.where(x > above, value, p.df(x)[..., 0])[..., None])
+
+
 class TestNewtonFallback:
     def test_starved_iteration_falls_back_to_balanced(self):
-        p = cubic_problem()
-        cfg = NewtonConfig(max_iter=1, fallback="balanced_backstop")
-        out, fell_back = step_drift_implicit_batch(p, Y1, H, DW, newton=cfg)
+        p = with_jacobian(cubic_problem(), -1000.0)
+        out, fell_back = step_drift_implicit_batch(p, Y1, H, DW)
         assert fell_back
         np.testing.assert_array_equal(out, step_balanced(p, Y1, H, DW))
 
-    def test_fail_mode_raises(self):
-        p = cubic_problem()
-        cfg = NewtonConfig(max_iter=1, fallback="fail")
-        with pytest.raises(RuntimeError, match="Newton"):
-            step_drift_implicit_batch(p, Y1, H, DW, newton=cfg)
+    def test_singular_jacobian_falls_back_to_balanced(self):
+        p = with_jacobian(cubic_problem(), 1.0 / H + 1.0)
+        out, fell_back = step_drift_implicit_batch(p, Y1, H, DW)
+        assert fell_back
+        np.testing.assert_array_equal(out, step_balanced(p, Y1, H, DW))
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            NewtonConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            NewtonConfig(max_iter=0)
-        with pytest.raises(ValueError):
-            NewtonConfig(fallback="shrug")
+    @pytest.mark.parametrize("value", [1.0 / H + 1.0, -1000.0], ids=["singular", "starved"])
+    def test_only_the_failing_row_falls_back(self, value):
+        # Row 1 starts above 1.5, where the Jacobian is wrong; row 0 below,
+        # where it is right.  Each row must step as it does alone.
+        p = with_jacobian(cubic_problem(), value, above=1.5)
+        y = np.array([[1.0], [2.0]])
+        dw = np.array([[0.2], [0.1]])
+        out, fell_back = step_drift_implicit_batch(p, y, H, dw)
+        np.testing.assert_array_equal(fell_back, [False, True])
+        alone, fell_alone = step_drift_implicit_batch(p, y[0], H, dw[0])
+        assert not fell_alone
+        np.testing.assert_array_equal(out[0], alone)
+        np.testing.assert_array_equal(out[1], step_balanced(p, y[1], H, dw[1]))
 
 
 def random_structured_problem(structure, d, seed):
@@ -370,9 +377,9 @@ class TestLinearSolver:
 
 class TestSolveDriver:
     def test_scheme_inventory(self):
-        assert set(ADAPTIVE_SCHEMES) | set(FIXED_STEP_SCHEMES) == set(SCHEME_IDS)
+        assert set(ADAPTIVE_SCHEMES) < set(SCHEME_IDS)
         assert "adaptive_semi_implicit" in ADAPTIVE_SCHEMES
-        assert "explicit_euler" in FIXED_STEP_SCHEMES
+        assert "explicit_euler" in SCHEME_IDS and "explicit_euler" not in ADAPTIVE_SCHEMES
 
     def test_adaptive_mesh_invariants(self):
         p = ginzburg_landau()

@@ -24,8 +24,8 @@ def uniform_knots(n, T=1.0):
 
 def knots_drawn(path):
     """How many knots the path has drawn: each new knot takes ``dim`` normals
-    from the path's generator, so replaying its seed counts them."""
-    rng = np.random.default_rng(path.seed)
+    from the path's generator, so replaying its seed sequence counts them."""
+    rng = np.random.default_rng(path.rng.bit_generator.seed_seq)
     for n in range(10_000):
         if rng.bit_generator.state == path.rng.bit_generator.state:
             return n
