@@ -10,7 +10,9 @@ The measurement protocol, per ``h_max``:
 3. per block, rebuild each sample's path from its seed and the knot times of
    its mesh, bisect every adaptive step ``levels`` times with Brownian
    bridges and march the balanced method over the fine grid: that is the
-   reference solution for this sample,
+   reference solution for this sample.  The block holds each sample's
+   refined values and coarse knot times, no padded arrays; the march forms
+   the fine step sizes and increments from them a chunk at a time,
 4. set the uniform step ``h_u = T / round(T / h_bar)`` from the sample's own
    mean adaptive step ``h_bar`` and run every fixed-step scheme on that grid,
    with increments bridged from the same path,
@@ -85,6 +87,12 @@ def default_h_grid(problem_name: str) -> tuple[float, ...]:
     return SPDE_H_GRID if problem_name == "spde" else DEFAULT_H_GRID
 
 
+#: Deepest bridge refinement a sweep accepts.  One adaptive step refined
+#: 2**27 times holds 1 GiB of reference values per Wiener component, twice
+#: ``_BLOCK_BYTES``, so no block layout serves a deeper one.
+_MAX_LEVELS = 26
+
+
 def default_levels(problem_name: str) -> int:
     """Bridge refinement depth for the reference solution."""
     return 4 if problem_name == "spde" else 6
@@ -140,6 +148,8 @@ class ExperimentConfig:
             raise ValueError("samples must be >= 1")
         if self.levels < 1:
             raise ValueError("levels must be >= 1")
+        if self.levels > _MAX_LEVELS:
+            raise ValueError(f"levels must be <= {_MAX_LEVELS}, got {self.levels}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         for h in self.h_max_list:
@@ -264,7 +274,7 @@ class ConvergenceTable:
 
 # -- the per-sample engine ----------------------------------------------------
 
-#: Bytes one block's stacked reference increments may take (see ``_layout``).
+#: Padded reference bytes one block may be charged (see ``_layout``).
 _BLOCK_BYTES = 512 * 2**20
 
 #: Forward normals each row of the adaptive march draws per generator call.
@@ -272,6 +282,9 @@ _DRAW_CHUNK = 256
 
 #: Steps of a fixed-step march whose y-independent operands are formed at once.
 _STEP_CHUNK = 256
+
+#: Bytes of reference step sizes and increments formed at once, whole chunks.
+_FORM_BYTES = 1 << 19
 
 
 def _march(problem: SdeProblem, step, k: int, source) -> tuple:
@@ -323,41 +336,103 @@ def _march(problem: SdeProblem, step, k: int, source) -> tuple:
 def _march_batch(
     problem: SdeProblem,
     scheme: str,
-    dt: np.ndarray,
-    dw: np.ndarray,
+    chunk,
     lengths: np.ndarray,
     *,
     mu_inv=None,
     H=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """March a batch of samples with one fixed-step scheme over step arrays.
+    """March a batch of samples with one fixed-step scheme.
 
-    ``dt`` has shape (k, L), ``dw`` (k, L, m); row i takes its first
-    ``lengths[i]`` steps, at least one, so padding is never touched.
-    The source copies ``_STEP_CHUNK`` steps at a time step-major and forms
-    their ``S dW`` in one stacked product, so each step reads contiguous
-    views and its step map skips that product; once rows drop, each step
-    gathers its rows from the chunk.  Returns
+    Row i takes ``lengths[i]`` steps, at least one.  ``chunk(lo, hi)``
+    returns steps ``lo`` to ``hi - 1`` step-major: sizes (hi - lo, k) and
+    increments (hi - lo, k, m), whatever it holds for rows already done.
+    The source asks for ``_STEP_CHUNK`` steps at a time and forms their
+    ``S dW`` in one stacked product, so each step reads contiguous views and
+    its step map skips that product; once rows drop, each step gathers its
+    rows from the chunk.  Returns
     (terminal states, diverged mask, fallback counts, wall time).
     """
     step = step_map(problem, scheme, mu_inv=mu_inv, H=H)
     # Which rows finish is worked out only at the steps where some row does.
     ends = set(lengths.tolist())
+    last = int(lengths.max())
     hs = dws = noises = None
 
     def source(n, rows, y):
         nonlocal hs, dws, noises
         j = n % _STEP_CHUNK
         if j == 0:
-            cols = slice(n, n + _STEP_CHUNK)
-            hs = np.ascontiguousarray(dt[:, cols].T)
-            dws = np.ascontiguousarray(dw[:, cols].swapaxes(0, 1))
+            hs, dws = chunk(n, min(n + _STEP_CHUNK, last))
             noises = _mix(problem, dws)
         done = lengths[rows] == n + 1 if n + 1 in ends else None
         return hs[j, rows], dws[j, rows], done, None, None, noises[j, rows]
 
     y, diverged, n_fallback, _, elapsed = _march(problem, step, len(lengths), source)
     return y, diverged, n_fallback, elapsed
+
+
+def _stored_chunks(dt: np.ndarray, dw: np.ndarray):
+    """``_march_batch``'s chunks of padded (k, L) step sizes and (k, L, m)
+    increments, copied step-major."""
+
+    def chunk(lo, hi):
+        return np.ascontiguousarray(dt[:, lo:hi].T), np.ascontiguousarray(dw[:, lo:hi].swapaxes(0, 1))
+
+    return chunk
+
+
+def _refined_chunks(times: Sequence[np.ndarray], values: Sequence[np.ndarray], levels: int):
+    """``_march_batch``'s chunks of the grids ``refine_uniform(times[i],
+    levels)``, whose values are ``values[i]``, formed as they are asked for.
+
+    Step sizes bisect only the coarse knots that span the steps asked for,
+    level by level, with ``refine_uniform``'s midpoints ``(a + b) * 0.5``;
+    increments subtract consecutive values row by row.  Both equal
+    ``np.diff`` of the stored grid and values bit for bit.  They are formed
+    for up to ``_FORM_BYTES`` of steps at a time, whole chunks, and served
+    from there.
+    """
+    k, m = len(times), values[0].shape[1]
+    n_fine = [len(v) - 1 for v in values]
+    last = max(n_fine)
+    # Coarse knots, step-major; a row's last knot pads it, so its padding
+    # bisects into steps of 0.
+    knots = np.empty((max(map(len, times)), k))
+    for i, t in enumerate(times):
+        knots[: len(t), i] = t
+        knots[len(t) :, i] = t[-1]
+    span = _STEP_CHUNK * max(1, _FORM_BYTES // (_STEP_CHUNK * k * (m + 1) * 8))
+    dws = np.zeros((span, k, m))
+    base = end = 0  # steps base..end - 1 are formed, their sizes in hs
+    hs = None
+
+    def form(lo, hi):
+        first = (lo >> levels) << levels  # fine index of pts[0]
+        pts = knots[lo >> levels : -(-hi >> levels) + 1]
+        for s in range(levels - 1, -1, -1):
+            fine = np.empty((2 * len(pts) - 1, k))
+            fine[::2] = pts
+            mid = np.add(pts[:-1], pts[1:], out=fine[1::2])
+            mid *= 0.5
+            # Keep the points, 2**s apart, that span fine indices lo..hi.
+            a = (lo >> s) - (first >> s)
+            pts = fine[a : a + (-(-hi >> s) - (lo >> s)) + 1]
+            first = (lo >> s) << s
+        for i, w in enumerate(values):
+            end = min(hi, n_fine[i])
+            if lo < end:
+                np.subtract(w[lo + 1 : end + 1], w[lo:end], out=dws[: end - lo, i])
+        return np.subtract(pts[1:], pts[:-1])
+
+    def chunk(lo, hi):
+        nonlocal base, end, hs
+        if not base <= lo < hi <= end:
+            base, end = lo, min(lo + span, last)
+            hs = form(base, end)
+        return hs[lo - base : hi - base], dws[lo - base : hi - base]
+
+    return chunk
 
 
 def _solve_adaptive_batch(
@@ -428,13 +503,16 @@ def _solve_chunk(config: ExperimentConfig, h_max: float, indices: Sequence[int])
 
 
 def _layout(solved: Sequence[SolveResult], levels: int, m: int) -> list[range]:
-    """Split the samples into consecutive blocks by stacked reference bytes.
+    """Split the samples into consecutive blocks by padded reference bytes.
 
-    A block of k samples stacks ``k * L_max * (m + 1) * 8`` bytes of
-    reference increments, with ``L_i = n_steps_i * 2**levels``.  Walking the
-    samples in index order, a block closes before the sample that would push
-    it past ``_BLOCK_BYTES``; a sample over the budget on its own is marched
-    alone.
+    A block of k samples is charged ``k * L_max * (m + 1) * 8`` bytes, with
+    ``L_i = n_steps_i * 2**levels``: padded (k, L_max) step sizes and
+    (k, L_max, m) increments.  It holds only each sample's ``(L_i + 1, m)``
+    refined values, so the charge over-counts; it stays, because moving the
+    block boundaries would move the last digits of tables whose drift rounds
+    differently in a stack.  Walking the samples in index order, a block
+    closes before the sample that would push it past ``_BLOCK_BYTES``; a
+    sample over the budget on its own is marched alone.
     """
     blocks, lo, L_max = [], 0, 0
     for i, res in enumerate(solved):
@@ -454,8 +532,11 @@ def _run_block(
 
     The adaptive march only draws forward, so querying a fresh path with the
     same seed at the solve's knot times replays its draws exactly; the
-    rebuilt path then continues as if ``solve()`` had just run on it.  Its
-    increments are written straight into the block's stacked arrays.
+    rebuilt path then continues as if ``solve()`` had just run on it.  The
+    block keeps each sample's refined store as it is, with no padding, and
+    the reference march forms its steps from it a chunk at a time
+    (``_refined_chunks``); the uniform grids' values are drawn without
+    being merged into that store, and their increments are stored padded.
 
     Returns each sample's two :class:`MomentStats` sums as a (k, 2) array
     and, per scheme, four columns in sample order: squared terminal errors
@@ -470,11 +551,10 @@ def _run_block(
 
     len_fine = np.array([res.n_steps << config.levels for res in solved])
     len_grid = np.array([max(1, int(round(T / res.mean_h))) for res in solved])
-    dt_fine = np.zeros((k, len_fine.max()))
-    dw_fine = np.zeros((k, len_fine.max(), m))
     dt_grid = np.zeros((k, len_grid.max()))
     dw_grid = np.zeros((k, len_grid.max(), m))
     moments = np.empty((k, 2))
+    knots, fine_values = [], []
     for j, (index, adaptive) in enumerate(zip(indices, solved)):
         path = WienerPath(m, seed=config.master_seed ^ index)
         times = adaptive.mesh_times()
@@ -483,22 +563,21 @@ def _run_block(
         hs = adaptive.mesh
         moments[j] = (dws / np.sqrt(hs)[:, None]).sum(), ((dws**2).sum(axis=1) / hs).sum()
 
-        fine = path.refine_uniform(times, config.levels)
-        vals = path.values_on_grid(fine)  # one run of knots: a view, no gather
-        n = len_fine[j]
-        # np.diff's own arithmetic, minus the (L, m) temporary.
-        np.subtract(fine[1:], fine[:-1], out=dt_fine[j, :n])
-        np.subtract(vals[1:], vals[:-1], out=dw_fine[j, :n])
+        knots.append(times)
+        # The refined store itself, as a view; the fine times are not kept.
+        fine_values.append(path.values_on_grid(path.refine_uniform(times, config.levels)))
 
         grid = np.linspace(0.0, T, len_grid[j] + 1)
-        vals = path.value_at_many(grid)
+        vals = path._draw_many(grid)[0]  # read once, so not merged into the store
         n = len_grid[j]
         dt_grid[j, :n] = np.diff(grid)
         dw_grid[j, :n] = np.diff(vals, axis=0)
-    del path, vals
+    del path
 
-    ref_y, ref_div, _, _ = _march_batch(problem, "balanced", dt_fine, dw_fine, len_fine)
-    del dt_fine, dw_fine
+    reference = _refined_chunks(knots, fine_values, config.levels)
+    ref_y, ref_div, _, _ = _march_batch(problem, "balanced", reference, len_fine)
+    del reference, fine_values
+    grid_chunks = _stored_chunks(dt_grid, dw_grid)
 
     columns = {}
     for scheme in config.schemes:
@@ -508,9 +587,7 @@ def _run_block(
             fall = np.array([r.n_backstop for r in solved])
             wall = np.array([r.wall_time for r in solved])
         else:
-            y, div, fall, elapsed = _march_batch(
-                problem, scheme, dt_grid, dw_grid, len_grid, mu_inv=mu_inv, H=H
-            )
+            y, div, fall, elapsed = _march_batch(problem, scheme, grid_chunks, len_grid, mu_inv=mu_inv, H=H)
             wall = np.full(k, elapsed / k)
         diff = y - ref_y
         # Row by row, this rounds as np.dot(diff[j], diff[j]) does.

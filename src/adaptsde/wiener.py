@@ -24,7 +24,8 @@ Storage.  Knots sit in sorted buffers with amortized-constant appends.
 ``value_at_many`` classifies its times with one search, bridges new interior
 times in vector passes by rank in their host interval (rank r is flanked by
 the rank r - 1 value, rank 0 by existing knots), extends past the end and
-merges once.  ``refine_uniform`` on every knot over its span builds the fine
+merges once; ``_draw_many`` is that draw without the merge, for values read
+once.  ``refine_uniform`` on every knot over its span builds the fine
 store once, old knots at stride ``2**levels``, and fills each level into
 strided slices; other grids take one ``value_at_many`` per level.
 """
@@ -177,23 +178,20 @@ class WienerPath:
         self._insert_block(np.array([idx]), np.array([t]), val[None, :])
         return val
 
-    def _extend_batch(self, ts: Sequence[float]) -> np.ndarray:
-        """Forward-draw several ascending times past the last knot at once."""
-        ts = np.asarray(ts, dtype=float)
-        dts = np.diff(np.concatenate(([self._t[self._n - 1]], ts)))
-        z = self.rng.standard_normal((len(ts), self.dim))
-        steps = np.sqrt(dts)[:, None] * z
-        # Cumulate starting from the last knot value so the float additions
-        # associate exactly as in repeated single-step extension.
-        vals = np.cumsum(np.vstack([self._w[self._n - 1], steps]), axis=0)[1:]
-        self._append_block(ts, vals)
-        return vals
-
     # -- batched queries ---------------------------------------------------
 
     def value_at_many(self, ts: Sequence[float]) -> np.ndarray:
         """Values at strictly ascending times, shape ``(len(ts), m)``: the
         knots and generator state of ``value_at`` on each time in turn."""
+        out, ts, host, new = self._draw_many(ts)
+        self._merge(host[new], ts[new], out[new])
+        return out
+
+    def _draw_many(self, ts: Sequence[float]) -> tuple:
+        """``value_at_many``'s draw without its merge: ``(values, times, host
+        rows, new-time mask)``.  The generator advances as in
+        ``value_at_many``, so the path must not be queried again where the
+        unmerged values would have been knots."""
         ts = np.asarray(ts, dtype=float)
         if len(ts) and not (ts[0] >= 0.0 and ts[-1] < math.inf):
             raise ValueError("times must be finite and nonnegative")
@@ -215,11 +213,23 @@ class WienerPath:
                 ta, wa = (t[j - 1], vals[j - 1]) if r else (self._t[h[j] - 1], self._w[h[j] - 1])
                 vals[j] = _bridge_rows(t[j], ta, self._t[h[j]], wa, self._w[h[j]], z[j])
             out[inner] = vals
-            self._insert_block(h, t, vals)
         tail = host == n
         if tail.any():
-            out[tail] = self._extend_batch(ts[tail])
-        return out
+            # Forward increments, cumulated from the last knot value so the
+            # additions associate as in repeated single-step extension.
+            dts = np.diff(np.concatenate((self._t[n - 1 : n], ts[tail])))
+            steps = np.sqrt(dts)[:, None] * self.rng.standard_normal((len(dts), self.dim))
+            out[tail] = np.cumsum(np.vstack([self._w[n - 1], steps]), axis=0)[1:]
+        return out, ts, host, ~known
+
+    def _merge(self, host: np.ndarray, ts: np.ndarray, ws: np.ndarray) -> None:
+        """Record new knots before their ascending store rows ``host``; those
+        past the last knot append."""
+        cut = int(np.searchsorted(host, self._n))
+        if cut:
+            self._insert_block(host[:cut], ts[:cut], ws[:cut])
+        if cut < len(host):
+            self._append_block(ts[cut:], ws[cut:])
 
     def refine_uniform(self, times: Sequence[float], levels: int = 1) -> np.ndarray:
         """Bisect every interval of the ascending knot ``times`` ``levels`` times.

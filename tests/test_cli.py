@@ -235,6 +235,17 @@ class TestConvergenceCommand:
         assert code == 2 and out == "" and "refine must be >= 1" in err
 
 
+    @pytest.mark.parametrize("refine", ["40", "70"])
+    def test_refine_too_deep_rejected(self, capsys, refine):
+        # Refined 2**40 times, one step's reference would need 8 TiB.
+        code, out, err = run_cli(
+            capsys, "convergence", "--problem", "gbm", "--samples", "1", "--hmax-list", "0.25",
+            "--refine", refine,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: levels must be <= 26, got {refine}")
+        assert "Traceback" not in err
+
     def test_negative_seed_rejected(self, capsys, tmp_path):
         code, out, err = run_cli(capsys, "convergence", "--problem", "gbm", "--samples", "2", "--seed", "-1")
         assert code == 2 and out == "" and "seed must be >= 0" in err

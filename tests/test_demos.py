@@ -36,3 +36,15 @@ def test_neuron_adaptivity_demo_runs():
     done = run_demo("neuron_adaptivity.py")
     assert done.returncode == 0, done.stderr
     assert "firing events (upward crossings of V = 1): " in done.stdout
+
+
+def test_gl_convergence_demo_runs():
+    done = run_demo("gl_convergence.py")
+    assert done.returncode == 0, done.stderr
+    assert "adaptive_semi_implicit.... slope " in done.stdout
+
+
+def test_lattice_efficiency_demo_runs():
+    done = run_demo("lattice_efficiency.py")
+    assert done.returncode == 0, done.stderr
+    assert "cheapest to dearest: " in done.stdout

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from adaptsde import harness
-from adaptsde.core import MeshConfig, SdeProblem, SolveResult
+from adaptsde.core import MeshConfig, SdeProblem, SolveResult, mesh_times
 from adaptsde.harness import (
     CSV_HEADER,
     ConvergenceTable,
@@ -21,9 +22,11 @@ from adaptsde.harness import (
     TableRow,
     _layout,
     _march_batch,
+    _refined_chunks,
     _run_block,
     _solve_adaptive_batch,
     _solve_chunk,
+    _stored_chunks,
     _worker_count,
     default_h_grid,
     default_levels,
@@ -113,6 +116,7 @@ class TestConfig:
         dict(samples=2.5),
         dict(levels=2.5),
         dict(master_seed=1.5),
+        dict(levels=27),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -414,7 +418,7 @@ def test_solve_and_batched_march_step_alike(name, scheme):
     res = solve(p, scheme, path, h=0.05, **kw)
     dw = np.diff(path.values_on_grid(res.mesh_times()), axis=0)
     dt = res.mesh
-    y, diverged, n_fallback, _ = _march_batch(p, scheme, dt[None], dw[None], np.array([len(dt)]), **kw)
+    y, diverged, n_fallback, _ = _march_batch(p, scheme, _stored_chunks(dt[None], dw[None]), np.array([len(dt)]), **kw)
     assert y[0].tobytes() == res.y_terminal.tobytes()
     assert diverged[0] == res.diverged
     assert n_fallback[0] == res.n_backstop
@@ -456,13 +460,13 @@ def test_each_row_of_a_ragged_block_marches_as_alone(name, scheme, data):
         dw[i, :n] = np.sqrt(h) * rng.standard_normal((n, p.m))
     bad = data.draw(st.integers(0, k - 1))
     dw[bad, data.draw(st.integers(0, lengths[bad] - 1))] = np.nan
-    y, diverged, n_fallback, _ = _march_batch(p, scheme, dt, dw, lengths, **kw)
+    y, diverged, n_fallback, _ = _march_batch(p, scheme, _stored_chunks(dt, dw), lengths, **kw)
     assert diverged[bad]
     y_ref, div_ref, _ = march_by_index(p, scheme, dt, dw, lengths, **kw)
     assert y.tobytes() == y_ref.tobytes()
     assert diverged.tolist() == div_ref.tolist()
     for i in range(k):
-        yi, di, fi, _ = _march_batch(p, scheme, dt[i : i + 1], dw[i : i + 1], lengths[i : i + 1], **kw)
+        yi, di, fi, _ = _march_batch(p, scheme, _stored_chunks(dt[i : i + 1], dw[i : i + 1]), lengths[i : i + 1], **kw)
         assert (diverged[i], n_fallback[i]) == (di[0], fi[0])
         if name == "gl":
             assert y[i].tobytes() == yi[0].tobytes()
@@ -497,11 +501,76 @@ def test_chunked_march_equals_a_per_step_march(name, scheme, data):
     if data.draw(st.booleans()):
         bad = data.draw(st.integers(0, k - 1))
         dw[bad, data.draw(st.integers(0, lengths[bad] - 1))] = np.nan
-    y, diverged, n_fallback, _ = _march_batch(p, scheme, dt, dw, lengths, **kw)
+    y, diverged, n_fallback, _ = _march_batch(p, scheme, _stored_chunks(dt, dw), lengths, **kw)
     y_ref, div_ref, fall_ref = march_by_index(p, scheme, dt, dw, lengths, **kw)
     assert y.tobytes() == y_ref.tobytes()
     assert diverged.tolist() == div_ref.tolist()
     assert n_fallback.tolist() == fall_ref.tolist()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    m=st.sampled_from([1, 2]),
+    levels=st.integers(1, 10),
+    meshes=st.lists(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=5), min_size=1, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+    form_bytes=st.sampled_from([0, harness._FORM_BYTES]),
+    data=st.data(),
+)
+def test_refined_chunks_equal_the_stored_grid(m, levels, meshes, seed, form_bytes, data):
+    # Random adaptive meshes with ragged step counts, refined up to 2**10
+    # times, so one coarse step can span several chunks, formed one chunk
+    # or many at a time: every chunk must hold np.diff of the refined grid
+    # and of its values, as bytes.  A fresh source serves one more window
+    # at an arbitrary first step.
+    times, values, dt, dw = [], [], [], []
+    for i, h in enumerate(meshes):
+        path = WienerPath(m, seed=seed + i)
+        t = mesh_times(np.array(h))
+        path.value_at_many(t[1:])
+        fine = path.refine_uniform(t, levels)
+        vals = path.values_on_grid(fine)
+        times.append(t)
+        values.append(vals)
+        dt.append(np.diff(fine))
+        dw.append(np.diff(vals, axis=0))
+    lengths = [len(d) for d in dt]
+    last = max(lengths)
+    lo = data.draw(st.integers(0, last - 1))
+    odd = (lo, data.draw(st.integers(lo + 1, min(lo + CHUNK, last))))
+    with mock.patch.object(harness, "_FORM_BYTES", form_bytes):
+        chunk = _refined_chunks(times, values, levels)
+        windows = [(chunk, n, min(n + CHUNK, last)) for n in range(0, last, CHUNK)]
+        windows.append((_refined_chunks(times, values, levels), *odd))
+        for source, lo, hi in windows:
+            # A chunk holds until the next call: compare it before that.
+            hs, dws = source(lo, hi)
+            assert hs.shape == (hi - lo, len(meshes)) and dws.shape == (hi - lo, len(meshes), m)
+            for i, n in enumerate(lengths):
+                end = min(hi, n)
+                if lo < end:
+                    assert hs[: end - lo, i].tobytes() == dt[i][lo:end].tobytes()
+                    assert dws[: end - lo, i].tobytes() == dw[i][lo:end].tobytes()
+
+
+def test_a_block_holds_little_beyond_its_refined_values():
+    # The block keeps each sample's refined values.  Beside them it holds
+    # one path's refinement scratch (its time store, the fine grid, the
+    # bridge scratch and the normals: four samples' worth) and, while the
+    # reference marches, operands bounded by _FORM_BYTES, so 32 samples put
+    # the traced peak near 1.2 times the kept values.  Padded step-size and
+    # increment blocks alone would take twice them on gl.
+    cfg = ExperimentConfig(problem="gl", h_max_list=(0.0025,), samples=32, levels=6)
+    indices = range(cfg.samples)
+    solved = _solve_chunk(cfg, 0.0025, indices)
+    kept = sum(((r.n_steps << cfg.levels) + 1) * 8 for r in solved)
+    tracemalloc.start()
+    try:
+        _run_block(cfg, indices, solved)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * kept
 
 
 THR = DIVERGENCE_THRESHOLD
@@ -539,7 +608,9 @@ def test_divergence_verdicts_agree_alone_in_a_stack_and_in_solve(stack):
     k, d = stack.shape
     p = SdeProblem(d=d, m=d, A=np.zeros((d, d)), f=np.zeros_like, g=np.ones_like, S=np.eye(d),
                    x0=np.zeros(d), t_end=1.0)
-    _, diverged, _, _ = _march_batch(p, "explicit_euler", np.ones((k, 1)), stack[:, None], np.ones(k, dtype=int))
+    _, diverged, _, _ = _march_batch(
+        p, "explicit_euler", _stored_chunks(np.ones((k, 1)), stack[:, None]), np.ones(k, dtype=int)
+    )
     assert diverged.tolist() == verdicts
     with np.errstate(all="ignore"):
         assert [solve(p, "explicit_euler", PlantedPath(row), h=1.0).diverged for row in stack] == verdicts
@@ -614,7 +685,8 @@ class TestReferenceQuality:
             res = solve(p, "adaptive_semi_implicit", path, config=MeshConfig(h_max=0.025, rho=cfg.rho))
             fine = path.refine_uniform(res.mesh_times(), cfg.levels)
             dw = np.diff(path.values_on_grid(fine), axis=0)
-            ref, _, _, _ = _march_batch(p, "balanced", np.diff(fine)[None], dw[None], np.array([len(dw)]))
+            chunks = _stored_chunks(np.diff(fine)[None], dw[None])
+            ref, _, _, _ = _march_batch(p, "balanced", chunks, np.array([len(dw)]))
             exact = gbm_exact_terminal(path.value_at(p.t_end)[0])
             ref_sq.append((ref[0, 0] - exact) ** 2)
             sch_sq.append((res.y_terminal[0] - exact) ** 2)

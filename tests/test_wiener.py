@@ -211,6 +211,29 @@ class TestDrawOrderContract:
         np.testing.assert_array_equal(got, want)
 
 
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    m=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    knots=st.lists(st.floats(0.01, 2.0), min_size=1, max_size=6, unique=True),
+    queries=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=12, unique=True),
+)
+def test_draw_many_is_value_at_many_without_the_merge(m, seed, knots, queries):
+    # Known, bridged and forward times alike: the draw returns the bytes
+    # value_at_many returns, advances the generator as it does and leaves
+    # the store as it was.
+    p1, p2 = WienerPath(m, seed=seed), WienerPath(m, seed=seed)
+    for p in (p1, p2):
+        p.value_at_many(sorted(knots))
+    qs = np.array(sorted(queries))
+    n, t, w = p2._n, p2._t[: p2._n].tobytes(), p2._w[: p2._n].tobytes()
+    want = p1.value_at_many(qs)
+    got = p2._draw_many(qs)[0]
+    assert got.tobytes() == want.tobytes()
+    assert p2.rng.bit_generator.state == p1.rng.bit_generator.state
+    assert (p2._n, p2._t[:n].tobytes(), p2._w[:n].tobytes()) == (n, t, w)
+
+
 def test_value_at_many_validates_input():
     p = WienerPath(1, seed=0)
     with pytest.raises(ValueError):
