@@ -222,7 +222,7 @@ def cmd_convergence(args: argparse.Namespace) -> int:
 
     for scheme, fit in table.slopes.items():
         cli_name = _SCHEME_TO_CLI.get(scheme, scheme)
-        if fit.ok and math.isfinite(fit.slope):
+        if fit.ok:
             slope_stream.write(
                 f"{cli_name}: order {fit.slope:.3f} (R^2 {fit.r_squared:.3f})\n"
             )
@@ -337,7 +337,7 @@ def _render_svg(table: ConvergenceTable, x_mode: str) -> str:
             )
         label = _SCHEME_TO_CLI.get(scheme, scheme)
         fit = table.slopes.get(scheme)
-        if fit is not None and fit.ok and math.isfinite(fit.slope) and x_mode == "hmax":
+        if fit is not None and fit.ok and x_mode == "hmax":
             label += f" (slope {fit.slope:.2f})"
         out.append(
             f'<line x1="{right + 14}" y1="{legend_y:.3f}" x2="{right + 38}" '

@@ -136,7 +136,8 @@ class ExperimentConfig:
         problem_by_name(self.problem)  # raises on an unknown name
         for key in ("samples", "levels", "master_seed"):
             value = getattr(self, key)
-            if not isinstance(value, (int, np.integer)):
+            # bool is an int subclass, but True is no sample count or seed.
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
         object.__setattr__(self, "schemes", tuple(self.schemes) or default_schemes(self.problem))
         object.__setattr__(
@@ -154,6 +155,8 @@ class ExperimentConfig:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         for h in self.h_max_list:
             MeshConfig(h, self.rho)  # raises on a bad h_max or rho
+        if len(set(self.h_max_list)) < len(self.h_max_list):
+            raise ValueError(f"h_max_list repeats a value: {self.h_max_list}")
         for s in self.schemes:
             if s not in SCHEME_IDS:
                 raise ValueError(f"unknown scheme {s!r}; choose from {', '.join(SCHEME_IDS)}")
@@ -202,20 +205,22 @@ class OrderFit:
 
     @property
     def ok(self) -> bool:
-        return self.n_points >= 2
+        """Whether there is a finite slope: two or more distinct usable ``h``."""
+        return bool(np.isfinite(self.slope))
 
 
 def fit_order(h_values: Sequence[float], rmse_values: Sequence[float]) -> OrderFit:
     """Empirical strong order: fit ``log(rmse) = slope*log(h) + intercept``.
 
     Non-finite or non-positive RMSE entries are dropped; with fewer than two
-    usable points the fit is flagged insufficient (NaN slope, ``ok`` False).
+    distinct usable ``h`` values the fit is flagged insufficient (NaN slope,
+    ``ok`` False).
     """
     h = np.asarray(list(h_values), dtype=float)
     r = np.asarray(list(rmse_values), dtype=float)
     keep = np.isfinite(r) & (r > 0) & np.isfinite(h) & (h > 0)
     h, r = h[keep], r[keep]
-    if h.size < 2:
+    if np.unique(h).size < 2:
         return OrderFit(float("nan"), float("nan"), float("nan"), int(h.size))
     x, y = np.log(h), np.log(r)
     slope, intercept = np.polyfit(x, y, 1)

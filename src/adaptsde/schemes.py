@@ -101,8 +101,11 @@ class LinearSolver:
 
     The structure is read off ``A``'s sparsity pattern by
     :func:`~adaptsde.core.infer_structure`.  Tridiagonal operators, every
-    2x2 operator among them, go straight to LAPACK's ``gtsv``; dense ones to
+    2x2 operator among them, go to LAPACK's ``gtsv``; dense ones to
     ``scipy.linalg.solve``; diagonal or scalar ones to plain arithmetic.
+    One 2x2 system with one ``h`` is solved in Python floats with the
+    arithmetic of reference ``gtsv``, which gives its bits at a fraction of
+    the cost of the call.
     """
 
     def __init__(self, problem: SdeProblem):
@@ -118,6 +121,8 @@ class LinearSolver:
             self._dia = np.diagonal(self.A).copy()
             self._du = np.diagonal(self.A, 1).copy()
             self._gtsv = scipy.linalg.get_lapack_funcs("gtsv", (self._dia,))
+            if self.d == 2:
+                self._a2 = (self._dl[0].item(), *self._dia.tolist(), self._du[0].item())
 
     def solve(self, h, b: np.ndarray) -> np.ndarray:
         """Solve for right-hand sides ``b`` of shape ``(..., d)``.
@@ -139,6 +144,11 @@ class LinearSolver:
             return b / (1.0 - hc * self._a00)
         if self.structure == "diagonal":
             return b / (1.0 - hc * self._diag)
+        if not per_row and b.ndim == 1 and self.d == 2 and self.structure == "tridiagonal":
+            try:
+                return self._solve2(hc, b)
+            except ZeroDivisionError:
+                pass  # a zero or NaN pivot: gtsv gives the value or the error
         flat = b.reshape(-1, self.d)
         if not per_row:
             if self.structure == "tridiagonal":
@@ -161,6 +171,29 @@ class LinearSolver:
         else:
             x = np.linalg.solve(np.eye(self.d) - hv[:, :, None] * self.A, flat[..., None])
         return x.reshape(b.shape)
+
+    def _solve2(self, h: float, b: np.ndarray) -> np.ndarray:
+        """Reference ``dgtsv`` for N = 2, NRHS = 1, step by step, in Python floats.
+
+        A division by zero raises ZeroDivisionError, and the caller then
+        calls ``gtsv`` itself.  That is where ``gtsv`` reports info 1 (a zero
+        ``d1`` kept as pivot) or info 2 (a zero final ``d2``), or divides by
+        zero past a NaN pivot and returns NaN or inf.
+        """
+        a10, a00, a11, a01 = self._a2
+        dl, d1, d2, du = -h * a10, 1.0 - h * a00, 1.0 - h * a11, -h * a01
+        b1, b2 = b.tolist()
+        if abs(d1) >= abs(dl):
+            fact = dl / d1
+            d2 = d2 - fact * du
+            b2 = b2 - fact * b1
+        else:
+            # Row interchange: the subdiagonal entry becomes the pivot.
+            fact = d1 / dl
+            d1, d2, du = dl, du - fact * d2, d2
+            b1, b2 = b2, b1 - fact * b2
+        x2 = b2 / d2
+        return np.array(((b1 - du * x2) / d1, x2))
 
     def _tridiagonal(self, dl, d, du, b):
         """LAPACK ``gtsv`` on the tridiagonal system ``(dl, d, du)``, rhs (n, r)."""
@@ -398,14 +431,14 @@ def _diverged(y: np.ndarray):
     ``not ||y||^2 <= DIVERGENCE_THRESHOLD^2`` is true for NaN and inf too,
     and a row gets the same verdict alone as in a stack.
 
-    One reduction settles a stack in the common case: the sum of all its
-    squared entries, which bounds every row's squared norm up to rounding.
-    Below the threshold by a relative margin of 2**-20, which covers the
-    rounding of both for any stack that fits in memory, it clears every row
-    at once.  A NaN or inf anywhere fails that test, and only then is the
-    per-row mask formed.
+    One reduction settles a state or a stack in the common case: the sum of
+    all its squared entries, which bounds every row's squared norm up to
+    rounding.  Below the threshold by a relative margin of 2**-20, which
+    covers the rounding of both for any stack that fits in memory, it clears
+    every row at once.  Only what fails it, by a NaN, an inf or a norm near
+    or past the threshold, takes the exact per-row sums of squares.
     """
-    if y.ndim > 1 and np.vdot(y, y) <= _STACK_SQ:
+    if np.vdot(y, y) <= _STACK_SQ:
         return np.zeros(y.shape[:-1], dtype=bool)
     return ~(np.add.reduce(np.square(y), axis=-1) <= _THRESHOLD_SQ)
 

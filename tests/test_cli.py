@@ -223,6 +223,16 @@ class TestConvergenceCommand:
         )
         assert code == 2 and "h_max" in err
 
+    def test_repeated_hmax_rejected(self, capsys):
+        # Two rows of one h_max would print an "order" fitted through one h.
+        code, out, err = run_cli(
+            capsys, "convergence", "--problem", "gbm", "--samples", "2",
+            "--hmax-list", "0.25,0.25", "--schemes", "balanced",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: h_max_list repeats a value")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("refine", ["0", "-1"])
     def test_refine_below_one_rejected(self, capsys, tmp_path, refine):
         code, out, err = run_cli(

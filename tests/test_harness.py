@@ -89,6 +89,10 @@ class TestFitOrder:
         fit = fit_order([0.1], [0.3])
         assert not fit.ok and math.isnan(fit.slope)
         assert not fit_order([0.1, 0.01], [float("nan")] * 2).ok
+        # Two points need two distinct h: a repeated h alone fits no slope.
+        fit = fit_order([0.1, 0.1], [1.0, 2.0])
+        assert fit.ok is False and math.isnan(fit.slope)
+        assert fit_order([0.1, 0.1, 0.01], [1.0, 2.0, 0.1]).ok
 
 
 class TestConfig:
@@ -117,6 +121,10 @@ class TestConfig:
         dict(levels=2.5),
         dict(master_seed=1.5),
         dict(levels=27),
+        dict(h_max_list=(0.25, 0.025, 0.25)),
+        dict(samples=True),
+        dict(levels=True),
+        dict(master_seed=False),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

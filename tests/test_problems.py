@@ -74,7 +74,8 @@ class TestFhn:
         np.testing.assert_allclose(G, [[0.05 / math.sqrt(0.5), 0.0], [0.0, 0.1]])
         np.testing.assert_array_equal(problem_by_name("fhn05").A, p.A)
         np.testing.assert_array_equal(problem_by_name("fhn01").A, fhn(0.1).A)
-        # every 2x2 operator is banded, so the solver takes LAPACK's gtsv path
+        # every 2x2 operator is banded, so the solver takes the tridiagonal
+        # path: gtsv's arithmetic in closed form for one state, gtsv for stacks
         assert LinearSolver(p).structure == "tridiagonal"
 
     def test_noise_is_additive(self):

@@ -6,8 +6,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adaptsde.core import MeshConfig, SdeProblem
@@ -274,11 +275,21 @@ class TestNewtonFallback:
         np.testing.assert_array_equal(out[1], step_balanced(p, y[1], H, dw[1]))
 
 
+def linear_problem(A):
+    """The noiseless linear problem ``dX = A X dt``; only its ``A`` matters here."""
+    d = len(A)
+    return SdeProblem(
+        d=d, m=1, A=A,
+        f=lambda x: np.zeros_like(x),
+        g=lambda x: np.zeros_like(x), S=np.zeros((d, 1)),
+        x0=np.zeros(d), t_end=1.0,
+    )
+
+
 def random_structured_problem(structure, d, seed):
     rng = np.random.default_rng(seed)
     if structure == "scalar":
         A = rng.normal(size=(1, 1))
-        d = 1
     elif structure == "diagonal":
         A = np.diag(rng.normal(size=d))
     elif structure == "tridiagonal":
@@ -287,12 +298,16 @@ def random_structured_problem(structure, d, seed):
         A += np.diag(rng.normal(size=d - 1), -1)
     else:
         A = rng.normal(size=(d, d))
-    return SdeProblem(
-        d=d, m=1, A=A,
-        f=lambda x: np.zeros_like(x),
-        g=lambda x: np.zeros_like(x), S=np.zeros((d, 1)),
-        x0=np.zeros(d), t_end=1.0,
-    )
+    return linear_problem(A)
+
+
+#: Entries of a 2x2 ``A``: small integers, which make exact zero pivots
+#: likely at h = 0.25, 0.5 or 1, and reals across six orders of magnitude.
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 2.0, -2.0, 4.0]),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-1.0, 1.0), st.integers(-3, 3)),
+)
+_RHS = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([math.nan, math.inf, -math.inf]))
 
 
 class TestLinearSolver:
@@ -357,18 +372,55 @@ class TestLinearSolver:
             assert xb[i].tobytes() == solver.solve(float(h[i]), b[i]).tobytes()
         assert np.isfinite(np.delete(xb, 2, axis=0)).all()
 
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        a=st.lists(_ENTRIES, min_size=4, max_size=4).filter(lambda a: a[1] != 0 or a[2] != 0),
+        h=st.one_of(st.floats(1e-8, 4.0), st.sampled_from([0.25, 0.5, 1.0])),
+        b=st.lists(_RHS, min_size=2, max_size=2),
+    )
+    @example(a=[2.0, 1.0, 0.0, 1.0], h=0.5, b=[1.0, 1.0])  # zero d1 kept: info 1
+    @example(a=[0.0, 2.0, 2.0, 0.0], h=0.5, b=[1.0, 2.0])  # zero d2: info 2
+    @example(a=[0.5, 3.0, -5.0, 1.0], h=2.0, b=[1.0, -2.0])  # row interchange
+    def test_two_by_two_solve_equals_gtsv_bit_for_bit(self, a, h, b):
+        # One 2x2 system with one h is solved in closed form; it must give
+        # LAPACK gtsv's bits, and fail where gtsv reports info != 0.
+        A = np.array(a).reshape(2, 2)
+        solver = LinearSolver(linear_problem(A))
+        assert solver.structure == "tridiagonal"
+        gtsv = scipy.linalg.get_lapack_funcs("gtsv", (A,))
+        dl, dia, du = np.diagonal(A, -1), np.diagonal(A), np.diagonal(A, 1)
+        _, _, _, x, info = gtsv(-h * dl, 1.0 - h * dia, -h * du, np.array(b)[:, None])
+        if info != 0:
+            with pytest.raises(np.linalg.LinAlgError, match=f"info={info}"):
+                solver.solve(h, np.array(b))
+        else:
+            assert solver.solve(h, np.array(b)).tobytes() == x[:, 0].tobytes()
+
+    def test_lapack_calls_only_where_no_closed_form(self, monkeypatch):
+        # fhn01's solve() takes the 2x2 closed form at every step; spde's
+        # 100x100 system still goes to gtsv.
+        calls = []
+        lapack = LinearSolver._tridiagonal
+
+        def counted(self, *args):
+            calls.append(self.d)
+            return lapack(self, *args)
+
+        monkeypatch.setattr(LinearSolver, "_tridiagonal", counted)
+        cfg = MeshConfig(0.025, 100.0)
+        res = solve(problem_by_name("fhn01"), "adaptive_semi_implicit", WienerPath(2, seed=0), config=cfg)
+        assert res.n_steps > 0 and calls == []
+        p = problem_by_name("spde")
+        solve(p, "adaptive_semi_implicit", WienerPath(p.m, seed=0), config=MeshConfig(0.25, 100.0))
+        assert len(calls) >= 1 and set(calls) == {100}
+
     def test_tridiagonal_agrees_with_dense(self):
         rng = np.random.default_rng(8)
         d = 6
         A = np.diag(rng.normal(size=d)) + np.diag(rng.normal(size=d - 1), 1) + np.diag(
             rng.normal(size=d - 1), -1
         )
-        tri = LinearSolver(SdeProblem(
-            d=d, m=1, A=A,
-            f=lambda x: np.zeros_like(x),
-            g=lambda x: np.zeros_like(x), S=np.zeros((d, 1)),
-            x0=np.zeros(d), t_end=1.0,
-        ))
+        tri = LinearSolver(linear_problem(A))
         assert tri.structure == "tridiagonal"
         b = rng.normal(size=d)
         dense = np.linalg.solve(np.eye(d) - 0.07 * A, b)
