@@ -35,7 +35,7 @@ from .harness import (
     run_experiment,
     write_table_csv,
 )
-from .problems import PROBLEM_NAMES, gl_truncation_functions, problem_by_name
+from .problems import PROBLEM_NAMES, problem_by_name
 from .schemes import solve
 from .wiener import WienerPath
 
@@ -68,7 +68,7 @@ SCHEME_BLURBS = {
     "balanced": "fixed-step balanced method",
     "increment-tamed": "fixed-step increment-tamed Euler",
     "fully-tamed": "fixed-step fully tamed Euler (weight h^1/2)",
-    "truncated": "fixed-step truncated Euler (Ginzburg-Landau only)",
+    "truncated": "fixed-step truncated Euler (problems with a growth envelope)",
     "explicit-euler": "fixed-step explicit Euler-Maruyama (no stabilization)",
 }
 
@@ -103,10 +103,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                     f"step size must satisfy 0 < h <= t_end = {problem.t_end}, got {args.hmax}"
                 )
             kwargs["h"] = args.hmax
-        if scheme == "truncated":
-            if args.problem != "gl":
-                raise ValueError("the truncated scheme is only wired up for the 'gl' problem")
-            kwargs["mu_inv"], kwargs["H"] = gl_truncation_functions()
+        if scheme == "truncated" and problem.truncation is None:
+            raise ValueError(f"the truncated scheme needs a growth envelope, and {args.problem!r} has none")
     except ValueError as exc:
         return _fail(str(exc), 2)
 

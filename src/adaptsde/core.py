@@ -19,6 +19,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Literal, Optional
 
@@ -59,6 +60,11 @@ class SdeProblem:
     df
         Optional Jacobian of ``f``, ``(..., d) -> (..., d, d)``.  Required by
         the drift-implicit scheme's Newton solver.
+    truncation
+        Optional growth envelope ``(mu_inv, H)`` of the coefficients: the
+        inverse of an envelope ``mu`` and the gauge ``H(h)``, which together
+        give the truncated scheme's radius ``mu_inv(H(h))``.  Required by
+        the truncated scheme.
     x0
         Initial state, shape ``(d,)``.
     t_end
@@ -74,9 +80,16 @@ class SdeProblem:
     x0: np.ndarray
     t_end: float
     df: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    truncation: Optional[tuple[Callable, Callable]] = None
     S2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for key in ("d", "m"):
+            value = getattr(self, key)
+            # A float or bool passes the shape checks below (2.0 == 2), but
+            # the batched march needs an integer to size its arrays.
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
         if self.d < 1 or self.m < 1:
             raise ValueError("dimensions d and m must be positive")
         A = np.asarray(self.A, dtype=float)
@@ -90,6 +103,9 @@ class SdeProblem:
             raise ValueError(f"x0 must have shape ({self.d},), got {x0.shape}")
         if not self.t_end > 0:
             raise ValueError("t_end must be positive")
+        pair = self.truncation
+        if pair is not None and not (isinstance(pair, tuple) and len(pair) == 2 and all(map(callable, pair))):
+            raise ValueError(f"truncation must be a pair (mu_inv, H) of callables, got {pair!r}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "S", S)
         object.__setattr__(self, "S2", S**2)
@@ -132,8 +148,10 @@ class MeshConfig:
     def __post_init__(self):
         if not 0 < self.h_max <= 1:
             raise ValueError(f"h_max must be in (0, 1], got {self.h_max}")
-        if not self.rho >= 1:
-            raise ValueError(f"rho must be >= 1, got {self.rho}")
+        # An infinite rho gives h_min = 0, where the floor and its backstop
+        # can never act.
+        if not 1 <= self.rho < math.inf:
+            raise ValueError(f"rho must be finite and >= 1, got {self.rho}")
 
     @property
     def h_min(self) -> float:

@@ -32,9 +32,10 @@ blocks fan out over the processes; the tables do not change.
 
 ``mean_cputime_s`` is wall time (``time.perf_counter``), not CPU time: for
 every scheme, the wall time of its march's loop divided by its number of
-rows, with path generation left out.  A fixed-step scheme's increments are
-drawn before its march, so its figure moves with the layout; forming their
-mixed increments ``S dW`` happens inside the timed loop and counts as the
+rows, with path generation left out.  A fixed-step scheme's grid values
+are drawn before its march, so its figure moves with the layout; forming
+the step sizes, increments and mixed increments ``S dW`` from them happens
+inside the timed loop, a chunk of steps at a time, and counts as the
 scheme's own work, as when each step formed its noise itself.  The adaptive
 march draws its normals as it steps, so it subtracts the time spent drawing.
 """
@@ -54,7 +55,7 @@ import numpy as np
 
 from .control import propose_steps
 from .core import MeshConfig, SdeProblem, SolveResult, last_step
-from .problems import gl_truncation_functions, problem_by_name
+from .problems import problem_by_name
 from .schemes import SCHEME_IDS, _diverged, _mix, step_balanced, step_map
 from .wiener import WienerPath
 
@@ -99,6 +100,7 @@ def default_levels(problem_name: str) -> int:
 
 
 def default_schemes(problem_name: str) -> tuple[str, ...]:
+    """The schemes a sweep compares: the truncated one where there is an envelope."""
     base = (
         "adaptive_semi_implicit",
         "drift_implicit",
@@ -106,7 +108,7 @@ def default_schemes(problem_name: str) -> tuple[str, ...]:
         "increment_tamed",
         "fully_tamed",
     )
-    if problem_name == "gl":
+    if problem_by_name(problem_name).truncation is not None:
         return base + ("truncated",)
     return base
 
@@ -133,7 +135,7 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        problem_by_name(self.problem)  # raises on an unknown name
+        problem = problem_by_name(self.problem)  # raises on an unknown name
         for key in ("samples", "levels", "master_seed"):
             value = getattr(self, key)
             # bool is an int subclass, but True is no sample count or seed.
@@ -165,8 +167,8 @@ class ExperimentConfig:
                 "experiments compare schemes on the adaptive semi-implicit mesh; "
                 "run the adaptive explicit scheme directly through solve()"
             )
-        if "truncated" in self.schemes and self.problem != "gl":
-            raise ValueError("the truncated scheme is only wired up for the 'gl' problem")
+        if "truncated" in self.schemes and problem.truncation is None:
+            raise ValueError(f"the truncated scheme needs a growth envelope, and {self.problem!r} has none")
 
 
 @dataclass(frozen=True)
@@ -341,24 +343,24 @@ def _march(problem: SdeProblem, step, k: int, source) -> tuple:
 def _march_batch(
     problem: SdeProblem,
     scheme: str,
-    chunk,
-    lengths: np.ndarray,
-    *,
-    mu_inv=None,
-    H=None,
+    times: Sequence[np.ndarray],
+    values: Sequence[np.ndarray],
+    levels: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """March a batch of samples with one fixed-step scheme.
 
-    Row i takes ``lengths[i]`` steps, at least one.  ``chunk(lo, hi)``
-    returns steps ``lo`` to ``hi - 1`` step-major: sizes (hi - lo, k) and
-    increments (hi - lo, k, m), whatever it holds for rows already done.
-    The source asks for ``_STEP_CHUNK`` steps at a time and forms their
-    ``S dW`` in one stacked product, so each step reads contiguous views and
-    its step map skips that product; once rows drop, each step gathers its
-    rows from the chunk.  Returns
+    Row i steps over the grid ``refine_uniform(times[i], levels)``, or
+    ``times[i]`` itself at ``levels`` 0, whose Brownian values are
+    ``values[i]``: ``len(values[i]) - 1`` steps, at least one.  The steps
+    come from :func:`_refined_chunks` ``_STEP_CHUNK`` at a time, step-major,
+    with their ``S dW`` formed in one stacked product, so each step reads
+    contiguous views and its step map skips that product; once rows drop,
+    each step gathers its rows from the chunk.  Returns
     (terminal states, diverged mask, fallback counts, wall time).
     """
-    step = step_map(problem, scheme, mu_inv=mu_inv, H=H)
+    step = step_map(problem, scheme)
+    chunk = _refined_chunks(times, values, levels)
+    lengths = np.array([len(v) - 1 for v in values])
     # Which rows finish is worked out only at the steps where some row does.
     ends = set(lengths.tolist())
     last = int(lengths.max())
@@ -377,19 +379,10 @@ def _march_batch(
     return y, diverged, n_fallback, elapsed
 
 
-def _stored_chunks(dt: np.ndarray, dw: np.ndarray):
-    """``_march_batch``'s chunks of padded (k, L) step sizes and (k, L, m)
-    increments, copied step-major."""
-
-    def chunk(lo, hi):
-        return np.ascontiguousarray(dt[:, lo:hi].T), np.ascontiguousarray(dw[:, lo:hi].swapaxes(0, 1))
-
-    return chunk
-
-
 def _refined_chunks(times: Sequence[np.ndarray], values: Sequence[np.ndarray], levels: int):
     """``_march_batch``'s chunks of the grids ``refine_uniform(times[i],
     levels)``, whose values are ``values[i]``, formed as they are asked for.
+    At ``levels`` 0 the grids are the times themselves.
 
     Step sizes bisect only the coarse knots that span the steps asked for,
     level by level, with ``refine_uniform``'s midpoints ``(a + b) * 0.5``;
@@ -540,8 +533,9 @@ def _run_block(
     rebuilt path then continues as if ``solve()`` had just run on it.  The
     block keeps each sample's refined store as it is, with no padding, and
     the reference march forms its steps from it a chunk at a time
-    (``_refined_chunks``); the uniform grids' values are drawn without
-    being merged into that store, and their increments are stored padded.
+    (``_refined_chunks``).  The uniform grids' values are drawn without
+    being merged into that store, and each fixed-step march forms its steps
+    from them the same way, as a refinement of depth 0.
 
     Returns each sample's two :class:`MomentStats` sums as a (k, 2) array
     and, per scheme, four columns in sample order: squared terminal errors
@@ -550,16 +544,8 @@ def _run_block(
     """
     problem = problem_by_name(config.problem)
     T, m, k = problem.t_end, problem.m, len(indices)
-    mu_inv = H = None
-    if "truncated" in config.schemes:
-        mu_inv, H = gl_truncation_functions()
-
-    len_fine = np.array([res.n_steps << config.levels for res in solved])
-    len_grid = np.array([max(1, int(round(T / res.mean_h))) for res in solved])
-    dt_grid = np.zeros((k, len_grid.max()))
-    dw_grid = np.zeros((k, len_grid.max(), m))
     moments = np.empty((k, 2))
-    knots, fine_values = [], []
+    knots, fine_values, grids, grid_values = [], [], [], []
     for j, (index, adaptive) in enumerate(zip(indices, solved)):
         path = WienerPath(m, seed=config.master_seed ^ index)
         times = adaptive.mesh_times()
@@ -572,17 +558,12 @@ def _run_block(
         # The refined store itself, as a view; the fine times are not kept.
         fine_values.append(path.values_on_grid(path.refine_uniform(times, config.levels)))
 
-        grid = np.linspace(0.0, T, len_grid[j] + 1)
-        vals = path._draw_many(grid)[0]  # read once, so not merged into the store
-        n = len_grid[j]
-        dt_grid[j, :n] = np.diff(grid)
-        dw_grid[j, :n] = np.diff(vals, axis=0)
+        grids.append(np.linspace(0.0, T, max(1, int(round(T / adaptive.mean_h))) + 1))
+        grid_values.append(path._draw_many(grids[-1])[0])  # read once, so not merged into the store
     del path
 
-    reference = _refined_chunks(knots, fine_values, config.levels)
-    ref_y, ref_div, _, _ = _march_batch(problem, "balanced", reference, len_fine)
-    del reference, fine_values
-    grid_chunks = _stored_chunks(dt_grid, dw_grid)
+    ref_y, ref_div, _, _ = _march_batch(problem, "balanced", knots, fine_values, config.levels)
+    del knots, fine_values
 
     columns = {}
     for scheme in config.schemes:
@@ -592,7 +573,7 @@ def _run_block(
             fall = np.array([r.n_backstop for r in solved])
             wall = np.array([r.wall_time for r in solved])
         else:
-            y, div, fall, elapsed = _march_batch(problem, scheme, grid_chunks, len_grid, mu_inv=mu_inv, H=H)
+            y, div, fall, elapsed = _march_batch(problem, scheme, grids, grid_values, 0)
             wall = np.full(k, elapsed / k)
         diff = y - ref_y
         # Row by row, this rounds as np.dot(diff[j], diff[j]) does.

@@ -9,7 +9,8 @@ part split out for the semi-implicit scheme:
 * ``fhn``: FitzHugh-Nagumo neuron with additive noise (stiff for small
   epsilon; cubic drift).
 * ``ginzburg_landau``: scalar stochastic Ginzburg-Landau with cubic drift
-  and multiplicative noise.
+  and multiplicative noise; the one problem with a growth envelope, so the
+  one the truncated scheme runs on.
 * ``stoch_vol_32``: two-dimensional 3/2-volatility model, superlinear
   diffusion ``||x||^(3/2)``.
 * ``spde_fd``: finite-difference discretization of a stochastic
@@ -140,7 +141,8 @@ def ginzburg_landau() -> SdeProblem:
     """Scalar stochastic Ginzburg-Landau ``dx = a x (b - x^2) dt + c x dW``.
 
     a=0.1, b=1, c=0.2, x(0)=2.  The drift splits as ``A = a b`` (linear) and
-    ``f(x) = -a x^3`` (dissipative cubic).
+    ``f(x) = -a x^3`` (dissipative cubic).  The growth envelope is
+    :func:`gl_truncation_functions`.
     """
     a, b, c = 0.1, 1.0, 0.2
 
@@ -164,6 +166,7 @@ def ginzburg_landau() -> SdeProblem:
         df=df,
         x0=np.array([2.0]),
         t_end=1.0,
+        truncation=gl_truncation_functions(),
     )
 
 

@@ -383,13 +383,7 @@ def _newton_updates(J: np.ndarray, F: np.ndarray) -> np.ndarray:
         return np.concatenate([_newton_updates(J[i : i + 1], F[i : i + 1]) for i in range(len(J))])
 
 
-def step_map(
-    problem: SdeProblem,
-    scheme: str,
-    *,
-    mu_inv: Optional[Callable] = None,
-    H: Optional[Callable] = None,
-) -> Callable[..., tuple[np.ndarray, object]]:
+def step_map(problem: SdeProblem, scheme: str) -> Callable[..., tuple[np.ndarray, object]]:
     """The one-step map of ``scheme`` as ``fn(y, h, dW, noise=None) -> (y_next, fell_back)``.
 
     ``noise`` is the mixed increment ``S dW`` if the caller has it.
@@ -398,6 +392,8 @@ def step_map(
     ``fn(y, h, dW, f_y)``, where ``f_y`` is the response its controller
     read: ``f(y)`` for the semi-implicit scheme, the full drift for the
     explicit one.  The controller and the backstop stay with the caller.
+    The truncated scheme takes its growth envelope from
+    ``problem.truncation`` and raises ValueError for a problem without one.
     Each closure looks its ``step_*`` function up as a module global when
     it is called, so a rebinding of that name (a tracer's wrapper, say)
     reaches every caller.
@@ -416,8 +412,9 @@ def step_map(
     if scheme == "fully_tamed":
         return lambda y, h, dW, noise=None: (step_fully_tamed(problem, y, h, dW, noise), None)
     if scheme == "truncated":
-        if mu_inv is None or H is None:
-            raise ValueError("truncated scheme needs mu_inv and H")
+        if problem.truncation is None:
+            raise ValueError("truncated scheme needs problem.truncation, a growth envelope (mu_inv, H)")
+        mu_inv, H = problem.truncation
         return lambda y, h, dW, noise=None: (step_truncated(problem, y, h, dW, mu_inv, H, noise), None)
     raise ValueError(f"unknown scheme {scheme!r}; choose one of {', '.join(SCHEME_IDS)}")
 
@@ -450,18 +447,17 @@ def solve(
     *,
     config: Optional[MeshConfig] = None,
     h: Optional[float] = None,
-    mu_inv: Optional[Callable] = None,
-    H: Optional[Callable] = None,
     record_trajectory: bool = False,
 ) -> SolveResult:
     """March one sample path of ``problem`` from 0 to T with ``scheme``.
 
-    Adaptive schemes require ``config``; fixed-step schemes require ``h``.
+    Adaptive schemes require ``config``; fixed-step schemes require ``h``,
+    and the truncated scheme a problem with a ``truncation`` envelope.
     The final step is truncated to land exactly on T.  A non-finite state or
     one with norm beyond ``DIVERGENCE_THRESHOLD`` aborts the run with the
     ``diverged`` flag set (expected for explicit Euler on stiff problems).
     """
-    step = step_map(problem, scheme, mu_inv=mu_inv, H=H)
+    step = step_map(problem, scheme)
     if path.dim != problem.m:
         raise ValueError(f"path has {path.dim} components, problem needs m={problem.m}")
     adaptive = scheme in ADAPTIVE_SCHEMES

@@ -73,8 +73,19 @@ class TestRunCommand:
     def test_truncated_run_works_on_gl_only(self, capsys):
         code, out, _ = run_cli(capsys, "run", "--problem", "gl", "--scheme", "truncated", "--hmax", "0.05")
         assert code == 0 and "diverged=False" in out
-        code, _, err = run_cli(capsys, "run", "--problem", "gbm", "--scheme", "truncated")
-        assert code == 2 and "truncated" in err
+        code, out, err = run_cli(capsys, "run", "--problem", "gbm", "--scheme", "truncated")
+        assert code == 2 and out == "" and err.startswith("error: ")
+        assert "truncated" in err and "growth envelope" in err and "Traceback" not in err
+
+    def test_infinite_rho_is_rejected(self, capsys):
+        # h_min = h_max / inf = 0 would switch the floor and its backstop off.
+        code, out, err = run_cli(capsys, "run", "--problem", "spde", "--scheme", "adaptive-si", "--rho", "inf")
+        assert code == 2 and out == "" and err.startswith("error: ") and "rho" in err
+        assert "Traceback" not in err
+        code, out, err = run_cli(
+            capsys, "convergence", "--problem", "gbm", "--rho", "inf", "--samples", "1", "--hmax-list", "0.25"
+        )
+        assert code == 2 and out == "" and err.startswith("error: ") and "rho" in err
 
     def test_unknown_problem_and_scheme(self, capsys):
         code, _, err = run_cli(capsys, "run", "--problem", "heat", "--scheme", "balanced")

@@ -56,6 +56,21 @@ class TestSdeProblem:
                     d=2, m=1, A=np.zeros((2, 2)), f=lambda x: x, g=lambda x: x, S=S,
                     x0=np.zeros(2), t_end=1.0,
                 )
+        # Dimensions must be integers: 2.0 would pass the shape checks, since
+        # (2.0, 2.0) == (2, 2), and then fail inside the batched march.
+        kw = dict(d=2, m=1, A=np.zeros((2, 2)), f=np.zeros_like, g=np.ones_like, S=np.ones((2, 1)),
+                  x0=np.zeros(2), t_end=1.0)
+        for dims in (dict(d=2.0), dict(m=1.0), dict(d=True), dict(m=True), dict(d="2")):
+            with pytest.raises(ValueError, match="must be an integer"):
+                SdeProblem(**{**kw, **dims})
+        assert SdeProblem(**{**kw, "d": np.int64(2)}).d == 2
+
+    @pytest.mark.parametrize("pair", [abs, (abs,), (abs, abs, abs), (abs, 1.0), [abs, abs]])
+    def test_truncation_must_be_a_pair_of_callables(self, pair):
+        with pytest.raises(ValueError, match="truncation"):
+            SdeProblem(d=1, m=1, A=np.zeros((1, 1)), f=np.zeros_like, g=np.ones_like, S=np.ones((1, 1)),
+                       x0=np.zeros(1), t_end=1.0, truncation=pair)
+        assert make_problem(np.zeros((1, 1))).truncation is None
 
     def test_coefficients_coerced_to_float_arrays(self):
         p = SdeProblem(
@@ -108,6 +123,10 @@ class TestMeshConfig:
             MeshConfig(h_max=1.5)
         with pytest.raises(ValueError):
             MeshConfig(h_max=0.5, rho=0.5)
+        for rho in (float("inf"), float("nan")):
+            # rho = inf gives h_min = 0: the floor and the backstop never act.
+            with pytest.raises(ValueError, match="rho"):
+                MeshConfig(h_max=0.5, rho=rho)
         MeshConfig(h_max=1.0, rho=1.0)  # boundary values are fine
 
 

@@ -26,7 +26,6 @@ from adaptsde.harness import (
     _run_block,
     _solve_adaptive_batch,
     _solve_chunk,
-    _stored_chunks,
     _worker_count,
     default_h_grid,
     default_levels,
@@ -37,7 +36,7 @@ from adaptsde.harness import (
     run_experiment,
     write_table_csv,
 )
-from adaptsde.problems import PROBLEM_NAMES, gbm_exact_terminal, gl_truncation_functions, problem_by_name
+from adaptsde.problems import PROBLEM_NAMES, gbm_exact_terminal, problem_by_name
 from adaptsde.schemes import ADAPTIVE_SCHEMES, DIVERGENCE_THRESHOLD, SCHEME_IDS, _diverged, solve, step_map
 from adaptsde.wiener import WienerPath
 
@@ -125,6 +124,7 @@ class TestConfig:
         dict(samples=True),
         dict(levels=True),
         dict(master_seed=False),
+        dict(rho=float("inf")),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -137,6 +137,23 @@ class TestConfig:
     def test_truncated_needs_gl(self):
         with pytest.raises(ValueError, match="truncated"):
             ExperimentConfig(problem="svol", schemes=("truncated",))
+
+    @pytest.mark.parametrize("name", PROBLEM_NAMES)
+    def test_the_growth_envelope_decides_where_truncated_runs(self, name):
+        # Accepted by a sweep, listed by default and runnable through solve()
+        # exactly when the problem carries an envelope.
+        p = problem_by_name(name)
+        has_envelope = p.truncation is not None
+        assert ("truncated" in default_schemes(name)) == has_envelope
+        path = WienerPath(p.m, seed=0)
+        if has_envelope:
+            assert ExperimentConfig(problem=name, schemes=("truncated",)).schemes == ("truncated",)
+            assert solve(p, "truncated", path, h=0.25).n_steps == 4
+        else:
+            with pytest.raises(ValueError, match="growth envelope"):
+                ExperimentConfig(problem=name, schemes=("truncated",))
+            with pytest.raises(ValueError, match="truncation"):
+                solve(p, "truncated", path, h=0.25)
 
     def test_worker_count_sources(self, monkeypatch):
         monkeypatch.delenv("ADAPTSDE_WORKERS", raising=False)
@@ -407,35 +424,58 @@ class TestAdaptiveBatch:
 
 FIXED_PAIRS = [
     (n, s) for n in PROBLEM_NAMES for s in SCHEME_IDS
-    if s not in ADAPTIVE_SCHEMES and (s != "truncated" or n == "gl")
+    if s not in ADAPTIVE_SCHEMES and (s != "truncated" or problem_by_name(n).truncation is not None)
 ]
-
-
-def truncation_kw(scheme):
-    mu_inv, H = gl_truncation_functions()
-    return dict(mu_inv=mu_inv, H=H) if scheme == "truncated" else {}
 
 
 @pytest.mark.parametrize("name,scheme", FIXED_PAIRS)
 def test_solve_and_batched_march_step_alike(name, scheme):
     # solve() on one path and one row of the harness's march over the same
-    # knots must take the same steps, fallbacks included.
+    # knots must take the same steps, fallbacks included.  The march reads
+    # its step sizes off the knots, so h is a power of two, whose knots
+    # difference back to h exactly.
     p = problem_by_name(name)
-    kw = truncation_kw(scheme)
     path = WienerPath(p.m, seed=0)
-    res = solve(p, scheme, path, h=0.05, **kw)
-    dw = np.diff(path.values_on_grid(res.mesh_times()), axis=0)
-    dt = res.mesh
-    y, diverged, n_fallback, _ = _march_batch(p, scheme, _stored_chunks(dt[None], dw[None]), np.array([len(dt)]), **kw)
+    res = solve(p, scheme, path, h=2.0**-5)
+    times = res.mesh_times()
+    assert np.diff(times).tobytes() == res.mesh.tobytes()
+    y, diverged, n_fallback, _ = _march_batch(p, scheme, [times], [path.values_on_grid(times)], 0)
     assert y[0].tobytes() == res.y_terminal.tobytes()
     assert diverged[0] == res.diverged
     assert n_fallback[0] == res.n_backstop
 
 
-def march_by_index(p, scheme, dt, dw, lengths, **kw):
+def uniform_rows(p, lengths, h, rng):
+    """Per-row knot times ``0, h, 2h, ...`` and Brownian values on them."""
+    times = [h * np.arange(n + 1) for n in lengths]
+    values = [np.cumsum(np.vstack([np.zeros(p.m), np.sqrt(h) * rng.standard_normal((n, p.m))]), axis=0)
+              for n in lengths]
+    return times, values
+
+
+def plant_nan(values, row, step):
+    """Make ``row``'s increment at ``step`` NaN, and so every later value."""
+    values[row][step + 1 :] = np.nan
+
+
+def padded(times, values):
+    """``np.diff`` of each row's times and values, zero-padded to (k, L)
+    step sizes and (k, L, m) increments, with the lengths."""
+    lengths = np.array([len(t) - 1 for t in times])
+    dt = np.zeros((len(times), lengths.max()))
+    dw = np.zeros((len(times), lengths.max(), values[0].shape[1]))
+    for i, (t, w) in enumerate(zip(times, values)):
+        dt[i, : len(t) - 1] = np.diff(t)
+        dw[i, : len(t) - 1] = np.diff(w, axis=0)
+    return dt, dw, lengths
+
+
+def march_by_index(p, scheme, times, values):
     """The march with its active rows gathered by index at every step, each
-    step forming its own noise: (states, diverged mask, fallback counts)."""
-    step = step_map(p, scheme, **kw)
+    step forming its own noise, over ``np.diff`` of the rows' times and
+    values: (states, diverged mask, fallback counts)."""
+    dt, dw, lengths = padded(times, values)
+    step = step_map(p, scheme)
     y = np.tile(p.x0, (len(lengths), 1))
     live = np.ones(len(lengths), dtype=bool)
     n_fallback = np.zeros(len(lengths), dtype=int)
@@ -453,28 +493,23 @@ def march_by_index(p, scheme, dt, dw, lengths, **kw):
 @given(data=st.data())
 @pytest.mark.parametrize("name,scheme", [(n, s) for n, s in FIXED_PAIRS if n in ("gl", "fhn01")])
 def test_each_row_of_a_ragged_block_marches_as_alone(name, scheme, data):
-    # Ragged lengths over zero padding, and one row whose NaN increment makes
-    # it diverge partway through: the march switches from all rows to an
-    # index array at the first row that drops.
+    # Ragged lengths, and one row whose NaN increment makes it diverge
+    # partway through: the march switches from all rows to an index array
+    # at the first row that drops.
     p = problem_by_name(name)
-    kw = truncation_kw(scheme)
-    lengths = np.array(data.draw(st.lists(st.integers(1, 12), min_size=2, max_size=6)))
+    lengths = data.draw(st.lists(st.integers(1, 12), min_size=2, max_size=6))
     k, h = len(lengths), data.draw(st.sampled_from([0.05, 0.01]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    dt = np.zeros((k, lengths.max()))
-    dw = np.zeros((k, lengths.max(), p.m))
-    for i, n in enumerate(lengths):
-        dt[i, :n] = h
-        dw[i, :n] = np.sqrt(h) * rng.standard_normal((n, p.m))
+    times, values = uniform_rows(p, lengths, h, rng)
     bad = data.draw(st.integers(0, k - 1))
-    dw[bad, data.draw(st.integers(0, lengths[bad] - 1))] = np.nan
-    y, diverged, n_fallback, _ = _march_batch(p, scheme, _stored_chunks(dt, dw), lengths, **kw)
+    plant_nan(values, bad, data.draw(st.integers(0, lengths[bad] - 1)))
+    y, diverged, n_fallback, _ = _march_batch(p, scheme, times, values, 0)
     assert diverged[bad]
-    y_ref, div_ref, _ = march_by_index(p, scheme, dt, dw, lengths, **kw)
+    y_ref, div_ref, _ = march_by_index(p, scheme, times, values)
     assert y.tobytes() == y_ref.tobytes()
     assert diverged.tolist() == div_ref.tolist()
     for i in range(k):
-        yi, di, fi, _ = _march_batch(p, scheme, _stored_chunks(dt[i : i + 1], dw[i : i + 1]), lengths[i : i + 1], **kw)
+        yi, di, fi, _ = _march_batch(p, scheme, times[i : i + 1], values[i : i + 1], 0)
         assert (diverged[i], n_fallback[i]) == (di[0], fi[0])
         if name == "gl":
             assert y[i].tobytes() == yi[0].tobytes()
@@ -491,26 +526,22 @@ CHUNK = harness._STEP_CHUNK
 @given(data=st.data())
 @pytest.mark.parametrize("name,scheme", FIXED_PAIRS)
 def test_chunked_march_equals_a_per_step_march(name, scheme, data):
-    # The march forms each chunk's S dW in one stacked product and reads
-    # step-major copies; a march that forms the noise inside every step must
-    # give the same bytes.  Lengths straddle the chunk boundaries, rows
-    # finish mid-chunk, and a NaN increment may make one row diverge there.
+    # The march forms each chunk's steps, increments and S dW at once and
+    # reads step-major views; a march that takes np.diff of the same times
+    # and values and forms the noise inside every step must give the same
+    # bytes.  Lengths straddle the chunk boundaries, rows finish mid-chunk,
+    # and a NaN increment may make one row diverge there.
     p = problem_by_name(name)
-    kw = truncation_kw(scheme)
     boundary = st.sampled_from([CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
-    lengths = np.array(data.draw(st.lists(boundary | st.integers(1, 2 * CHUNK + 3), min_size=2, max_size=4)))
+    lengths = data.draw(st.lists(boundary | st.integers(1, 2 * CHUNK + 3), min_size=2, max_size=4))
     k, h = len(lengths), data.draw(st.sampled_from([1e-3, 2e-3]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    dt = np.zeros((k, lengths.max()))
-    dw = np.zeros((k, lengths.max(), p.m))
-    for i, n in enumerate(lengths):
-        dt[i, :n] = h
-        dw[i, :n] = np.sqrt(h) * rng.standard_normal((n, p.m))
+    times, values = uniform_rows(p, lengths, h, rng)
     if data.draw(st.booleans()):
         bad = data.draw(st.integers(0, k - 1))
-        dw[bad, data.draw(st.integers(0, lengths[bad] - 1))] = np.nan
-    y, diverged, n_fallback, _ = _march_batch(p, scheme, _stored_chunks(dt, dw), lengths, **kw)
-    y_ref, div_ref, fall_ref = march_by_index(p, scheme, dt, dw, lengths, **kw)
+        plant_nan(values, bad, data.draw(st.integers(0, lengths[bad] - 1)))
+    y, diverged, n_fallback, _ = _march_batch(p, scheme, times, values, 0)
+    y_ref, div_ref, fall_ref = march_by_index(p, scheme, times, values)
     assert y.tobytes() == y_ref.tobytes()
     assert diverged.tolist() == div_ref.tolist()
     assert n_fallback.tolist() == fall_ref.tolist()
@@ -519,7 +550,7 @@ def test_chunked_march_equals_a_per_step_march(name, scheme, data):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     m=st.sampled_from([1, 2]),
-    levels=st.integers(1, 10),
+    levels=st.integers(0, 10),
     meshes=st.lists(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=5), min_size=1, max_size=4),
     seed=st.integers(0, 2**32 - 1),
     form_bytes=st.sampled_from([0, harness._FORM_BYTES]),
@@ -529,14 +560,15 @@ def test_refined_chunks_equal_the_stored_grid(m, levels, meshes, seed, form_byte
     # Random adaptive meshes with ragged step counts, refined up to 2**10
     # times, so one coarse step can span several chunks, formed one chunk
     # or many at a time: every chunk must hold np.diff of the refined grid
-    # and of its values, as bytes.  A fresh source serves one more window
-    # at an arbitrary first step.
+    # and of its values, as bytes.  Depth 0 is the mesh itself, as the
+    # fixed-step marches use it.  A fresh source serves one more window at
+    # an arbitrary first step.
     times, values, dt, dw = [], [], [], []
     for i, h in enumerate(meshes):
         path = WienerPath(m, seed=seed + i)
         t = mesh_times(np.array(h))
         path.value_at_many(t[1:])
-        fine = path.refine_uniform(t, levels)
+        fine = path.refine_uniform(t, levels) if levels else t
         vals = path.values_on_grid(fine)
         times.append(t)
         values.append(vals)
@@ -616,9 +648,9 @@ def test_divergence_verdicts_agree_alone_in_a_stack_and_in_solve(stack):
     k, d = stack.shape
     p = SdeProblem(d=d, m=d, A=np.zeros((d, d)), f=np.zeros_like, g=np.ones_like, S=np.eye(d),
                    x0=np.zeros(d), t_end=1.0)
-    _, diverged, _, _ = _march_batch(
-        p, "explicit_euler", _stored_chunks(np.ones((k, 1)), stack[:, None]), np.ones(k, dtype=int)
-    )
+    # One step of size 1 from the value 0 to the planted state.
+    values = [np.vstack([np.zeros(d), row]) for row in stack]
+    _, diverged, _, _ = _march_batch(p, "explicit_euler", [np.array([0.0, 1.0])] * k, values, 0)
     assert diverged.tolist() == verdicts
     with np.errstate(all="ignore"):
         assert [solve(p, "explicit_euler", PlantedPath(row), h=1.0).diverged for row in stack] == verdicts
@@ -692,9 +724,7 @@ class TestReferenceQuality:
             path = WienerPath(p.m, seed=cfg.master_seed ^ i)
             res = solve(p, "adaptive_semi_implicit", path, config=MeshConfig(h_max=0.025, rho=cfg.rho))
             fine = path.refine_uniform(res.mesh_times(), cfg.levels)
-            dw = np.diff(path.values_on_grid(fine), axis=0)
-            chunks = _stored_chunks(np.diff(fine)[None], dw[None])
-            ref, _, _, _ = _march_batch(p, "balanced", chunks, np.array([len(dw)]))
+            ref, _, _, _ = _march_batch(p, "balanced", [res.mesh_times()], [path.values_on_grid(fine)], cfg.levels)
             exact = gbm_exact_terminal(path.value_at(p.t_end)[0])
             ref_sq.append((ref[0, 0] - exact) ** 2)
             sch_sq.append((res.y_terminal[0] - exact) ** 2)

@@ -133,6 +133,10 @@ class TestGinzburgLandau:
         # radius grows without bound as the step shrinks
         radii = [mu_inv(gauge(h)) for h in (0.1, 1e-3, 1e-6, 1e-9)]
         assert all(a < b for a, b in zip(radii, radii[1:]))
+        # The problem carries this envelope.
+        own_mu_inv, own_gauge = ginzburg_landau().truncation
+        assert [own_mu_inv(s) for s in (5.6, 0.05)] == [mu_inv(s) for s in (5.6, 0.05)]
+        assert own_gauge(0.0625) == gauge(0.0625)
 
     def test_truncation_envelope_dominates_coefficients(self):
         p = ginzburg_landau()
@@ -273,6 +277,7 @@ class TestCatalogLookup:
             p = problem_by_name(name)
             assert (p.d, p.m) == dims[name]
             assert p.t_end == 1.0
+            assert (p.truncation is not None) == (name == "gl")
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown problem"):

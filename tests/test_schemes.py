@@ -527,11 +527,25 @@ class TestSolveDriver:
         assert solve(p, "balanced", WienerPath(1, seed=3), h=0.25).trajectory is None
 
     def test_truncated_scheme_runs_on_gl(self):
-        mu_inv, gauge = gl_truncation_functions()
+        # gl carries its envelope, so solve() needs nothing more; its first
+        # step is the pure step with gl_truncation_functions() passed in.
         p = ginzburg_landau()
-        res = solve(p, "truncated", WienerPath(1, seed=4), h=0.05, mu_inv=mu_inv, H=gauge)
+        path = WienerPath(1, seed=4)
+        res = solve(p, "truncated", path, h=0.05, record_trajectory=True)
         assert not res.diverged
         assert res.n_steps == 20
+        first = step_truncated(p, p.x0, 0.05, path.increment(0.0, 0.05), *gl_truncation_functions())
+        assert res.trajectory[1].tobytes() == first.tobytes()
+
+    def test_truncated_scheme_reads_the_envelope_off_the_problem(self):
+        # svol has no envelope of its own; given gl's, the scheme runs on it,
+        # so the envelope decides, not the problem's name.
+        p = dataclasses.replace(stoch_vol_32(), truncation=gl_truncation_functions())
+        path = WienerPath(2, seed=4)
+        res = solve(p, "truncated", path, h=0.05, record_trajectory=True)
+        assert res.n_steps == 20 and not res.diverged
+        first = step_truncated(p, p.x0, 0.05, path.increment(0.0, 0.05), *gl_truncation_functions())
+        assert res.trajectory[1].tobytes() == first.tobytes()
 
     def test_validation_errors(self):
         p = ginzburg_landau()
@@ -544,8 +558,8 @@ class TestSolveDriver:
             solve(p, "balanced", path)
         with pytest.raises(ValueError, match="step size"):
             solve(p, "balanced", path, h=2.0)
-        with pytest.raises(ValueError, match="mu_inv"):
-            solve(p, "truncated", path, h=0.1)
+        with pytest.raises(ValueError, match="truncation"):
+            solve(dataclasses.replace(p, truncation=None), "truncated", path, h=0.1)
         with pytest.raises(ValueError, match="components"):
             solve(stoch_vol_32(), "balanced", WienerPath(1, seed=0), h=0.1)
 
