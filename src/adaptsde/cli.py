@@ -13,7 +13,8 @@ Subcommands
 
 Exit codes: 0 ok, 2 bad arguments, 3 I/O failure, 4 malformed input file.
 Sweep parallelism honors the ADAPTSDE_WORKERS environment variable
-(default: 1, a single process); a value that is not an integer exits 2.
+(default: 1, a single process); a value that is not an integer, or is
+below 1, exits 2.
 """
 
 from __future__ import annotations
@@ -94,6 +95,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         scheme = _resolve_scheme(args.scheme)
         if args.seed < 0:
             raise ValueError(f"seed must be >= 0, got {args.seed}")
+        if not 1 <= args.rho < math.inf:
+            raise ValueError(f"rho must be finite and >= 1, got {args.rho}")
         kwargs = {}
         if scheme in ("adaptive_semi_implicit", "adaptive_explicit"):
             kwargs["config"] = MeshConfig(h_max=args.hmax, rho=args.rho)

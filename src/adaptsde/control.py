@@ -16,8 +16,8 @@ step aside) are the backstop steps.  A zero drift response proposes
 
 :func:`propose_step` decides for one state, :func:`propose_steps` for a
 stack of them, row by row; the two give the same bits.  Both take norms as
-the square root of a dot product, :func:`row_norms` in the stacked case:
-a sum of squares rounds differently, and a different norm changes the mesh.
+the square root of a dot product: a sum of squares rounds differently, and
+a different norm changes the mesh.
 
 Both raise ``FloatingPointError`` on a NaN or infinite entry of the state or
 the drift response.  Such an entry makes its squared norm non-finite, so the
@@ -72,16 +72,6 @@ def propose_step(y: np.ndarray, f_y: np.ndarray, config: MeshConfig) -> StepDeci
     return StepDecision(h=raw, use_backstop=False)
 
 
-def row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of ``x``, shape (k, d) -> (k,).
-
-    Each row's norm is the square root of its dot product with itself, as
-    ``math.sqrt(float(v @ v))`` takes it for one state, and it does not
-    depend on the other rows.
-    """
-    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
-
-
 def propose_steps(
     y: np.ndarray, f_y: np.ndarray, config: MeshConfig
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -90,7 +80,7 @@ def propose_steps(
     Returns the step sizes and the backstop mask, both of shape (k,), equal
     bit for bit to the row-by-row decisions.  Raises on non-finite inputs.
     """
-    norm_f, norm_y = row_norms(f_y), row_norms(y)
+    norm_f, norm_y = np.sqrt(np.vecdot(f_y, f_y)), np.sqrt(np.vecdot(y, y))
     if not np.isfinite(norm_f + norm_y).all() and not (
         np.isfinite(y).all() and np.isfinite(f_y).all()
     ):

@@ -12,6 +12,11 @@ Conventions used throughout the package:
   matrix is ``g(y)[..., :, None] * S`` and column ``i`` of it is the
   diffusion vector paired with the i-th Wiener component.  The step maps
   never form that matrix: they take ``g(y) dW`` as ``g(y) * (S dW)``.
+* Every product of a stack of rows with a matrix, or of a row with itself,
+  is a gufunc over rows: ``np.vecmat(x, M)`` for ``x M`` and
+  ``np.vecdot(x, x)`` for ``x . x``.  Each row then gets the bits it gets
+  alone, and a 1-D state those of ``x @ M`` and ``x @ x``, so no result
+  depends on how many samples are stacked with it.
 * A solve's mesh is the array of its realized step sizes, ``h_0`` to
   ``h_{N-1}``.  Its knot times ``0, h_0, h_0 + h_1, ...`` are not stored:
   they come from :func:`mesh_times`.
@@ -113,7 +118,7 @@ class SdeProblem:
 
     def drift(self, y: np.ndarray) -> np.ndarray:
         """Full drift ``A y + f(y)`` for states of shape ``(..., d)``."""
-        return y @ self.A.T + self.f(y)
+        return np.vecmat(y, self.A.T) + self.f(y)
 
 
 def infer_structure(A: np.ndarray) -> Structure:

@@ -1,12 +1,13 @@
 """Monte-Carlo strong-convergence and efficiency experiments.
 
-The measurement protocol, per ``h_max``:
+The measurement protocol, per ``h_max`` and per chunk of samples
+(``_run_chunk``, one per worker):
 
-1. solve every sample path with the adaptive semi-implicit scheme, on the
-   path a fresh :class:`~adaptsde.wiener.WienerPath` would draw (seed =
-   master seed XOR sample index), all samples as one march; each result
+1. solve every sample path of the chunk with the adaptive semi-implicit
+   scheme, on the path a fresh :class:`~adaptsde.wiener.WienerPath` would
+   draw (seed = master seed XOR sample index), as one march; each result
    equals ``solve()``'s on that path, bit for bit,
-2. lay the samples out in blocks from the realized meshes (``_layout``),
+2. lay the chunk out in blocks from the realized meshes (``_layout``),
 3. per block, rebuild each sample's path from its seed and the knot times of
    its mesh, bisect every adaptive step ``levels`` times with Brownian
    bridges and march the balanced method over the fine grid: that is the
@@ -25,10 +26,9 @@ the solve's knot times consumes the generator the same way.
 
 Root-mean-square errors aggregate over samples with NaN exclusion (diverged
 runs are counted, not averaged).  Everything is deterministic given the
-master seed: the block layout depends only on the realized meshes, and the
-aggregation is ordered by sample index.  With ``workers`` > 1 each
-``h_max``'s samples split into one contiguous chunk per process, and the
-blocks fan out over the processes; the tables do not change.
+master seed: every march gives each sample the bits it gets alone, and the
+aggregation is ordered by sample index.  So the tables do not change with
+the worker count, which sets the contiguous chunks, or the block layout.
 
 ``mean_cputime_s`` is wall time (``time.perf_counter``), not CPU time: for
 every scheme, the wall time of its march's loop divided by its number of
@@ -304,9 +304,8 @@ def _march(problem: SdeProblem, step, k: int, source) -> tuple:
     the drift response an adaptive step reuses (None for fixed steps) and
     the mixed increments ``S dW`` a fixed step reuses (None for adaptive).
     ``rows`` is ``slice(None)`` while every row is active, so rows are
-    views; after the first row drops, an index array.  Balanced rows step
-    one at a time, as in ``solve()``, since the drift's ``y @ A.T`` rounds
-    differently in a stack, and count as fallbacks.  Returns the states,
+    views; after the first row drops, an index array.  Balanced rows take
+    one stacked balanced step and count as fallbacks.  Returns the states,
     diverged mask, fallback counts, steps per row and the loop's wall time.
     """
     y = np.broadcast_to(problem.x0, (k, problem.d)).copy()
@@ -321,8 +320,7 @@ def _march(problem: SdeProblem, step, k: int, source) -> tuple:
             h, dW, done, balanced, f_y, noise = source(n, rows, ya)
             yn, fell = step(ya, h, dW, noise=noise) if f_y is None else step(ya, h, dW, f_y)
             if balanced is not None and balanced.any():
-                for r in np.flatnonzero(balanced):
-                    yn[r] = step_balanced(problem, ya[r], h[r], dW[r])
+                yn[balanced] = step_balanced(problem, ya[balanced], h[balanced], dW[balanced])
                 fell = balanced if fell is None else fell | balanced
             if fell is not None:
                 n_fallback[rows] += fell
@@ -493,24 +491,17 @@ def _solve_adaptive_batch(
     ]
 
 
-def _solve_chunk(config: ExperimentConfig, h_max: float, indices: Sequence[int]) -> list[SolveResult]:
-    """Protocol step 1 for the samples ``indices`` of one ``h_max``."""
-    problem = problem_by_name(config.problem)
-    seeds = [config.master_seed ^ i for i in indices]
-    return _solve_adaptive_batch(problem, MeshConfig(h_max=h_max, rho=config.rho), seeds)
-
-
 def _layout(solved: Sequence[SolveResult], levels: int, m: int) -> list[range]:
     """Split the samples into consecutive blocks by padded reference bytes.
 
     A block of k samples is charged ``k * L_max * (m + 1) * 8`` bytes, with
     ``L_i = n_steps_i * 2**levels``: padded (k, L_max) step sizes and
     (k, L_max, m) increments.  It holds only each sample's ``(L_i + 1, m)``
-    refined values, so the charge over-counts; it stays, because moving the
-    block boundaries would move the last digits of tables whose drift rounds
-    differently in a stack.  Walking the samples in index order, a block
-    closes before the sample that would push it past ``_BLOCK_BYTES``; a
-    sample over the budget on its own is marched alone.
+    refined values, so the charge over-counts them.  It bounds a block's
+    memory and nothing else: no table depends on the block boundaries.
+    Walking the samples in index order, a block closes before the sample
+    that would push it past ``_BLOCK_BYTES``; a sample over the budget on
+    its own is marched alone.
     """
     blocks, lo, L_max = [], 0, 0
     for i, res in enumerate(solved):
@@ -576,34 +567,47 @@ def _run_block(
             y, div, fall, elapsed = _march_batch(problem, scheme, grids, grid_values, 0)
             wall = np.full(k, elapsed / k)
         diff = y - ref_y
-        # Row by row, this rounds as np.dot(diff[j], diff[j]) does.
         with np.errstate(over="ignore", invalid="ignore"):
-            sq_err = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0]
+            sq_err = np.vecdot(diff, diff)
         columns[scheme] = (np.where(div | ref_div, np.nan, sq_err), div, fall, wall)
     return moments, columns
 
 
+def _run_chunk(config: ExperimentConfig, h_max: float, indices: Sequence[int]) -> tuple[list[SolveResult], list]:
+    """Protocol steps 1-5 for the samples ``indices`` of one ``h_max``.
+
+    Returns their adaptive solves and, for each block of ``_layout`` over
+    those solves, ``_run_block``'s results, all in sample order.
+    """
+    problem = problem_by_name(config.problem)
+    seeds = [config.master_seed ^ i for i in indices]
+    solved = _solve_adaptive_batch(problem, MeshConfig(h_max=h_max, rho=config.rho), seeds)
+    blocks = _layout(solved, config.levels, problem.m)
+    return solved, [_run_block(config, indices[b.start : b.stop], solved[b.start : b.stop]) for b in blocks]
+
+
 def _worker_count(workers: Optional[int]) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("ADAPTSDE_WORKERS")
-    if env:
+    source = "workers" if workers is not None else "ADAPTSDE_WORKERS"
+    if workers is None:
+        env = os.environ.get("ADAPTSDE_WORKERS")
         try:
-            return max(1, int(env))
+            workers = int(env or 1)
         except ValueError:
             raise ValueError(f"ADAPTSDE_WORKERS must be an integer, got {env!r}") from None
-    return 1
+    if workers < 1:
+        raise ValueError(f"{source} must be >= 1, got {workers}")
+    return workers
 
 
 def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> ConvergenceTable:
     """Run the whole sweep: every ``h_max``, ``samples`` paths each.
 
     ``workers`` > 1 splits each ``h_max``'s samples into contiguous chunks,
-    one adaptive march per process, and then fans its blocks out to the
-    processes (the default comes from the ADAPTSDE_WORKERS environment
-    variable, else 1).  Results are bit-identical for any worker count:
-    sample seeds, each sample's adaptive solve, the block layout and the
-    aggregation order do not depend on it.
+    and each process runs its chunk end to end (the default comes from the
+    ADAPTSDE_WORKERS environment variable, else 1).  Results are
+    bit-identical for any worker count and block layout: sample seeds and
+    every march treat each sample on its own, and the aggregation is
+    ordered by sample index.
     """
     problem = problem_by_name(config.problem)
     nworkers = _worker_count(workers)
@@ -614,10 +618,9 @@ def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> C
     with ProcessPoolExecutor(max_workers=nworkers) if nworkers > 1 else nullcontext() as pool:
         run = pool.map if pool else map
         for h_max in config.h_max_list:
-            solved = [r for rs in run(_solve_chunk, repeat(config), repeat(h_max), chunks) for r in rs]
-            blocks = _layout(solved, config.levels, problem.m)
-            block_solves = [[solved[i] for i in b] for b in blocks]
-            results = list(run(_run_block, repeat(config), blocks, block_solves))
+            done = list(run(_run_chunk, repeat(config), repeat(h_max), chunks))
+            solved = [r for rs, _ in done for r in rs]
+            results = [block for _, blocks in done for block in blocks]
             # A left-to-right fold over (h_max, sample): np.sum, math.fsum
             # and, from Python 3.12, sum() of floats all round differently.
             for dw_sum, normsq_sum in np.concatenate([mom_k for mom_k, _ in results]).tolist():

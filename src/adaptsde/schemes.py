@@ -4,9 +4,10 @@ Every ``step_*`` function is a pure map ``(y, h, dW) -> y_next`` that
 broadcasts over leading axes: ``y`` of shape ``(..., d)``, ``dW`` of shape
 ``(..., m)``, and ``h`` either a scalar or an array of shape ``(...,)``.
 A step with ``h == 0`` and ``dW == 0`` returns ``y`` exactly, so a
-zero-padded step leaves a state as it is.  The noise ``g(y) dW`` and the
-linear solves treat each row of a stack on its own, so they give the same
-bits for a row whatever else is stacked with it.
+zero-padded step leaves a state as it is.  The products follow
+:mod:`adaptsde.core`'s rule for rows, and the linear solves treat each row
+of a stack on its own, so a step gives a row the same bits whatever else is
+stacked with it.
 
 Every ``step_*`` function also takes ``noise=None``: the mixed increment
 ``S dW`` of shape ``(..., d)``, formed by :func:`_mix`, when the caller
@@ -207,13 +208,8 @@ class LinearSolver:
 
 
 def _mix(problem: SdeProblem, dW) -> np.ndarray:
-    """The mixed increment ``S dW``, shape (..., d), for increments (..., m).
-
-    Every increment, one alone or a row of a stack, is multiplied as a
-    (1, m) row, so a row's ``S dW`` takes the same bits whatever is stacked
-    with it, a chunk of steps included.
-    """
-    return (np.asarray(dW)[..., None, :] @ problem.S.T)[..., 0, :]
+    """The mixed increment ``S dW``, shape (..., d), for increments (..., m)."""
+    return np.vecmat(dW, problem.S.T)
 
 
 def _noise(problem: SdeProblem, amp: np.ndarray, dW, noise=None) -> np.ndarray:
@@ -226,7 +222,7 @@ def _noise(problem: SdeProblem, amp: np.ndarray, dW, noise=None) -> np.ndarray:
 
 def _col_norms(problem: SdeProblem, amp: np.ndarray) -> np.ndarray:
     """Column norms ``||g_r(y)||`` of the diffusion matrix, shape (..., m)."""
-    return np.sqrt(np.square(amp) @ problem.S2)
+    return np.sqrt(np.vecmat(np.square(amp), problem.S2))
 
 
 def step_semi_implicit(

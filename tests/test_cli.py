@@ -87,6 +87,13 @@ class TestRunCommand:
         )
         assert code == 2 and out == "" and err.startswith("error: ") and "rho" in err
 
+    @pytest.mark.parametrize("rho", ["inf", "-3"])
+    def test_bad_rho_is_rejected_by_a_fixed_step_run(self, capsys, rho):
+        # A fixed-step solve does not use rho, but its summary line reports it.
+        code, out, err = run_cli(capsys, "run", "--problem", "gl", "--scheme", "balanced", "--rho", rho)
+        assert code == 2 and out == "" and err.startswith("error: ") and "rho" in err
+        assert "Traceback" not in err
+
     def test_unknown_problem_and_scheme(self, capsys):
         code, _, err = run_cli(capsys, "run", "--problem", "heat", "--scheme", "balanced")
         assert code == 2 and "unknown problem" in err
@@ -295,6 +302,13 @@ class TestConvergenceCommand:
         code, out, err = run_cli(capsys, *CONV_ARGS)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "ADAPTSDE_WORKERS" in err and repr(value) in err
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_worker_count_below_one_rejected(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("ADAPTSDE_WORKERS", value)
+        code, out, err = run_cli(capsys, *CONV_ARGS)
+        assert code == 2 and out == ""
+        assert err == f"error: ADAPTSDE_WORKERS must be >= 1, got {value}\n"
 
 
 SYNTH_CSV = (

@@ -25,7 +25,6 @@ from adaptsde.harness import (
     _refined_chunks,
     _run_block,
     _solve_adaptive_batch,
-    _solve_chunk,
     _worker_count,
     default_h_grid,
     default_levels,
@@ -162,6 +161,19 @@ class TestConfig:
         monkeypatch.setenv("ADAPTSDE_WORKERS", "2")
         assert _worker_count(None) == 2
         assert _worker_count(5) == 5  # explicit argument wins
+        # A count below 1 is an error that names its source, not one worker.
+        for count in (0, -2):
+            monkeypatch.delenv("ADAPTSDE_WORKERS")
+            with pytest.raises(ValueError, match=rf"^workers must be >= 1, got {count}$"):
+                _worker_count(count)
+            with pytest.raises(ValueError, match=rf"^workers must be >= 1, got {count}$"):
+                run_experiment(small_gbm_config(), workers=count)
+            monkeypatch.setenv("ADAPTSDE_WORKERS", str(count))
+            with pytest.raises(ValueError, match=rf"^ADAPTSDE_WORKERS must be >= 1, got {count}$"):
+                _worker_count(None)
+            with pytest.raises(ValueError, match="^ADAPTSDE_WORKERS must be >= 1"):
+                run_experiment(small_gbm_config())
+            assert _worker_count(1) == 1  # explicit argument wins
 
 
 def small_gbm_config(**overrides):
@@ -178,28 +190,35 @@ def small_gbm_config(**overrides):
 
 
 def assert_tables_match(a: ConvergenceTable, b: ConvergenceTable):
-    """Equality in everything except measured CPU time."""
+    """Equality as bytes in everything except measured CPU time."""
+    same = lambda x, y: np.float64(x).tobytes() == np.float64(y).tobytes()
     assert (a.problem, a.rho, a.samples) == (b.problem, b.rho, b.samples)
     assert len(a.rows) == len(b.rows)
     for ra, rb in zip(a.rows, b.rows):
         assert ra.scheme == rb.scheme
         assert ra.h_max == rb.h_max
-        assert ra.rmse == rb.rmse
+        assert same(ra.rmse, rb.rmse)
         assert ra.n_excluded == rb.n_excluded
-        assert ra.mean_adaptive_h == rb.mean_adaptive_h
+        assert same(ra.mean_adaptive_h, rb.mean_adaptive_h)
         assert ra.n_backstop == rb.n_backstop
         assert ra.n_diverged == rb.n_diverged
     assert a.slopes.keys() == b.slopes.keys()
     for k in a.slopes:
-        assert a.slopes[k].slope == b.slopes[k].slope
-    assert a.moments.dw_sum == b.moments.dw_sum
-    assert a.moments.normsq_sum == b.moments.normsq_sum
+        assert same(a.slopes[k].slope, b.slopes[k].slope)
+    assert same(a.moments.dw_sum, b.moments.dw_sum)
+    assert same(a.moments.normsq_sum, b.moments.normsq_sum)
     assert a.moments.n_steps == b.moments.n_steps
+
+
+def adaptive_solves(config, h_max, indices):
+    """Protocol step 1 for the samples ``indices`` of one ``h_max``."""
+    seeds = [config.master_seed ^ i for i in indices]
+    return _solve_adaptive_batch(problem_by_name(config.problem), MeshConfig(h_max=h_max, rho=config.rho), seeds)
 
 
 def block_columns(config, h_max, indices):
     """Protocol steps 1-5 for the samples ``indices``, marched as one block."""
-    return _run_block(config, indices, _solve_chunk(config, h_max, indices))
+    return _run_block(config, indices, adaptive_solves(config, h_max, indices))
 
 
 @pytest.fixture(scope="module")
@@ -227,7 +246,7 @@ class TestExperimentDeterminism:
             assert row.n_backstop == int(n_fallback[0])
 
     def test_sample_record_contents(self, baseline):
-        rec, other = _solve_chunk(small_gbm_config(), 0.025, [2, 3])
+        rec, other = adaptive_solves(small_gbm_config(), 0.025, [2, 3])
         # no state dependence in the gbm controller: uniform forty-step mesh
         assert rec.n_steps == other.n_steps == 40
         assert rec.mean_h == pytest.approx(0.025)
@@ -291,25 +310,42 @@ class TestLayoutIndependence:
         )
 
     def test_svol(self):
-        # The noise `S dW` is taken row by row, so a stack of rows rounds as
-        # one row does.
         one_sample_blocks_match_default(
             ExperimentConfig(problem="svol", h_max_list=(0.25, 0.025), samples=4, levels=3, master_seed=5)
         )
 
-    def test_fhn01_agrees_to_rounding(self):
-        # fhn01's drift `y @ A.T` rounds differently for one row than for a
-        # stacked batch, so its errors agree only to a few ulps across
-        # layouts (3.8e-15 relative here); everything counted is exact.
-        cfg = ExperimentConfig(problem="fhn01", h_max_list=(0.25, 0.025), samples=6, levels=3, master_seed=13)
-        default = run_experiment(cfg, workers=1)
-        with mock.patch.object(harness, "_BLOCK_BYTES", 0):
-            single = run_experiment(cfg, workers=2)
-        for a, b in zip(default.rows, single.rows):
-            assert (a.scheme, a.h_max, a.mean_adaptive_h) == (b.scheme, b.h_max, b.mean_adaptive_h)
-            assert (a.n_excluded, a.n_backstop, a.n_diverged) == (b.n_excluded, b.n_backstop, b.n_diverged)
-            assert b.rmse == pytest.approx(a.rmse, rel=1e-12, abs=0.0)
-        assert default.moments.dw_sum == single.moments.dw_sum
+    def test_fhn05(self):
+        one_sample_blocks_match_default(
+            ExperimentConfig(problem="fhn05", h_max_list=(0.25, 0.025), samples=4, levels=3, master_seed=3)
+        )
+
+    def test_fhn01(self):
+        one_sample_blocks_match_default(
+            ExperimentConfig(problem="fhn01", h_max_list=(0.25, 0.025), samples=6, levels=3, master_seed=13)
+        )
+
+    def test_spde(self):
+        one_sample_blocks_match_default(
+            ExperimentConfig(problem="spde", h_max_list=(0.25, 0.05), samples=3, levels=2, master_seed=2)
+        )
+
+
+@pytest.mark.parametrize("name,h_max", [("fhn01", 0.025), ("spde", 0.05)])
+def test_blocks_across_chunk_boundaries_give_the_same_table(name, h_max):
+    # A budget of under three of the finest level's longest samples makes
+    # blocks of two or three samples, which the chunks of two and three
+    # workers cut through.  The budget is patched before the pool forks, so
+    # every worker lays its chunk out with it.
+    cfg = ExperimentConfig(problem=name, h_max_list=(0.25, h_max), samples=7, levels=2, master_seed=21)
+    m = problem_by_name(name).m
+    solved = adaptive_solves(cfg, h_max, range(cfg.samples))
+    budget = 3 * max(r.n_steps << cfg.levels for r in solved) * (m + 1) * 8 - 1
+    with mock.patch.object(harness, "_BLOCK_BYTES", budget):
+        blocks = _layout(solved, cfg.levels, m)
+        assert all(len(b) in (2, 3) for b in blocks[:-1]) and len(blocks) >= 3
+        tables = [run_experiment(cfg, workers=w) for w in (1, 2, 3)]
+    for other in tables[1:]:
+        assert_tables_match(tables[0], other)
 
 
 @settings(max_examples=4, deadline=None, derandomize=True)
@@ -511,12 +547,7 @@ def test_each_row_of_a_ragged_block_marches_as_alone(name, scheme, data):
     for i in range(k):
         yi, di, fi, _ = _march_batch(p, scheme, times[i : i + 1], values[i : i + 1], 0)
         assert (diverged[i], n_fallback[i]) == (di[0], fi[0])
-        if name == "gl":
-            assert y[i].tobytes() == yi[0].tobytes()
-        else:
-            # fhn01's drift `y @ A.T` rounds differently for a stack of rows
-            # than for one row (ROADMAP item 2), so alone it agrees to ulps.
-            np.testing.assert_allclose(y[i], yi[0], rtol=1e-12, atol=0.0)
+        assert y[i].tobytes() == yi[0].tobytes()
 
 
 CHUNK = harness._STEP_CHUNK
@@ -602,7 +633,7 @@ def test_a_block_holds_little_beyond_its_refined_values():
     # increment blocks alone would take twice them on gl.
     cfg = ExperimentConfig(problem="gl", h_max_list=(0.0025,), samples=32, levels=6)
     indices = range(cfg.samples)
-    solved = _solve_chunk(cfg, 0.0025, indices)
+    solved = adaptive_solves(cfg, 0.0025, indices)
     kept = sum(((r.n_steps << cfg.levels) + 1) * 8 for r in solved)
     tracemalloc.start()
     try:
@@ -747,7 +778,7 @@ class TestReferenceQuality:
 def test_squared_errors_round_as_per_row_dot_products(name, h_max, schemes):
     cfg = ExperimentConfig(problem=name, schemes=schemes, h_max_list=(h_max,), samples=3, levels=3, master_seed=1)
     indices = range(cfg.samples)
-    solved = _solve_chunk(cfg, h_max, indices)
+    solved = adaptive_solves(cfg, h_max, indices)
     marched = {"adaptive_semi_implicit": (np.array([r.y_terminal for r in solved]), [r.diverged for r in solved])}
     real = harness._march_batch
 

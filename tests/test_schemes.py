@@ -34,7 +34,7 @@ from adaptsde.schemes import (
     step_semi_implicit,
     step_truncated,
 )
-from adaptsde.schemes import _mix
+from adaptsde.schemes import _col_norms, _mix
 from adaptsde.wiener import WienerPath
 
 
@@ -794,7 +794,7 @@ def test_batch_matches_rows(name, step, data):
     batch = STEP_MAPS[step](p, y, h, dW)
     assert batch.shape == y.shape
     for i in range(len(y)):
-        _assert_close(batch[i], STEP_MAPS[step](p, y[i], float(h[i]), dW[i]), rtol=1e-13)
+        assert batch[i].tobytes() == STEP_MAPS[step](p, y[i], float(h[i]), dW[i]).tobytes()
 
 
 @pytest.mark.parametrize("step", sorted(STEP_MAPS))
@@ -831,6 +831,27 @@ def test_semi_implicit_rows_are_bit_identical(name, data):
     batch = step_semi_implicit(p, y, h, dW)
     for i in range(len(y)):
         assert batch[i].tobytes() == step_semi_implicit(p, y[i], float(h[i]), dW[i]).tobytes()
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+@PROPERTY_SETTINGS
+@given(k=st.integers(1, 64), spread=st.floats(0.0, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_row_products_give_each_row_its_bytes_alone(name, k, spread, seed):
+    # The drift, the column norms and S dW: a row of a stack of k gets the
+    # bytes it gets alone, and a state alone those of `x @ M`.
+    p = CATALOG[name]
+    rng = np.random.default_rng(seed)
+    y = p.x0 + spread * rng.standard_normal((k, p.d))
+    products = [
+        (p.drift, y, lambda x: x @ p.A.T + p.f(x)),
+        (lambda a: _col_norms(p, a), p.g(y), lambda a: np.sqrt(np.square(a) @ p.S2)),
+        (lambda w: _mix(p, w), rng.standard_normal((k, p.m)), lambda w: w @ p.S.T),
+    ]
+    for product, stack, matmul in products:
+        out = product(stack)
+        assert out.shape == stack.shape[:-1] + matmul(stack[0]).shape
+        for i in range(k):
+            assert out[i].tobytes() == product(stack[i]).tobytes() == matmul(stack[i]).tobytes()
 
 
 #: ``g`` as ``fhn`` and ``stoch_vol_32`` gave it as broadcast views, before
