@@ -37,7 +37,7 @@ from .harness import (
     write_table_csv,
 )
 from .problems import PROBLEM_NAMES, problem_by_name
-from .schemes import solve
+from .schemes import solve, step_map
 from .wiener import WienerPath
 
 #: CLI spelling -> internal scheme id.
@@ -106,8 +106,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                     f"step size must satisfy 0 < h <= t_end = {problem.t_end}, got {args.hmax}"
                 )
             kwargs["h"] = args.hmax
-        if scheme == "truncated" and problem.truncation is None:
-            raise ValueError(f"the truncated scheme needs a growth envelope, and {args.problem!r} has none")
+        step_map(problem, scheme)  # raises where the truncated scheme has no envelope
     except ValueError as exc:
         return _fail(str(exc), 2)
 

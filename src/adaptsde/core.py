@@ -30,7 +30,7 @@ from typing import Callable, Literal, Optional
 
 import numpy as np
 
-Structure = Literal["dense", "tridiagonal", "diagonal", "scalar"]
+Structure = Literal["dense", "tridiagonal", "diagonal"]
 
 __all__ = [
     "SdeProblem",
@@ -53,7 +53,8 @@ class SdeProblem:
     A
         ``d x d`` linear drift operator (may be zero).  The semi-implicit
         scheme treats this part implicitly, with a linear solver chosen from
-        the sparsity pattern of ``A`` (:func:`infer_structure`).
+        the sparsity pattern of ``A`` (:func:`infer_structure`): diagonal,
+        tridiagonal or dense.
     f
         Nonlinear drift, ``(..., d) -> (..., d)``.
     g
@@ -124,12 +125,11 @@ class SdeProblem:
 def infer_structure(A: np.ndarray) -> Structure:
     """Classify the sparsity pattern of ``A``: the tightest structure that applies.
 
-    Every ``2 x 2`` operator that is not diagonal counts as tridiagonal.
+    Every ``1 x 1`` operator is diagonal, and every ``2 x 2`` operator that
+    is not diagonal counts as tridiagonal.
     """
     A = np.asarray(A)
     d = A.shape[0]
-    if d == 1:
-        return "scalar"
     if np.count_nonzero(A - np.diag(np.diagonal(A))) == 0:
         return "diagonal"
     mask = np.abs(np.subtract.outer(np.arange(d), np.arange(d))) <= 1

@@ -56,7 +56,7 @@ import numpy as np
 from .control import propose_steps
 from .core import MeshConfig, SdeProblem, SolveResult, last_step
 from .problems import problem_by_name
-from .schemes import SCHEME_IDS, _diverged, _mix, step_balanced, step_map
+from .schemes import _diverged, _mix, step_balanced, step_map
 from .wiener import WienerPath
 
 __all__ = [
@@ -160,15 +160,12 @@ class ExperimentConfig:
         if len(set(self.h_max_list)) < len(self.h_max_list):
             raise ValueError(f"h_max_list repeats a value: {self.h_max_list}")
         for s in self.schemes:
-            if s not in SCHEME_IDS:
-                raise ValueError(f"unknown scheme {s!r}; choose from {', '.join(SCHEME_IDS)}")
+            step_map(problem, s)  # raises on an unknown scheme or a missing envelope
         if "adaptive_explicit" in self.schemes:
             raise ValueError(
                 "experiments compare schemes on the adaptive semi-implicit mesh; "
                 "run the adaptive explicit scheme directly through solve()"
             )
-        if "truncated" in self.schemes and problem.truncation is None:
-            raise ValueError(f"the truncated scheme needs a growth envelope, and {self.problem!r} has none")
 
 
 @dataclass(frozen=True)
@@ -594,6 +591,8 @@ def _worker_count(workers: Optional[int]) -> int:
             workers = int(env or 1)
         except ValueError:
             raise ValueError(f"ADAPTSDE_WORKERS must be an integer, got {env!r}") from None
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
+        raise ValueError(f"{source} must be an integer, got {workers!r}")
     if workers < 1:
         raise ValueError(f"{source} must be >= 1, got {workers}")
     return workers
@@ -662,51 +661,21 @@ def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> C
 # -- CSV serialization --------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def write_table_csv(table: ConvergenceTable, fileobj) -> None:
-    """Write the table in the fixed column schema.
+    """Write the table in the fixed column schema; floats as their ``repr``.
 
     Per-(scheme, h_max) rows leave ``order_slope`` blank; one summary row per
     scheme (blank ``h_max`` and statistics columns) carries the fitted slope.
     """
-    fileobj.write(CSV_HEADER + "\n")
+    out = csv.writer(fileobj, lineterminator="\n")
+    out.writerow(CSV_HEADER.split(","))
     for row in table.rows:
-        fields = [
-            table.problem,
-            row.scheme,
-            _fmt(row.h_max),
-            _fmt(table.rho),
-            str(table.samples),
-            _fmt(row.rmse),
-            _fmt(row.mean_cputime_s),
-            _fmt(row.mean_adaptive_h),
-            str(row.n_backstop),
-            str(row.n_diverged),
-            str(row.n_excluded),
-            "",
-        ]
-        fileobj.write(",".join(fields) + "\n")
+        out.writerow([
+            table.problem, row.scheme, row.h_max, table.rho, table.samples, row.rmse,
+            row.mean_cputime_s, row.mean_adaptive_h, row.n_backstop, row.n_diverged, row.n_excluded, "",
+        ])
     for scheme, fit in table.slopes.items():
-        fields = [
-            table.problem,
-            scheme,
-            "",
-            _fmt(table.rho),
-            str(table.samples),
-            "",
-            "",
-            "",
-            "",
-            "",
-            "",
-            _fmt(fit.slope) if fit.ok else "",
-        ]
-        fileobj.write(",".join(fields) + "\n")
+        out.writerow([table.problem, scheme, "", table.rho, table.samples, *[""] * 6, fit.slope if fit.ok else ""])
 
 
 def read_table_csv(fileobj) -> ConvergenceTable:

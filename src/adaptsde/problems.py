@@ -185,17 +185,10 @@ def gl_truncation_functions() -> tuple[Callable, Callable]:
 
     def mu_inv(s):
         s = np.asarray(s, dtype=float)
-        r = np.where(s >= K, np.cbrt(np.maximum(s / K - 1.0, 0.0)), 0.0)
-        if r.ndim == 0:
-            return float(r)
-        return r
+        return np.where(s >= K, np.cbrt(np.maximum(s / K - 1.0, 0.0)), 0.0)
 
     def H(h):
-        h = np.asarray(h, dtype=float)
-        out = K * 2.0 * h ** (-0.25)  # mu(1) = 2K = 0.4
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return K * 2.0 * np.asarray(h, dtype=float) ** (-0.25)  # mu(1) = 2K = 0.4
 
     return mu_inv, H
 

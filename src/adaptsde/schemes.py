@@ -101,21 +101,19 @@ class LinearSolver:
     """Solves ``(I - h A) x = b``, dispatching on the structure of ``A``.
 
     The structure is read off ``A``'s sparsity pattern by
-    :func:`~adaptsde.core.infer_structure`.  Tridiagonal operators, every
-    2x2 operator among them, go to LAPACK's ``gtsv``; dense ones to
-    ``scipy.linalg.solve``; diagonal or scalar ones to plain arithmetic.
-    One 2x2 system with one ``h`` is solved in Python floats with the
-    arithmetic of reference ``gtsv``, which gives its bits at a fraction of
-    the cost of the call.
+    :func:`~adaptsde.core.infer_structure`.  Diagonal operators, every 1x1
+    operator among them, are solved by plain arithmetic; tridiagonal ones,
+    every other 2x2 operator among them, by LAPACK's ``gtsv``; dense ones by
+    ``np.linalg.solve``.  One 2x2 system with one ``h`` is solved in Python
+    floats with the arithmetic of reference ``gtsv``, which gives its bits
+    at a fraction of the cost of the call.
     """
 
     def __init__(self, problem: SdeProblem):
         self.A = problem.A
         self.structure = infer_structure(self.A)
         self.d = problem.d
-        if self.structure == "scalar":
-            self._a00 = float(self.A[0, 0])
-        elif self.structure == "diagonal":
+        if self.structure == "diagonal":
             self._diag = np.diagonal(self.A).copy()
         elif self.structure == "tridiagonal":
             self._dl = np.diagonal(self.A, -1).copy()
@@ -129,48 +127,38 @@ class LinearSolver:
         """Solve for right-hand sides ``b`` of shape ``(..., d)``.
 
         ``h`` is one step size for every row, or an array with one per row,
-        shape ``b.shape[:-1]``.  With one ``h``, the rows are the right-hand
-        sides of one system.  With one ``h`` per row, a tridiagonal ``A``
-        stacks the k systems into one of size k·d, with zero couplings
-        between the blocks, and solves it with one ``gtsv`` call; each row
-        comes out as it would from a solve of its own.  If any entry of that
-        solution is not finite, the rows are solved one by one instead, so
-        a non-finite row cannot spill into its neighbours.
+        shape ``b.shape[:-1]``; either way each row is its own system.  A
+        tridiagonal ``A`` stacks the k systems into one of size k·d, with
+        zero couplings between the blocks, and solves it with one ``gtsv``
+        call; each row comes out as it would from a solve of its own.  If
+        any entry of that solution is not finite, the rows are solved one by
+        one instead, so a non-finite row cannot spill into its neighbours.
         """
         # isinstance, not np.ndim: np.ndim costs about a microsecond on a
         # Python float, and solve() makes one call per step.
         per_row = isinstance(h, np.ndarray) and h.ndim > 0
-        hc = h[..., None] if per_row else float(h)
-        if self.structure == "scalar":
-            return b / (1.0 - hc * self._a00)
         if self.structure == "diagonal":
-            return b / (1.0 - hc * self._diag)
-        if not per_row and b.ndim == 1 and self.d == 2 and self.structure == "tridiagonal":
+            return b / (1.0 - (h[..., None] if per_row else h) * self._diag)
+        if not per_row and b.ndim == 1 and self.d == 2:
             try:
-                return self._solve2(hc, b)
+                return self._solve2(float(h), b)
             except ZeroDivisionError:
                 pass  # a zero or NaN pivot: gtsv gives the value or the error
         flat = b.reshape(-1, self.d)
-        if not per_row:
-            if self.structure == "tridiagonal":
-                x = self._tridiagonal(-hc * self._dl, 1.0 - hc * self._dia, -hc * self._du, flat.T).T
-            else:
-                x = scipy.linalg.solve(np.eye(self.d) - hc * self.A, flat.T, check_finite=False).T
-            return x.reshape(b.shape)
         hv = np.broadcast_to(h, b.shape[:-1]).reshape(-1, 1)
-        if self.structure == "tridiagonal":
-            lower = np.zeros((len(hv), self.d))
-            upper = np.zeros((len(hv), self.d))
-            lower[:, :-1] = -hv * self._dl
-            upper[:, :-1] = -hv * self._du
-            diag = 1.0 - hv * self._dia
-            x = self._tridiagonal(lower.ravel()[:-1], diag.ravel(), upper.ravel()[:-1], flat.reshape(-1, 1))
-            if not np.isfinite(x).all():
-                # gtsv carries 0 * inf = NaN across a zero coupling, so a
-                # non-finite row would spoil its neighbours: solve apart.
-                x = np.stack([self.solve(float(hi), bi) for hi, bi in zip(hv[:, 0], flat)])
-        else:
+        if self.structure == "dense":
             x = np.linalg.solve(np.eye(self.d) - hv[:, :, None] * self.A, flat[..., None])
+            return x.reshape(b.shape)
+        lower = np.zeros((len(hv), self.d))
+        upper = np.zeros((len(hv), self.d))
+        lower[:, :-1] = -hv * self._dl
+        upper[:, :-1] = -hv * self._du
+        diag = 1.0 - hv * self._dia
+        x = self._tridiagonal(lower.ravel()[:-1], diag.ravel(), upper.ravel()[:-1], flat.reshape(-1, 1))
+        if len(hv) > 1 and not np.isfinite(x).all():
+            # gtsv carries 0 * inf = NaN across a zero coupling, so a
+            # non-finite row would spoil its neighbours: solve apart.
+            x = np.stack([self.solve(float(hi), bi) for hi, bi in zip(hv[:, 0], flat)])
         return x.reshape(b.shape)
 
     def _solve2(self, h: float, b: np.ndarray) -> np.ndarray:
@@ -293,11 +281,8 @@ def step_truncated(
     then ``y + h (A z + f(z)) + g(z) dW``.
     """
     r = _vnorm(y)
-    if getattr(h, "ndim", 0) == 0:
-        bound = mu_inv(H(float(h))) if float(h) > 0 else np.inf
-    else:
-        harr = np.asarray(h, dtype=float)
-        bound = np.where(harr > 0, mu_inv(H(np.where(harr > 0, harr, 1.0))), np.inf)
+    harr = np.asarray(h, dtype=float)
+    bound = np.where(harr > 0, mu_inv(H(np.where(harr > 0, harr, 1.0))), np.inf)
     scale = np.where(r > 0, np.minimum(r, bound) / np.where(r > 0, r, 1.0), 0.0)
     z = scale[..., None] * y
     return y + _hcol(h, y) * problem.drift(z) + _noise(problem, problem.g(z), dW, noise)

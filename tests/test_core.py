@@ -99,8 +99,8 @@ class TestSdeProblem:
 
 
 class TestInferStructure:
-    def test_all_four_classes(self):
-        assert infer_structure(np.array([[5.0]])) == "scalar"
+    def test_each_class(self):
+        assert infer_structure(np.array([[5.0]])) == "diagonal"
         assert infer_structure(np.diag([1.0, 2.0, 3.0])) == "diagonal"
         tri = np.diag([2.0, 2.0, 2.0]) + np.diag([1.0, 1.0], 1)
         assert infer_structure(tri) == "tridiagonal"

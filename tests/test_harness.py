@@ -174,6 +174,14 @@ class TestConfig:
             with pytest.raises(ValueError, match="^ADAPTSDE_WORKERS must be >= 1"):
                 run_experiment(small_gbm_config())
             assert _worker_count(1) == 1  # explicit argument wins
+        # A float or bool is no worker count: 2.5 would reach np.array_split
+        # as a TypeError, and True would run one worker.
+        monkeypatch.delenv("ADAPTSDE_WORKERS")
+        for count in (2.5, True):
+            with pytest.raises(ValueError, match=rf"^workers must be an integer, got {count!r}$"):
+                _worker_count(count)
+            with pytest.raises(ValueError, match=rf"^workers must be an integer, got {count!r}$"):
+                run_experiment(small_gbm_config(), workers=count)
 
 
 def small_gbm_config(**overrides):
@@ -836,6 +844,20 @@ class TestCsv:
             assert rt.n_excluded == orig.n_excluded
         assert back.slopes["balanced"].slope == 0.5000000000000001
         assert not back.slopes["increment_tamed"].ok
+
+    def test_written_text(self):
+        # Floats as their repr (nan included), integers as str, and blank
+        # cells where a row has no value or a fit failed.
+        buf = io.StringIO()
+        write_table_csv(self.make_table(), buf)
+        assert buf.getvalue() == (
+            CSV_HEADER + "\n"
+            "fhn05,balanced,0.25,100.0,5,0.30000000000000004,0.0123,0.0184511,3,1,2,\n"
+            "fhn05,balanced,0.025,100.0,5,1.4142135623730951e-05,0.5,0.003,0,0,0,\n"
+            "fhn05,increment_tamed,0.25,100.0,5,nan,0.01,0.0184511,0,5,5,\n"
+            "fhn05,balanced,,100.0,5,,,,,,,0.5000000000000001\n"
+            "fhn05,increment_tamed,,100.0,5,,,,,,,\n"
+        )
 
     def test_header_line(self):
         buf = io.StringIO()

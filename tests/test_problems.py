@@ -44,7 +44,7 @@ class TestGbm:
         assert p.g(x).shape == (1,)
         assert diffusion(p, x)[0, 0] == pytest.approx(3.0 * 1.7)
         assert p.x0[0] == 1.0
-        assert LinearSolver(p).structure == "scalar"
+        assert LinearSolver(p).structure == "diagonal"
 
     def test_drift_is_purely_linear(self):
         p = gbm()

@@ -288,9 +288,7 @@ def linear_problem(A):
 
 def random_structured_problem(structure, d, seed):
     rng = np.random.default_rng(seed)
-    if structure == "scalar":
-        A = rng.normal(size=(1, 1))
-    elif structure == "diagonal":
+    if structure == "diagonal":
         A = np.diag(rng.normal(size=d))
     elif structure == "tridiagonal":
         A = np.diag(rng.normal(size=d))
@@ -312,7 +310,7 @@ _RHS = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([math.nan, math.inf, -mat
 
 class TestLinearSolver:
     @pytest.mark.parametrize("structure,d", [
-        ("scalar", 1), ("diagonal", 4), ("tridiagonal", 5), ("dense", 5),
+        ("diagonal", 1), ("diagonal", 4), ("tridiagonal", 5), ("dense", 5),
     ])
     def test_residual_small(self, structure, d):
         p = random_structured_problem(structure, d, seed=ord(structure[0]))
@@ -325,7 +323,7 @@ class TestLinearSolver:
             assert np.linalg.norm(x - h * (p.A @ x) - b) <= 1e-10
 
     @pytest.mark.parametrize("structure,d", [
-        ("scalar", 1), ("diagonal", 4), ("tridiagonal", 5), ("dense", 5),
+        ("diagonal", 1), ("diagonal", 4), ("tridiagonal", 5), ("dense", 5),
     ])
     def test_batch_matches_rowwise(self, structure, d):
         p = random_structured_problem(structure, d, seed=17 + d)
@@ -334,12 +332,11 @@ class TestLinearSolver:
         h = np.array([0.2, 0.05, 0.008, 0.05])
         b = rng.normal(size=(4, p.d))
         xb = solver.solve(h, b)
+        # One h shared by the k rows solves each row as its own system too.
+        xs = solver.solve(0.05, b)
         for i in range(4):
-            xi = solver.solve(float(h[i]), b[i])
-            if structure == "dense":
-                np.testing.assert_allclose(xb[i], xi, rtol=1e-11, atol=1e-13)
-            else:
-                np.testing.assert_array_equal(xb[i], xi)
+            assert xb[i].tobytes() == solver.solve(float(h[i]), b[i]).tobytes()
+            assert xs[i].tobytes() == solver.solve(0.05, b[i]).tobytes()
 
     @pytest.mark.parametrize("name", ["fhn01", "spde"])
     @pytest.mark.parametrize("k", [1, 5, 30])
@@ -795,6 +792,43 @@ def test_batch_matches_rows(name, step, data):
     assert batch.shape == y.shape
     for i in range(len(y)):
         assert batch[i].tobytes() == STEP_MAPS[step](p, y[i], float(h[i]), dW[i]).tobytes()
+
+
+#: gl with its own envelope, and svol (d = 2) lent gl's.
+TRUNCATED = {
+    "gl": CATALOG["gl"],
+    "svol": dataclasses.replace(CATALOG["svol"], truncation=gl_truncation_functions()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRUNCATED))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([0.0, 1e-3, 1.0, 1e2, 1e6]),
+    h=st.one_of(st.just(0.0), st.floats(1e-8, 1.0)),
+)
+def test_truncated_float_h_equals_a_one_row_stack(name, seed, scale, h):
+    # One radius expression serves a float h and a per-row h, whether the
+    # state lies inside the ball or far outside it.
+    p = TRUNCATED[name]
+    rng = np.random.default_rng(seed)
+    y = scale * rng.standard_normal(p.d)
+    dW = math.sqrt(h) * rng.standard_normal(p.m)
+    alone = step_truncated(p, y, h, dW, MU_INV, GAUGE)
+    stacked = step_truncated(p, y[None], np.array([h]), dW[None], MU_INV, GAUGE)
+    assert alone.tobytes() == stacked[0].tobytes()
+
+
+def test_truncated_clamp_acts_alike_for_a_float_and_a_per_row_h():
+    # At h = 0.05 gl's radius is about 1.48, so y = 100 is clamped: the step
+    # is not explicit Euler, and a float h and a one-row stack agree on it.
+    p = CATALOG["gl"]
+    y, dW = np.array([100.0]), np.array([0.1])
+    alone = step_truncated(p, y, 0.05, dW, MU_INV, GAUGE)
+    assert alone.tobytes() != step_explicit_euler(p, y, 0.05, dW).tobytes()
+    stacked = step_truncated(p, y[None], np.array([0.05]), dW[None], MU_INV, GAUGE)
+    assert alone.tobytes() == stacked[0].tobytes()
 
 
 @pytest.mark.parametrize("step", sorted(STEP_MAPS))
