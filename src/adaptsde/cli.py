@@ -20,6 +20,7 @@ below 1, exits 2.
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import sys
 from typing import Optional
@@ -37,21 +38,21 @@ from .harness import (
     write_table_csv,
 )
 from .problems import PROBLEM_NAMES, problem_by_name
-from .schemes import solve, step_map
+from .schemes import ADAPTIVE_SCHEMES, solve, step_map
 from .wiener import WienerPath
 
-#: CLI spelling -> internal scheme id.
+#: CLI spelling -> (internal scheme id, description), in listing order.
 CLI_SCHEMES = {
-    "adaptive-si": "adaptive_semi_implicit",
-    "adaptive-explicit": "adaptive_explicit",
-    "drift-implicit": "drift_implicit",
-    "balanced": "balanced",
-    "increment-tamed": "increment_tamed",
-    "fully-tamed": "fully_tamed",
-    "truncated": "truncated",
-    "explicit-euler": "explicit_euler",
+    "adaptive-si": ("adaptive_semi_implicit", "adaptive semi-implicit Euler-Maruyama with balanced backstop"),
+    "adaptive-explicit": ("adaptive_explicit", "adaptive explicit Euler-Maruyama with balanced backstop"),
+    "drift-implicit": ("drift_implicit", "fixed-step drift-implicit Euler (Newton per step)"),
+    "balanced": ("balanced", "fixed-step balanced method"),
+    "increment-tamed": ("increment_tamed", "fixed-step increment-tamed Euler"),
+    "fully-tamed": ("fully_tamed", "fixed-step fully tamed Euler (weight h^1/2)"),
+    "truncated": ("truncated", "fixed-step truncated Euler (problems with a growth envelope)"),
+    "explicit-euler": ("explicit_euler", "fixed-step explicit Euler-Maruyama (no stabilization)"),
 }
-_SCHEME_TO_CLI = {v: k for k, v in CLI_SCHEMES.items()}
+_SCHEME_TO_CLI = {scheme: name for name, (scheme, _) in CLI_SCHEMES.items()}
 
 PROBLEM_BLURBS = {
     "gbm": "scalar geometric Brownian motion, r=-8, sigma=3 (stiff, linear)",
@@ -60,17 +61,6 @@ PROBLEM_BLURBS = {
     "gl": "scalar Ginzburg-Landau with cubic drift and multiplicative noise",
     "svol": "2-D 3/2 stochastic volatility model (superlinear drift and noise)",
     "spde": "finite-difference reaction-diffusion system, 100 interior nodes",
-}
-
-SCHEME_BLURBS = {
-    "adaptive-si": "adaptive semi-implicit Euler-Maruyama with balanced backstop",
-    "adaptive-explicit": "adaptive explicit Euler-Maruyama with balanced backstop",
-    "drift-implicit": "fixed-step drift-implicit Euler (Newton per step)",
-    "balanced": "fixed-step balanced method",
-    "increment-tamed": "fixed-step increment-tamed Euler",
-    "fully-tamed": "fixed-step fully tamed Euler (weight h^1/2)",
-    "truncated": "fixed-step truncated Euler (problems with a growth envelope)",
-    "explicit-euler": "fixed-step explicit Euler-Maruyama (no stabilization)",
 }
 
 
@@ -83,7 +73,7 @@ def _resolve_scheme(name: str) -> str:
     if name not in CLI_SCHEMES:
         candidates = ", ".join(sorted(CLI_SCHEMES))
         raise ValueError(f"unknown scheme {name!r}; candidates: {candidates}")
-    return CLI_SCHEMES[name]
+    return CLI_SCHEMES[name][0]
 
 
 # -- run ----------------------------------------------------------------------
@@ -95,17 +85,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         scheme = _resolve_scheme(args.scheme)
         if args.seed < 0:
             raise ValueError(f"seed must be >= 0, got {args.seed}")
-        if not 1 <= args.rho < math.inf:
-            raise ValueError(f"rho must be finite and >= 1, got {args.rho}")
-        kwargs = {}
-        if scheme in ("adaptive_semi_implicit", "adaptive_explicit"):
-            kwargs["config"] = MeshConfig(h_max=args.hmax, rho=args.rho)
-        else:
-            if not 0 < args.hmax <= problem.t_end:
-                raise ValueError(
-                    f"step size must satisfy 0 < h <= t_end = {problem.t_end}, got {args.hmax}"
-                )
-            kwargs["h"] = args.hmax
+        adaptive = scheme in ADAPTIVE_SCHEMES
+        if not adaptive and not 0 < args.hmax <= problem.t_end:
+            raise ValueError(f"step size must satisfy 0 < h <= t_end = {problem.t_end}, got {args.hmax}")
+        # A fixed step ignores rho, but the summary line reports it, so rho is
+        # checked as a mesh's, against the largest h_max a mesh allows.
+        mesh = MeshConfig(h_max=args.hmax if adaptive else 1.0, rho=args.rho)
+        kwargs = {"config": mesh} if adaptive else {"h": args.hmax}
         step_map(problem, scheme)  # raises where the truncated scheme has no envelope
     except ValueError as exc:
         return _fail(str(exc), 2)
@@ -126,16 +112,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         if args.trajectory_out is not None:
             with open(args.trajectory_out, "w") as fh:
-                cols = ",".join(f"y_{i + 1}" for i in range(problem.d))
-                fh.write(f"t,{cols}\n")
-                for t, state in zip(times, result.trajectory.tolist()):
-                    row = ",".join(repr(v) for v in state)
-                    fh.write(f"{t!r},{row}\n")
+                out = csv.writer(fh, lineterminator="\n")
+                out.writerow(["t", *(f"y_{i + 1}" for i in range(problem.d))])
+                out.writerows([t, *state] for t, state in zip(times, result.trajectory.tolist()))
         if args.stepsize_out is not None:
             with open(args.stepsize_out, "w") as fh:
-                fh.write("t,h\n")
-                for t, h in zip(times, result.mesh.tolist()):
-                    fh.write(f"{t!r},{h!r}\n")
+                out = csv.writer(fh, lineterminator="\n")
+                out.writerow(["t", "h"])
+                out.writerows(zip(times, result.mesh.tolist()))
     except OSError as exc:
         return _fail(f"cannot write output: {exc}", 3)
     return 0
@@ -158,6 +142,11 @@ def _read_config_file(path: str) -> dict[str, str]:
     return opts
 
 
+def _split(text: str, convert) -> tuple:
+    """The non-blank comma-separated items of ``text``, each converted."""
+    return tuple(convert(item.strip()) for item in text.split(",") if item.strip())
+
+
 def cmd_convergence(args: argparse.Namespace) -> int:
     cfgfile: dict[str, str] = {}
     if args.config is not None:
@@ -168,41 +157,30 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         except ValueError as exc:
             return _fail(str(exc), 4)
 
-    def pick(flag_value, key: str, default, convert):
-        if flag_value is not None:
-            return flag_value
-        if key in cfgfile:
-            return convert(cfgfile[key])
-        return default
-
+    # Each ExperimentConfig field the flags or the file give, and its
+    # conversion; the rest take ExperimentConfig's defaults.
+    fields = (
+        ("schemes", args.schemes, "schemes", lambda text: _split(text, _resolve_scheme)),
+        ("h_max_list", args.hmax_list, "hmax-list", lambda text: _split(text, float)),
+        ("samples", args.samples, "samples", int),
+        ("master_seed", args.seed, "seed", int),
+        ("rho", args.rho, "rho", float),
+        ("levels", args.refine, "refine", int),
+    )
     try:
-        problem = pick(args.problem, "problem", None, str)
+        problem = args.problem if args.problem is not None else cfgfile.get("problem")
         if problem is None:
             raise ValueError("a problem name is required (flag --problem or config file)")
-        # An empty scheme list or h_max grid lets ExperimentConfig fill in
-        # the problem's defaults.
-        schemes_raw = pick(args.schemes, "schemes", "", str)
-        schemes = tuple(_resolve_scheme(s.strip()) for s in schemes_raw.split(",") if s.strip())
-        hmax_raw = pick(args.hmax_list, "hmax-list", "", str)
-        h_list = tuple(float(x) for x in hmax_raw.split(",") if x.strip())
-        samples = pick(args.samples, "samples", 100, int)
-        seed = pick(args.seed, "seed", 0, int)
-        rho = pick(args.rho, "rho", 100.0, float)
-        levels = pick(args.refine, "refine", default_levels(problem), int)
-        if levels < 1:
+        given = {}
+        for name, flag_value, key, convert in fields:
+            raw = flag_value if flag_value is not None else cfgfile.get(key)
+            if raw is not None:
+                given[name] = convert(raw)
+        if given.get("levels", 1) < 1:
             # ExperimentConfig reads levels == 0 as "use the default".
-            raise ValueError(f"refine must be >= 1, got {levels}")
-        out = pick(args.out, "out", None, str)
-
-        config = ExperimentConfig(
-            problem=problem,
-            schemes=schemes,
-            h_max_list=h_list,
-            rho=rho,
-            samples=samples,
-            levels=levels,
-            master_seed=seed,
-        )
+            raise ValueError(f"refine must be >= 1, got {given['levels']}")
+        out = args.out if args.out is not None else cfgfile.get("out")
+        config = ExperimentConfig(problem=problem, **given)
         workers = _worker_count(None)
     except ValueError as exc:
         return _fail(str(exc), 2)
@@ -387,8 +365,8 @@ def cmd_list_problems(_args: argparse.Namespace) -> int:
 
 
 def cmd_list_schemes(_args: argparse.Namespace) -> int:
-    for name in CLI_SCHEMES:
-        print(f"{name:18s} {SCHEME_BLURBS[name]}")
+    for name, (_, blurb) in CLI_SCHEMES.items():
+        print(f"{name:18s} {blurb}")
     return 0
 
 
@@ -410,8 +388,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--hmax", type=float, default=0.25,
         help="max adaptive step, or the uniform step for fixed-step schemes (default 0.25)",
     )
-    p_run.add_argument("--rho", type=float, default=100.0, help="h_max/h_min ratio (default 100)")
-    p_run.add_argument("--seed", type=int, default=0, help="path seed (default 0)")
+    p_run.add_argument("--rho", type=float, default=MeshConfig.rho, help="h_max/h_min ratio (default %(default)g)")
+    p_run.add_argument(
+        "--seed", type=int, default=ExperimentConfig.master_seed,
+        help="path seed, that of sample 0 of a sweep with this master seed (default %(default)s)",
+    )
     p_run.add_argument("--trajectory-out", help="write the trajectory CSV t,y_1,...,y_d here")
     p_run.add_argument("--stepsize-out", help="write the step-size CSV t,h here")
     p_run.set_defaults(func=cmd_run)
@@ -420,12 +401,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--problem", help="problem name")
     p_conv.add_argument("--schemes", help="comma-separated scheme names (default: per-problem set)")
     p_conv.add_argument("--hmax-list", help="comma-separated h_max grid (default: per-problem grid)")
-    p_conv.add_argument("--samples", type=int, help="Monte-Carlo sample count (default 100)")
-    p_conv.add_argument("--seed", type=int, help="master seed (default 0)")
-    p_conv.add_argument("--rho", type=float, help="h_max/h_min ratio (default 100)")
+    p_conv.add_argument("--samples", type=int, help=f"Monte-Carlo sample count (default {ExperimentConfig.samples})")
+    p_conv.add_argument("--seed", type=int, help=f"master seed (default {ExperimentConfig.master_seed})")
+    p_conv.add_argument("--rho", type=float, help=f"h_max/h_min ratio (default {ExperimentConfig.rho:g})")
     p_conv.add_argument(
         "--refine", type=int,
-        help="bridge refinement levels for the reference (default 6; 4 for spde)",
+        help="bridge refinement levels for the reference "
+        f"(default {default_levels('gl')}; {default_levels('spde')} for spde)",
     )
     p_conv.add_argument("--out", help="CSV output path (default: stdout)")
     p_conv.add_argument("--config", help="key=value config file; flags override it")

@@ -91,11 +91,7 @@ class SdeProblem:
 
     def __post_init__(self):
         for key in ("d", "m"):
-            value = getattr(self, key)
-            # A float or bool passes the shape checks below (2.0 == 2), but
-            # the batched march needs an integer to size its arrays.
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
+            require_integer(key, getattr(self, key))
         if self.d < 1 or self.m < 1:
             raise ValueError("dimensions d and m must be positive")
         A = np.asarray(self.A, dtype=float)
@@ -120,6 +116,13 @@ class SdeProblem:
     def drift(self, y: np.ndarray) -> np.ndarray:
         """Full drift ``A y + f(y)`` for states of shape ``(..., d)``."""
         return np.vecmat(y, self.A.T) + self.f(y)
+
+
+def require_integer(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is an int or numpy integer; a float
+    or bool would pass a range check (2.0 == 2, True == 1), but sizes nothing."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def infer_structure(A: np.ndarray) -> Structure:
@@ -196,6 +199,11 @@ class SolveResult:
 def mesh_times(h) -> np.ndarray:
     """Knot times of the step sizes ``h``, accumulated left to right."""
     return np.concatenate(([0.0], np.cumsum(h)))
+
+
+#: End-of-run snap: a march stops within ``END_SNAP * t_end`` of ``t_end``,
+#: and a step that comes that close is its last, landed by :func:`last_step`.
+END_SNAP = 1e-14
 
 
 def last_step(t, t_end: float):

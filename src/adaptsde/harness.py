@@ -54,7 +54,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .control import propose_steps
-from .core import MeshConfig, SdeProblem, SolveResult, last_step
+from .core import END_SNAP, MeshConfig, SdeProblem, SolveResult, last_step, require_integer
 from .problems import problem_by_name
 from .schemes import _diverged, _mix, step_balanced, step_map
 from .wiener import WienerPath
@@ -88,9 +88,10 @@ def default_h_grid(problem_name: str) -> tuple[float, ...]:
     return SPDE_H_GRID if problem_name == "spde" else DEFAULT_H_GRID
 
 
-#: Deepest bridge refinement a sweep accepts.  One adaptive step refined
-#: 2**27 times holds 1 GiB of reference values per Wiener component, twice
-#: ``_BLOCK_BYTES``, so no block layout serves a deeper one.
+#: Deepest bridge refinement a sweep accepts.  ``_layout`` marches a sample
+#: over budget as a block of its own, so only this cap bounds one sample's
+#: reference: at 26 levels one adaptive step holds ``_BLOCK_BYTES`` of it per
+#: Wiener component, and a deeper sweep would die allocating, after its solves.
 _MAX_LEVELS = 26
 
 
@@ -119,7 +120,7 @@ class ExperimentConfig:
 
     ``problem`` is a catalog name (``gbm | fhn05 | fhn01 | gl | svol |
     spde``) so worker processes can rebuild it.  ``schemes`` lists what to
-    compare; the adaptive semi-implicit run happens regardless because it
+    compare, each once; the adaptive semi-implicit run happens regardless because it
     defines the random mesh and the fixed uniform step.  Empty ``schemes``
     and ``h_max_list`` and a zero ``levels`` take the problem's defaults.
     Every field is checked here, so a bad sweep fails before any worker
@@ -129,7 +130,7 @@ class ExperimentConfig:
     problem: str
     schemes: tuple[str, ...] = ()
     h_max_list: tuple[float, ...] = ()
-    rho: float = 100.0
+    rho: float = MeshConfig.rho
     samples: int = 100
     levels: int = 0
     master_seed: int = 0
@@ -137,10 +138,7 @@ class ExperimentConfig:
     def __post_init__(self):
         problem = problem_by_name(self.problem)  # raises on an unknown name
         for key in ("samples", "levels", "master_seed"):
-            value = getattr(self, key)
-            # bool is an int subclass, but True is no sample count or seed.
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
+            require_integer(key, getattr(self, key))
         object.__setattr__(self, "schemes", tuple(self.schemes) or default_schemes(self.problem))
         object.__setattr__(
             self, "h_max_list", tuple(self.h_max_list) or default_h_grid(self.problem)
@@ -157,8 +155,10 @@ class ExperimentConfig:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         for h in self.h_max_list:
             MeshConfig(h, self.rho)  # raises on a bad h_max or rho
-        if len(set(self.h_max_list)) < len(self.h_max_list):
-            raise ValueError(f"h_max_list repeats a value: {self.h_max_list}")
+        for key in ("h_max_list", "schemes"):
+            values = getattr(self, key)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{key} repeats a value: {values}")
         for s in self.schemes:
             step_map(problem, s)  # raises on an unknown scheme or a missing envelope
         if "adaptive_explicit" in self.schemes:
@@ -446,7 +446,7 @@ def _solve_adaptive_batch(
     less the time spent drawing normals, divided by the number of rows.
     """
     k, m, T = len(seeds), problem.m, problem.t_end
-    tiny = 1e-14 * T
+    t_stop = T - END_SNAP * T
     rngs = [np.random.default_rng(seed) for seed in seeds]
     z = np.empty((k, _DRAW_CHUNK, m))
     w = np.zeros((k, m))
@@ -467,7 +467,7 @@ def _solve_adaptive_batch(
         f_y = problem.f(y)
         h, backstop = propose_steps(y, f_y, mesh_config)
         ta = t[rows]
-        final = ta + h >= T - tiny
+        final = ta + h >= t_stop
         if final.any():
             h[final] = last_step(ta[final], T)
             backstop &= ~final
@@ -512,12 +512,13 @@ def _layout(solved: Sequence[SolveResult], levels: int, m: int) -> list[range]:
 
 
 def _run_block(
-    config: ExperimentConfig, indices: Sequence[int], solved: Sequence[SolveResult]
+    config: ExperimentConfig, problem: SdeProblem, seeds: Sequence[int], solved: Sequence[SolveResult]
 ) -> tuple[np.ndarray, dict[str, tuple[np.ndarray, ...]]]:
     """Protocol steps 3-5 for a block of samples whose adaptive solves are done.
 
-    The adaptive march only draws forward, so querying a fresh path with the
-    same seed at the solve's knot times replays its draws exactly; the
+    ``seeds`` are the samples' path seeds.  The adaptive march only draws
+    forward, so querying a fresh path with the same seed at the solve's knot
+    times replays its draws exactly; the
     rebuilt path then continues as if ``solve()`` had just run on it.  The
     block keeps each sample's refined store as it is, with no padding, and
     the reference march forms its steps from it a chunk at a time
@@ -530,12 +531,11 @@ def _run_block(
     against the reference (NaN where the scheme or the reference diverged),
     divergence flags, backstop or fallback counts and wall times.
     """
-    problem = problem_by_name(config.problem)
-    T, m, k = problem.t_end, problem.m, len(indices)
+    T, m, k = problem.t_end, problem.m, len(seeds)
     moments = np.empty((k, 2))
     knots, fine_values, grids, grid_values = [], [], [], []
-    for j, (index, adaptive) in enumerate(zip(indices, solved)):
-        path = WienerPath(m, seed=config.master_seed ^ index)
+    for j, (seed, adaptive) in enumerate(zip(seeds, solved)):
+        path = WienerPath(m, seed=seed)
         times = adaptive.mesh_times()
         # Conditional-moment accumulators for the adaptive mesh.
         dws = np.diff(path.value_at_many(times), axis=0)
@@ -580,7 +580,7 @@ def _run_chunk(config: ExperimentConfig, h_max: float, indices: Sequence[int]) -
     seeds = [config.master_seed ^ i for i in indices]
     solved = _solve_adaptive_batch(problem, MeshConfig(h_max=h_max, rho=config.rho), seeds)
     blocks = _layout(solved, config.levels, problem.m)
-    return solved, [_run_block(config, indices[b.start : b.stop], solved[b.start : b.stop]) for b in blocks]
+    return solved, [_run_block(config, problem, seeds[b.start : b.stop], solved[b.start : b.stop]) for b in blocks]
 
 
 def _worker_count(workers: Optional[int]) -> int:
@@ -591,8 +591,7 @@ def _worker_count(workers: Optional[int]) -> int:
             workers = int(env or 1)
         except ValueError:
             raise ValueError(f"ADAPTSDE_WORKERS must be an integer, got {env!r}") from None
-    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
-        raise ValueError(f"{source} must be an integer, got {workers!r}")
+    require_integer(source, workers)
     if workers < 1:
         raise ValueError(f"{source} must be >= 1, got {workers}")
     return workers

@@ -26,7 +26,7 @@ diffusion is given factored, as pointwise amplitudes ``g(x)`` of shape
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -51,6 +51,12 @@ PROBLEM_NAMES = ("gbm", "fhn05", "fhn01", "gl", "svol", "spde")
 # = 7/64, far below the coarsest benchmark step.
 GBM_R = -8.0
 GBM_SIGMA = 3.0
+GBM_X0 = 1.0
+GBM_T = 1.0
+
+# SPDE parameters: diffusion coefficient and grid cells, one noise mode each.
+SPDE_EPSILON = 0.1
+SPDE_J = 101
 
 
 def gbm() -> SdeProblem:
@@ -74,18 +80,18 @@ def gbm() -> SdeProblem:
         g=g,
         S=np.ones((1, 1)),
         df=df,
-        x0=np.array([1.0]),
-        t_end=1.0,
+        x0=np.array([GBM_X0]),
+        t_end=GBM_T,
     )
 
 
-def gbm_exact_terminal(w_t: np.ndarray, t: float = 1.0, u0: float = 1.0) -> np.ndarray:
-    """Closed-form GBM solution ``u0 exp((r - sigma^2/2) t + sigma W(t))``.
+def gbm_exact_terminal(w_t: np.ndarray) -> np.ndarray:
+    """Closed-form terminal value of :func:`gbm`, ``x0 exp((r - sigma^2/2) T + sigma W(T))``.
 
-    ``w_t`` is the Brownian value at time ``t`` (scalar or array); used as a
+    ``w_t`` is the Brownian value at ``T`` (scalar or array); used as a
     per-path exact reference.
     """
-    return u0 * np.exp((GBM_R - 0.5 * GBM_SIGMA**2) * t + GBM_SIGMA * np.asarray(w_t))
+    return GBM_X0 * np.exp((GBM_R - 0.5 * GBM_SIGMA**2) * GBM_T + GBM_SIGMA * np.asarray(w_t))
 
 
 def fhn(epsilon: float) -> SdeProblem:
@@ -236,31 +242,25 @@ def stoch_vol_32() -> SdeProblem:
     )
 
 
-def spde_fd(epsilon: float = 0.1, J: int = 101, modes: Optional[int] = None) -> SdeProblem:
+def spde_fd() -> SdeProblem:
     """Finite-difference system for a stochastic reaction-diffusion PDE.
 
     Central differences on (0,1) with zero Dirichlet boundaries and grid
-    spacing ``dx = 1/J`` give ``d = J - 1`` interior unknowns at
-    ``x_i = i dx``.  The linear part is ``eps tridiag(1,-2,1)/dx^2 + eta I``
-    with eta=11; the remaining drift is ``f(u) = u^3 - 2 u^5`` elementwise.
-    Noise mode ``j`` forces component ``i`` with
-    ``sigma u_i^2 j^(-3/2) sin(j pi x_i)``, sigma=0.2; by default there are
-    ``J`` modes.  Initial data ``u0(x) = 2 sin(pi x)``.
+    spacing ``dx = 1/J``, J=101, give ``d = J - 1 = 100`` interior unknowns
+    at ``x_i = i dx``.  The linear part is ``eps tridiag(1,-2,1)/dx^2 + eta I``
+    with eps=0.1 and eta=11; the remaining drift is ``f(u) = u^3 - 2 u^5``
+    elementwise.  Noise mode ``j = 1..J`` forces component ``i`` with
+    ``sigma u_i^2 j^(-3/2) sin(j pi x_i)``, sigma=0.2.  Initial data
+    ``u0(x) = 2 sin(pi x)``.
     """
-    if J < 3:
-        raise ValueError("J must be at least 3")
-    if modes is None:
-        modes = J
-    if modes < 1:
-        raise ValueError("modes must be positive")
-    eps = float(epsilon)
+    eps, J = SPDE_EPSILON, SPDE_J
     eta, lam_q, sigma = 11.0, 2.0, 0.2
     d = J - 1
     dx = 1.0 / J
     xs = dx * np.arange(1, J)  # interior grid points
     lap = (np.diag(np.full(d - 1, 1.0), -1) + np.diag(np.full(d, -2.0)) + np.diag(np.full(d - 1, 1.0), 1)) / dx**2
     A = eps * lap + eta * np.eye(d)
-    js = np.arange(1, modes + 1)
+    js = np.arange(1, J + 1)
     # Spatial noise profile: S[i, j-1] = j^(-3/2) sin(j pi x_i).
     S = js[None, :] ** -1.5 * np.sin(np.pi * np.outer(xs, js))
 
@@ -280,7 +280,7 @@ def spde_fd(epsilon: float = 0.1, J: int = 101, modes: Optional[int] = None) -> 
 
     return SdeProblem(
         d=d,
-        m=int(modes),
+        m=J,
         A=A,
         f=f,
         g=g,

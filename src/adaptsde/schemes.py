@@ -40,7 +40,7 @@ import numpy as np
 import scipy.linalg
 
 from .control import propose_step
-from .core import MeshConfig, SdeProblem, SolveResult, infer_structure, last_step
+from .core import END_SNAP, MeshConfig, SdeProblem, SolveResult, infer_structure, last_step
 from .wiener import WienerPath
 
 __all__ = [
@@ -457,10 +457,10 @@ def solve(
     trajectory = [y.copy()] if record_trajectory else None
     n_backstop = 0
     diverged = False
-    tiny = 1e-14 * T
+    t_stop = T - END_SNAP * T
 
     t0 = time.perf_counter()
-    while t < T - tiny:
+    while t < t_stop:
         if adaptive:
             f_y = problem.drift(y) if scheme == "adaptive_explicit" else problem.f(y)
             decision = propose_step(y, f_y, config)
@@ -468,7 +468,7 @@ def solve(
         else:
             h_n = h
 
-        final_step = t + h_n >= T - tiny
+        final_step = t + h_n >= t_stop
         if final_step:
             h_n = last_step(t, T)
         use_backstop = adaptive and decision.use_backstop and not final_step

@@ -37,6 +37,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import require_integer
+
 __all__ = ["WienerPath"]
 
 
@@ -64,13 +66,14 @@ class WienerPath:
     Parameters
     ----------
     dim
-        Number of independent components m.
+        Number of independent components m, a positive integer.
     seed
         Seed for the per-path generator; any value accepted by
         ``numpy.random.default_rng``.
     """
 
     def __init__(self, dim: int, seed=None):
+        require_integer("dim", dim)
         if dim < 1:
             raise ValueError("dim must be a positive integer")
         self.dim = int(dim)

@@ -7,7 +7,9 @@ import pytest
 
 from adaptsde import cli
 from adaptsde.cli import main
-from adaptsde.harness import CSV_HEADER, _worker_count
+from adaptsde.core import MeshConfig
+from adaptsde.harness import CSV_HEADER, ConvergenceTable, ExperimentConfig, _worker_count
+from adaptsde.problems import PROBLEM_NAMES
 
 
 @pytest.fixture(autouse=True)
@@ -118,6 +120,19 @@ class TestRunCommand:
             "--trajectory-out", str(target),
         )
         assert code == 3 and "cannot write output" in err
+
+    def test_rho_defaults_to_the_mesh_config_default(self, capsys, monkeypatch):
+        seen = []
+        real = cli.solve
+
+        def recording(problem, scheme, path, **kwargs):
+            seen.append(kwargs["config"].rho)
+            return real(problem, scheme, path, **kwargs)
+
+        monkeypatch.setattr(cli, "solve", recording)
+        code, out, _ = run_cli(capsys, "run", "--problem", "gl", "--scheme", "adaptive-si")
+        assert code == 0 and seen == [MeshConfig.rho]
+        assert f" rho={MeshConfig.rho!r} " in out
 
     def test_adaptive_explicit_scheme(self, capsys):
         code, out, _ = run_cli(capsys, "run", "--problem", "gl", "--scheme", "adaptive-explicit")
@@ -250,6 +265,25 @@ class TestConvergenceCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: h_max_list repeats a value")
         assert "Traceback" not in err
+
+    def test_repeated_scheme_rejected(self, capsys):
+        # A repeated scheme used to run twice and print each of its rows twice.
+        code, out, err = run_cli(capsys, "convergence", "--problem", "gbm", "--schemes", "balanced,balanced")
+        assert code == 2 and out == ""
+        assert err.startswith("error: schemes repeats a value") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", PROBLEM_NAMES)
+    def test_unset_fields_take_the_library_defaults(self, capsys, monkeypatch, name):
+        seen = []
+
+        def recording(config, workers=None):
+            seen.append(config)
+            return ConvergenceTable(problem=name, rho=config.rho, samples=config.samples, rows=[], slopes={})
+
+        monkeypatch.setattr(cli, "run_experiment", recording)
+        assert run_cli(capsys, "convergence", "--problem", name)[0] == 0
+        assert seen == [ExperimentConfig(problem=name)]
 
     @pytest.mark.parametrize("refine", ["0", "-1"])
     def test_refine_below_one_rejected(self, capsys, tmp_path, refine):
@@ -438,3 +472,11 @@ class TestListings:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    # argparse %-formats help strings, some of which are built from library values.
+    @pytest.mark.parametrize("subcommand", [(), ("run",), ("convergence",), ("plot",), ("list-problems",), ("list-schemes",)])
+    def test_help_exits_zero(self, capsys, subcommand):
+        with pytest.raises(SystemExit) as exc:
+            main([*subcommand, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: adaptsde")

@@ -124,6 +124,7 @@ class TestConfig:
         dict(levels=True),
         dict(master_seed=False),
         dict(rho=float("inf")),
+        dict(schemes=("balanced", "balanced")),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -218,15 +219,24 @@ def assert_tables_match(a: ConvergenceTable, b: ConvergenceTable):
     assert a.moments.n_steps == b.moments.n_steps
 
 
+def sample_seeds(config, indices):
+    return [config.master_seed ^ i for i in indices]
+
+
 def adaptive_solves(config, h_max, indices):
     """Protocol step 1 for the samples ``indices`` of one ``h_max``."""
-    seeds = [config.master_seed ^ i for i in indices]
+    seeds = sample_seeds(config, indices)
     return _solve_adaptive_batch(problem_by_name(config.problem), MeshConfig(h_max=h_max, rho=config.rho), seeds)
+
+
+def run_block(config, indices, solved):
+    """Protocol steps 3-5 for the samples ``indices``, marched as one block."""
+    return _run_block(config, problem_by_name(config.problem), sample_seeds(config, indices), solved)
 
 
 def block_columns(config, h_max, indices):
     """Protocol steps 1-5 for the samples ``indices``, marched as one block."""
-    return _run_block(config, indices, adaptive_solves(config, h_max, indices))
+    return run_block(config, indices, adaptive_solves(config, h_max, indices))
 
 
 @pytest.fixture(scope="module")
@@ -645,7 +655,7 @@ def test_a_block_holds_little_beyond_its_refined_values():
     kept = sum(((r.n_steps << cfg.levels) + 1) * 8 for r in solved)
     tracemalloc.start()
     try:
-        _run_block(cfg, indices, solved)
+        run_block(cfg, indices, solved)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -797,7 +807,7 @@ def test_squared_errors_round_as_per_row_dot_products(name, h_max, schemes):
         return out
 
     with mock.patch.object(harness, "_march_batch", recording):
-        _, cols = _run_block(cfg, indices, solved)
+        _, cols = run_block(cfg, indices, solved)
     ref, ref_div = marched["reference"]
     for scheme in schemes:
         y, diverged = marched[scheme]

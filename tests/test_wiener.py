@@ -74,6 +74,11 @@ def assert_same_paths(p1, p2, knots):
 def test_dim_validation():
     with pytest.raises(ValueError):
         WienerPath(0, seed=1)
+    # A float or bool is no component count: 2.5 used to give dim 2, True dim 1.
+    for dim in (2.5, True):
+        with pytest.raises(ValueError, match=rf"^dim must be an integer, got {dim!r}$"):
+            WienerPath(dim, seed=1)
+    assert WienerPath(np.int64(2), seed=1).dim == 2
 
 
 def test_negative_time_rejected():
