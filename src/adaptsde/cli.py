@@ -167,6 +167,9 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         ("rho", args.rho, "rho", float),
         ("levels", args.refine, "refine", int),
     )
+    accepted = ("problem", "out", *(key for _, _, key, _ in fields))
+    if unknown := [key for key in cfgfile if key not in accepted]:
+        return _fail(f"{args.config}: unknown key {unknown[0]!r}; accepted keys: {', '.join(accepted)}", 4)
     try:
         problem = args.problem if args.problem is not None else cfgfile.get("problem")
         if problem is None:

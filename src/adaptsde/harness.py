@@ -45,7 +45,6 @@ from __future__ import annotations
 import csv
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import repeat
@@ -602,10 +601,10 @@ def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> C
 
     ``workers`` > 1 splits each ``h_max``'s samples into contiguous chunks,
     and each process runs its chunk end to end (the default comes from the
-    ADAPTSDE_WORKERS environment variable, else 1).  Results are
-    bit-identical for any worker count and block layout: sample seeds and
-    every march treat each sample on its own, and the aggregation is
-    ordered by sample index.
+    ADAPTSDE_WORKERS environment variable, else 1); only then do the pool's
+    modules load.  Results are bit-identical for any worker count and block
+    layout: sample seeds and every march treat each sample on its own, and
+    the aggregation is ordered by sample index.
     """
     problem = problem_by_name(config.problem)
     nworkers = _worker_count(workers)
@@ -613,6 +612,8 @@ def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> C
     chunks = [c.tolist() for c in np.array_split(np.arange(config.samples), nworkers) if len(c)]
     rows: list[TableRow] = []
     mom = MomentStats(m=problem.m)
+    if nworkers > 1:
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=nworkers) if nworkers > 1 else nullcontext() as pool:
         run = pool.map if pool else map
         for h_max in config.h_max_list:

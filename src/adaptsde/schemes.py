@@ -33,11 +33,11 @@ streams.
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .control import propose_step
 from .core import END_SNAP, MeshConfig, SdeProblem, SolveResult, infer_structure, last_step
@@ -97,6 +97,14 @@ def _vnorm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce(np.square(x), axis=-1))
 
 
+@functools.cache
+def _gtsv():
+    """LAPACK's ``dgtsv``; scipy.linalg loads on this first call, which most runs never make."""
+    import scipy.linalg
+
+    return scipy.linalg.get_lapack_funcs("gtsv", dtype=np.float64)
+
+
 class LinearSolver:
     """Solves ``(I - h A) x = b``, dispatching on the structure of ``A``.
 
@@ -106,7 +114,7 @@ class LinearSolver:
     every other 2x2 operator among them, by LAPACK's ``gtsv``; dense ones by
     ``np.linalg.solve``.  One 2x2 system with one ``h`` is solved in Python
     floats with the arithmetic of reference ``gtsv``, which gives its bits
-    at a fraction of the cost of the call.
+    at a fraction of the cost of the call.  scipy loads on the first ``gtsv`` call.
     """
 
     def __init__(self, problem: SdeProblem):
@@ -119,7 +127,6 @@ class LinearSolver:
             self._dl = np.diagonal(self.A, -1).copy()
             self._dia = np.diagonal(self.A).copy()
             self._du = np.diagonal(self.A, 1).copy()
-            self._gtsv = scipy.linalg.get_lapack_funcs("gtsv", (self._dia,))
             if self.d == 2:
                 self._a2 = (self._dl[0].item(), *self._dia.tolist(), self._du[0].item())
 
@@ -186,7 +193,7 @@ class LinearSolver:
 
     def _tridiagonal(self, dl, d, du, b):
         """LAPACK ``gtsv`` on the tridiagonal system ``(dl, d, du)``, rhs (n, r)."""
-        _, _, _, x, info = self._gtsv(dl, d, du, b)
+        _, _, _, x, info = _gtsv()(dl, d, du, b)
         if info != 0:
             raise np.linalg.LinAlgError(f"tridiagonal solve failed (LAPACK gtsv info={info})")
         return x
@@ -332,13 +339,16 @@ def step_drift_implicit_batch(
             break
         xa = x[active]
         F = xa - hv[active, None] * problem.drift(xa) - c[active]
-        ok = np.linalg.norm(F, axis=-1) <= _NEWTON_TOL
+        ok = _vnorm(F) <= _NEWTON_TOL
         idx = np.flatnonzero(active)
         converged[idx[ok]] = True
         live = idx[~ok]
         if live.size == 0:
             continue
-        J = eye[None] - hv[live, None, None] * (problem.A[None] + problem.df(x[live]))
+        # I - h (A + Df) in one buffer; the array df returns is only read.
+        J = np.add(problem.df(x[live]), problem.A)
+        J *= hv[live, None, None]
+        np.subtract(eye, J, out=J)
         xn = x[live] - _newton_updates(J, F[~ok])
         bad = ~np.all(np.isfinite(xn), axis=-1)
         x[live] = np.where(bad[:, None], x[live], xn)

@@ -236,6 +236,27 @@ class TestConvergenceCommand:
         code, _, err = run_cli(capsys, "convergence", "--config", str(cfg))
         assert code == 4 and ":2: expected key=value" in err
 
+    def test_unknown_config_key_rejected(self, capsys, monkeypatch, tmp_path):
+        # A misspelt key used to be dropped, and the sweep ran its default samples.
+        seen = []
+
+        def recording(config, workers=None):
+            seen.append(config)
+            return ConvergenceTable(problem="gbm", rho=config.rho, samples=config.samples, rows=[], slopes={})
+
+        monkeypatch.setattr(cli, "run_experiment", recording)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("problem = gbm\nsampels = 2\n")
+        code, out, err = run_cli(capsys, "convergence", "--config", str(cfg))
+        assert code == 4 and out == "" and seen == []
+        assert err == (
+            f"error: {cfg}: unknown key 'sampels'; accepted keys: "
+            "problem, out, schemes, hmax-list, samples, seed, rho, refine\n"
+        )
+        cfg.write_text("problem = gbm\nsamples = 2\n")
+        assert run_cli(capsys, "convergence", "--config", str(cfg))[0] == 0
+        assert seen == [ExperimentConfig(problem="gbm", samples=2)]
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "convergence", "--config", str(tmp_path / "nope.cfg"))
         assert code == 3 and "cannot read config file" in err

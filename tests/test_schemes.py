@@ -910,3 +910,25 @@ def test_constant_amplitudes_as_own_arrays_give_the_same_bytes(name, step, data)
     assert amp.tobytes() == old.tobytes()
     with np.errstate(over="ignore", invalid="ignore"):
         assert STEP_MAPS[step](p, y, h, dW).tobytes() == STEP_MAPS[step](viewed, y, h, dW).tobytes()
+
+
+def read_only_jacobian(p):
+    """``p`` whose ``df`` returns its Jacobians as a read-only array."""
+
+    def df(x):
+        out = p.df(x)
+        out.flags.writeable = False
+        return out
+
+    return dataclasses.replace(p, df=df)
+
+
+@pytest.mark.parametrize("name", ["gl", "spde"])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_newton_step_only_reads_the_jacobian(name, data):
+    p = CATALOG[name]
+    y, h, dW = data.draw(step_inputs(p))
+    out, fell = step_drift_implicit_batch(p, y, h, dW)
+    ro_out, ro_fell = step_drift_implicit_batch(read_only_jacobian(p), y, h, dW)
+    assert ro_out.tobytes() == out.tobytes() and ro_fell.tobytes() == fell.tobytes()
