@@ -7,33 +7,36 @@ The measurement protocol, per ``h_max`` and per chunk of samples
    scheme, on the path a fresh :class:`~adaptsde.wiener.WienerPath` would
    draw (seed = master seed XOR sample index), as one march; each result
    equals ``solve()``'s on that path, bit for bit,
-2. lay the chunk out in blocks from the realized meshes (``_layout``),
-3. per block, rebuild each sample's path from its seed and the knot times of
-   its mesh, bisect every adaptive step ``levels`` times with Brownian
-   bridges and march the balanced method over the fine grid: that is the
-   reference solution for this sample.  The block holds each sample's
-   refined values and coarse knot times, no padded arrays; the march forms
-   the fine step sizes and increments from them a chunk at a time,
+2. rebuild each sample's path from its seed and the knot times of its mesh,
+   then skip through the draws of its bridge refinement: draw each level's
+   normals and throw them away, keeping a generator where the level begins,
+3. bisect every adaptive step ``levels`` times with Brownian bridges and
+   march the balanced method over the fine grid: that is the reference
+   solution for this sample.  The chunk is one block, whose fine steps are
+   formed from those generators a window of whole adaptive steps at a time
+   and dropped once marched, so its memory does not grow with the path,
 4. set the uniform step ``h_u = T / round(T / h_bar)`` from the sample's own
    mean adaptive step ``h_bar`` and run every fixed-step scheme on that grid,
-   with increments bridged from the same path,
+   with increments bridged from the same path, in the same windows,
 5. record, per scheme and in sample order, squared terminal errors against
    the reference, divergence flags, fallback counts and wall times.
 
-Rebuilding a path in step 3 reproduces it exactly: the adaptive march only
+Rebuilding a path in step 2 reproduces it exactly: the adaptive march only
 draws forward, from each sample's own generator, and ``value_at_many`` at
-the solve's knot times consumes the generator the same way.
+the solve's knot times consumes the generator the same way.  Steps 2-4 draw
+exactly the normals ``WienerPath.refine_uniform`` and then a grid query
+would, so every value is the one a stored refinement gives.
 
 Root-mean-square errors aggregate over samples with NaN exclusion (diverged
 runs are counted, not averaged).  Everything is deterministic given the
 master seed: every march gives each sample the bits it gets alone, and the
 aggregation is ordered by sample index.  So the tables do not change with
-the worker count, which sets the contiguous chunks, or the block layout.
+the worker count, which sets the contiguous chunks, or the window size.
 
 ``mean_cputime_s`` is wall time (``time.perf_counter``), not CPU time: for
 every scheme, the wall time of its march's loop divided by its number of
 rows, with path generation left out.  A fixed-step scheme's grid values
-are drawn before its march, so its figure moves with the layout; forming
+are drawn before its march, so its figure moves with the block size; forming
 the step sizes, increments and mixed increments ``S dW`` from them happens
 inside the timed loop, a chunk of steps at a time, and counts as the
 scheme's own work, as when each step formed its noise itself.  The adaptive
@@ -42,6 +45,7 @@ march draws its normals as it steps, so it subtracts the time spent drawing.
 
 from __future__ import annotations
 
+import copy
 import csv
 import os
 import time
@@ -55,8 +59,8 @@ import numpy as np
 from .control import propose_steps
 from .core import END_SNAP, MeshConfig, SdeProblem, SolveResult, last_step, require_integer
 from .problems import problem_by_name
-from .schemes import _diverged, _mix, step_balanced, step_map
-from .wiener import WienerPath
+from .schemes import _STACK_SQ, _diverged, _mix, step_balanced, step_map
+from .wiener import WienerPath, _bridge_rows, _draw_at
 
 __all__ = [
     "ExperimentConfig",
@@ -87,10 +91,10 @@ def default_h_grid(problem_name: str) -> tuple[float, ...]:
     return SPDE_H_GRID if problem_name == "spde" else DEFAULT_H_GRID
 
 
-#: Deepest bridge refinement a sweep accepts.  ``_layout`` marches a sample
-#: over budget as a block of its own, so only this cap bounds one sample's
-#: reference: at 26 levels one adaptive step holds ``_BLOCK_BYTES`` of it per
-#: Wiener component, and a deeper sweep would die allocating, after its solves.
+#: Deepest bridge refinement a sweep accepts.  The reference's memory does
+#: not grow with the path, but a window holds at least one adaptive step of
+#: it and the march takes every fine step: at 26 levels one adaptive step is
+#: 2**26 fine steps, 512 MiB of increments per row and Wiener component.
 _MAX_LEVELS = 26
 
 
@@ -277,17 +281,18 @@ class ConvergenceTable:
 
 # -- the per-sample engine ----------------------------------------------------
 
-#: Padded reference bytes one block may be charged (see ``_layout``).
-_BLOCK_BYTES = 512 * 2**20
-
 #: Forward normals each row of the adaptive march draws per generator call.
 _DRAW_CHUNK = 256
 
 #: Steps of a fixed-step march whose y-independent operands are formed at once.
 _STEP_CHUNK = 256
 
-#: Bytes of reference step sizes and increments formed at once, whole chunks.
-_FORM_BYTES = 1 << 19
+#: Bytes of step sizes and increments one window of a refinement forms at
+#: once; its fine times, values and bridge scratch take about as much again.
+_FORM_BYTES = 3 << 17
+
+#: Normals a skip pass draws and throws away per generator call.
+_SKIP_DRAWS = 1 << 13
 
 
 def _march(problem: SdeProblem, step, k: int, source) -> tuple:
@@ -322,6 +327,8 @@ def _march(problem: SdeProblem, step, k: int, source) -> tuple:
                 n_fallback[rows] += fell
             y[rows] = yn
             n += 1
+            if done is None and np.vdot(yn, yn) <= _STACK_SQ:
+                continue  # no row finishes, and _diverged would clear them all
             bad = _diverged(yn)
             drop = bad if done is None else bad | done
             if np.count_nonzero(drop):  # a third of .any()'s cost on a small mask
@@ -334,27 +341,18 @@ def _march(problem: SdeProblem, step, k: int, source) -> tuple:
     return y, diverged, n_fallback, n_steps, time.perf_counter() - t0
 
 
-def _march_batch(
-    problem: SdeProblem,
-    scheme: str,
-    times: Sequence[np.ndarray],
-    values: Sequence[np.ndarray],
-    levels: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """March a batch of samples with one fixed-step scheme.
+def _march_batch(problem: SdeProblem, scheme: str, grid: _RefinedChunks) -> tuple:
+    """March a batch of samples with one fixed-step scheme over ``grid``.
 
-    Row i steps over the grid ``refine_uniform(times[i], levels)``, or
-    ``times[i]`` itself at ``levels`` 0, whose Brownian values are
-    ``values[i]``: ``len(values[i]) - 1`` steps, at least one.  The steps
-    come from :func:`_refined_chunks` ``_STEP_CHUNK`` at a time, step-major,
-    with their ``S dW`` formed in one stacked product, so each step reads
-    contiguous views and its step map skips that product; once rows drop,
-    each step gathers its rows from the chunk.  Returns
-    (terminal states, diverged mask, fallback counts, wall time).
+    Row i takes ``grid.lengths[i]`` steps, at least one.  The steps come
+    from ``grid.chunk`` ``_STEP_CHUNK`` at a time, step-major, with their
+    ``S dW`` formed in one stacked product, so each step reads contiguous
+    views and its step map skips that product; once rows drop, each step
+    gathers its rows from the chunk.  Returns (terminal states, diverged
+    mask, fallback counts, wall time).
     """
     step = step_map(problem, scheme)
-    chunk = _refined_chunks(times, values, levels)
-    lengths = np.array([len(v) - 1 for v in values])
+    lengths = grid.lengths
     # Which rows finish is worked out only at the steps where some row does.
     ends = set(lengths.tolist())
     last = int(lengths.max())
@@ -364,7 +362,7 @@ def _march_batch(
         nonlocal hs, dws, noises
         j = n % _STEP_CHUNK
         if j == 0:
-            hs, dws = chunk(n, min(n + _STEP_CHUNK, last))
+            hs, dws = grid.chunk(n, min(n + _STEP_CHUNK, last))
             noises = _mix(problem, dws)
         done = lengths[rows] == n + 1 if n + 1 in ends else None
         return hs[j, rows], dws[j, rows], done, None, None, noises[j, rows]
@@ -373,58 +371,145 @@ def _march_batch(
     return y, diverged, n_fallback, elapsed
 
 
-def _refined_chunks(times: Sequence[np.ndarray], values: Sequence[np.ndarray], levels: int):
-    """``_march_batch``'s chunks of the grids ``refine_uniform(times[i],
-    levels)``, whose values are ``values[i]``, formed as they are asked for.
-    At ``levels`` 0 the grids are the times themselves.
+def _bisections(knots: np.ndarray, levels: int, out: list):
+    """Yields ``refine_uniform``'s bisections ``(a + b) * 0.5`` of the row-major
+    times ``knots``, level by level, into the buffers ``out`` by turns, the last into ``out[0]``."""
+    fine = knots
+    for l in range(levels):
+        pts, fine = fine, out[(levels - 1 - l) % 2][:, : 2 * fine.shape[1] - 1]
+        fine[:, ::2] = pts
+        mid = np.add(pts[:, :-1], pts[:, 1:], out=fine[:, 1::2])
+        mid *= 0.5
+        yield fine
 
-    Step sizes bisect only the coarse knots that span the steps asked for,
-    level by level, with ``refine_uniform``'s midpoints ``(a + b) * 0.5``;
-    increments subtract consecutive values row by row.  Both equal
-    ``np.diff`` of the stored grid and values bit for bit.  They are formed
-    for up to ``_FORM_BYTES`` of steps at a time, whole chunks, and served
-    from there.
+
+class _RefinedChunks:
+    """The steps of the grids ``refine_uniform(times[i], levels)``, formed a
+    window at a time, in time order, as the march asks for them.
+
+    ``values[i]`` are row i's Brownian values at ``times[i]`` and
+    ``rngs[i]`` its generator where ``refine_uniform`` would begin to draw.
+    A skip pass counts each level's draws from the bisected times and gives
+    each (row, level) a generator where they begin; ``refine_uniform`` draws
+    level by level, left to right, so each serves its level's windows in
+    order.  A window is whole coarse steps and whole ``_STEP_CHUNK`` chunks
+    of about ``_FORM_BYTES``, stacked over rows.  A midpoint equal to an end
+    of its interval (deep levels, or a row's padding) takes that end's value
+    and draws nothing, as ``refine_uniform`` keeps a knot.  So each window
+    is ``np.diff`` of the refined grid and values, bit for bit, and
+    ``grids[i]`` gets the values ``WienerPath._draw_many`` would draw after
+    the refinement (:meth:`finish`).  At ``levels`` 0 the grids are the
+    times themselves.
     """
-    k, m = len(times), values[0].shape[1]
-    n_fine = [len(v) - 1 for v in values]
-    last = max(n_fine)
-    # Coarse knots, step-major; a row's last knot pads it, so its padding
-    # bisects into steps of 0.
-    knots = np.empty((max(map(len, times)), k))
-    for i, t in enumerate(times):
-        knots[: len(t), i] = t
-        knots[len(t) :, i] = t[-1]
-    span = _STEP_CHUNK * max(1, _FORM_BYTES // (_STEP_CHUNK * k * (m + 1) * 8))
-    dws = np.zeros((span, k, m))
-    base = end = 0  # steps base..end - 1 are formed, their sizes in hs
-    hs = None
 
-    def form(lo, hi):
-        first = (lo >> levels) << levels  # fine index of pts[0]
-        pts = knots[lo >> levels : -(-hi >> levels) + 1]
-        for s in range(levels - 1, -1, -1):
-            fine = np.empty((2 * len(pts) - 1, k))
-            fine[::2] = pts
-            mid = np.add(pts[:-1], pts[1:], out=fine[1::2])
-            mid *= 0.5
-            # Keep the points, 2**s apart, that span fine indices lo..hi.
-            a = (lo >> s) - (first >> s)
-            pts = fine[a : a + (-(-hi >> s) - (lo >> s)) + 1]
-            first = (lo >> s) << s
-        for i, w in enumerate(values):
-            end = min(hi, n_fine[i])
-            if lo < end:
-                np.subtract(w[lo + 1 : end + 1], w[lo:end], out=dws[: end - lo, i])
-        return np.subtract(pts[1:], pts[:-1])
+    def __init__(self, times, values, levels: int, rngs=(), grids=()):
+        k, m, n = len(times), values[0].shape[1], max(map(len, times))
+        # Coarse knots and values, row-major; a row's last knot pads it, so
+        # its padding bisects into steps of 0.
+        self.knots, self.coarse = np.empty((k, n)), np.empty((k, n, m))
+        for i, (t, w) in enumerate(zip(times, values)):
+            self.knots[i], self.coarse[i] = t[-1], w[-1]
+            self.knots[i, : len(t)], self.coarse[i, : len(t)] = t, w
+        self.levels, self.lengths = levels, np.array([len(t) - 1 for t in times]) << levels
+        unit = max(_STEP_CHUNK, 1 << levels)  # both powers of two
+        span = unit * max(1, _FORM_BYTES // (unit * k * (m + 1) * 8))
+        self.hs, self.dws = np.empty((span, k)), np.empty((span, k, m))
+        # Every window reuses one set of buffers: the last two levels' times
+        # and values, and the last level's normals and bridge scratch.
+        self.times = [np.empty((k, span + 1)), np.empty((k, span // 2 + 1))]
+        self.values = [np.empty((k, span + 1, m)), np.empty((k, span // 2 + 1, m))]
+        self.z, self.work = np.empty((k * span // 2, m)), np.empty((3, k, span // 2))
+        self.span = span >> levels  # coarse steps per window
+        self.end = self.base = 0  # coarse steps formed: the window is base..end - 1
+        counts = np.zeros((k, levels), dtype=int)
+        for c in range(0, n - 1, self.span):
+            for l, fine in enumerate(_bisections(self.knots[:, c : c + self.span + 1], levels, self.times)):
+                counts[:, l] += np.count_nonzero(self._drawn(fine)[1], axis=1)
+        self.cursors, scratch = [[] for _ in rngs], np.empty(_SKIP_DRAWS)
+        for rng, cursors, row in zip(rngs, self.cursors, (counts * m).tolist()):
+            for c in row:  # a generator where each level's draws begin
+                cursors.append(np.random.Generator(copy.copy(rng.bit_generator)))
+                for lo in range(0, c, _SKIP_DRAWS):  # drawn and thrown away
+                    rng.standard_normal(out=scratch[: min(_SKIP_DRAWS, c - lo)])
+        self.rngs, self.grids, self.served = rngs, grids, [0] * len(grids)  # grid times valued so far
+        self.grid_values = [np.empty((len(g), m)) for g in grids]
 
-    def chunk(lo, hi):
-        nonlocal base, end, hs
-        if not base <= lo < hi <= end:
-            base, end = lo, min(lo + span, last)
-            hs = form(base, end)
-        return hs[lo - base : hi - base], dws[lo - base : hi - base]
+    @staticmethod
+    def _drawn(fine):
+        """Which midpoints of a bisection ``fine`` equal their left end, and
+        which draw: those equal to neither end."""
+        a, b, mid = fine[:, :-1:2], fine[:, 2::2], fine[:, 1::2]
+        at_a = mid == a
+        return at_a, ~at_a & (mid != b)
 
-    return chunk
+    def _bisect_values(self, l: int, fine, w) -> np.ndarray:
+        """Level ``l``'s values at the bisection ``fine`` of the times where they are ``w``."""
+        out = self.values[(self.levels - 1 - l) % 2][:, : fine.shape[1]]
+        out[:, ::2] = w
+        wa, wb, wm = w[:, :-1], w[:, 1:], out[:, 1::2]
+        at_a, drawn = self._drawn(fine)
+        ends = np.cumsum(np.count_nonzero(drawn, axis=1)).tolist()
+        z = self.z[: ends[-1]]
+        for cursors, lo, hi in zip(self.cursors, [0] + ends, ends):
+            cursors[l].standard_normal(out=z[lo:hi])
+        every = len(z) == drawn.size
+        if not every:  # midpoints on an end draw nothing
+            z, drawn_z = np.zeros(wm.shape), z
+            z[drawn] = drawn_z
+        with np.errstate(invalid="ignore", divide="ignore"):
+            work = self.work[:, :, : wm.shape[1]]
+            _bridge_rows(fine[:, 1::2], fine[:, :-1:2], fine[:, 2::2], wa, wb, z.reshape(wm.shape), wm, work)
+        if not every:  # and keep that end's value
+            np.copyto(wm, np.where(at_a[..., None], wa, wb), where=~drawn[..., None])
+        return out
+
+    def _serve_grids(self, t, w) -> None:
+        """Value the grid times up to the window's end, from its times ``t``
+        and values ``w`` and each row's own generator."""
+        k, P, m = w.shape
+        his = [np.searchsorted(g, t[i, -1], side="right") for i, g in enumerate(self.grids)]
+        new = [g[lo:hi] for g, lo, hi in zip(self.grids, self.served, his)]
+        host = np.concatenate([np.searchsorted(t[i], g) + i * P for i, g in enumerate(new)])
+        normals = lambda h: np.concatenate(
+            [rng.standard_normal((n, m)) for rng, n in zip(self.rngs, np.bincount(h // P, minlength=k))])
+        vals = _draw_at(normals, t.ravel(), w.reshape(-1, m), np.concatenate(new), host)[0]
+        ends = np.cumsum([len(g) for g in new]).tolist()
+        for i, lo, hi in zip(range(k), [0] + ends, ends):
+            self.grid_values[i][self.served[i] : his[i]] = vals[lo:hi]
+        self.served = his
+
+    def _form(self) -> None:
+        """The next window's step-major sizes and increments, and its grid values."""
+        c0 = self.end
+        c1 = min(c0 + self.span, self.knots.shape[1] - 1)
+        t, w = self.knots[:, c0 : c1 + 1], self.coarse[:, c0 : c1 + 1]
+        for l, t in enumerate(_bisections(t, self.levels, self.times)):
+            w = self._bisect_values(l, t, w)
+        if self.grids:
+            self._serve_grids(t, w)
+        n = t.shape[1] - 1
+        np.subtract(t[:, 1:], t[:, :-1], out=self.hs[:n].T)
+        np.subtract(w[:, 1:], w[:, :-1], out=self.dws[:n].transpose(1, 0, 2))
+        self.base, self.end = c0, c1
+
+    def chunk(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Fine steps ``lo..hi - 1``, asked for in order and each inside one
+        window: (step sizes (n, k), increments (n, k, m))."""
+        while hi > self.end << self.levels:
+            self._form()
+        lo, hi = lo - (self.base << self.levels), hi - (self.base << self.levels)
+        return self.hs[lo:hi], self.dws[lo:hi]
+
+    def finish(self) -> list[np.ndarray]:
+        """The grids' values, once every window is formed; times past a row's
+        last knot (a diverged adaptive solve's) extend its path forward."""
+        while self.end < self.knots.shape[1] - 1:
+            self._form()
+        for i, (g, rng, lo) in enumerate(zip(self.grids, self.rngs, self.served)):
+            if lo < len(g):
+                normals = lambda h: rng.standard_normal((len(h), self.coarse.shape[2]))
+                self.grid_values[i][lo:] = _draw_at(normals, self.knots[i, -1:], self.coarse[i, -1:], g[lo:])[0]
+        return self.grid_values
 
 
 def _solve_adaptive_batch(
@@ -487,43 +572,19 @@ def _solve_adaptive_batch(
     ]
 
 
-def _layout(solved: Sequence[SolveResult], levels: int, m: int) -> list[range]:
-    """Split the samples into consecutive blocks by padded reference bytes.
-
-    A block of k samples is charged ``k * L_max * (m + 1) * 8`` bytes, with
-    ``L_i = n_steps_i * 2**levels``: padded (k, L_max) step sizes and
-    (k, L_max, m) increments.  It holds only each sample's ``(L_i + 1, m)``
-    refined values, so the charge over-counts them.  It bounds a block's
-    memory and nothing else: no table depends on the block boundaries.
-    Walking the samples in index order, a block closes before the sample
-    that would push it past ``_BLOCK_BYTES``; a sample over the budget on
-    its own is marched alone.
-    """
-    blocks, lo, L_max = [], 0, 0
-    for i, res in enumerate(solved):
-        L_i = res.n_steps << levels
-        if i > lo and (i + 1 - lo) * max(L_max, L_i) * (m + 1) * 8 > _BLOCK_BYTES:
-            blocks.append(range(lo, i))
-            lo, L_max = i, 0
-        L_max = max(L_max, L_i)
-    blocks.append(range(lo, len(solved)))
-    return blocks
-
-
 def _run_block(
     config: ExperimentConfig, problem: SdeProblem, seeds: Sequence[int], solved: Sequence[SolveResult]
 ) -> tuple[np.ndarray, dict[str, tuple[np.ndarray, ...]]]:
-    """Protocol steps 3-5 for a block of samples whose adaptive solves are done.
+    """Protocol steps 2-5 for a block of samples whose adaptive solves are done.
 
     ``seeds`` are the samples' path seeds.  The adaptive march only draws
     forward, so querying a fresh path with the same seed at the solve's knot
-    times replays its draws exactly; the
-    rebuilt path then continues as if ``solve()`` had just run on it.  The
-    block keeps each sample's refined store as it is, with no padding, and
-    the reference march forms its steps from it a chunk at a time
-    (``_refined_chunks``).  The uniform grids' values are drawn without
-    being merged into that store, and each fixed-step march forms its steps
-    from them the same way, as a refinement of depth 0.
+    times replays its draws exactly; its generator then stands where
+    ``refine_uniform`` would begin.  The reference march forms its steps
+    from those knot values and generators a window at a time
+    (:class:`_RefinedChunks`), and the same windows give the uniform grids'
+    values.  Each fixed-step march forms its steps from those the same way,
+    as a refinement of depth 0.
 
     Returns each sample's two :class:`MomentStats` sums as a (k, 2) array
     and, per scheme, four columns in sample order: squared terminal errors
@@ -532,25 +593,22 @@ def _run_block(
     """
     T, m, k = problem.t_end, problem.m, len(seeds)
     moments = np.empty((k, 2))
-    knots, fine_values, grids, grid_values = [], [], [], []
+    knots, knot_values, rngs, grids = [], [], [], []
     for j, (seed, adaptive) in enumerate(zip(seeds, solved)):
         path = WienerPath(m, seed=seed)
-        times = adaptive.mesh_times()
+        knots.append(adaptive.mesh_times())
+        knot_values.append(path.value_at_many(knots[-1]))
+        rngs.append(path.rng)
+        grids.append(np.linspace(0.0, T, max(1, int(round(T / adaptive.mean_h))) + 1))
         # Conditional-moment accumulators for the adaptive mesh.
-        dws = np.diff(path.value_at_many(times), axis=0)
-        hs = adaptive.mesh
+        dws, hs = np.diff(knot_values[-1], axis=0), adaptive.mesh
         moments[j] = (dws / np.sqrt(hs)[:, None]).sum(), ((dws**2).sum(axis=1) / hs).sum()
 
-        knots.append(times)
-        # The refined store itself, as a view; the fine times are not kept.
-        fine_values.append(path.values_on_grid(path.refine_uniform(times, config.levels)))
-
-        grids.append(np.linspace(0.0, T, max(1, int(round(T / adaptive.mean_h))) + 1))
-        grid_values.append(path._draw_many(grids[-1])[0])  # read once, so not merged into the store
-    del path
-
-    ref_y, ref_div, _, _ = _march_batch(problem, "balanced", knots, fine_values, config.levels)
-    del knots, fine_values
+    reference = _RefinedChunks(knots, knot_values, config.levels, rngs, grids)
+    del knots, knot_values
+    ref_y, ref_div, _, _ = _march_batch(problem, "balanced", reference)
+    grid_values = reference.finish()
+    del reference
 
     columns = {}
     for scheme in config.schemes:
@@ -560,7 +618,7 @@ def _run_block(
             fall = np.array([r.n_backstop for r in solved])
             wall = np.array([r.wall_time for r in solved])
         else:
-            y, div, fall, elapsed = _march_batch(problem, scheme, grids, grid_values, 0)
+            y, div, fall, elapsed = _march_batch(problem, scheme, _RefinedChunks(grids, grid_values, 0))
             wall = np.full(k, elapsed / k)
         diff = y - ref_y
         with np.errstate(over="ignore", invalid="ignore"):
@@ -569,17 +627,14 @@ def _run_block(
     return moments, columns
 
 
-def _run_chunk(config: ExperimentConfig, h_max: float, indices: Sequence[int]) -> tuple[list[SolveResult], list]:
-    """Protocol steps 1-5 for the samples ``indices`` of one ``h_max``.
-
-    Returns their adaptive solves and, for each block of ``_layout`` over
-    those solves, ``_run_block``'s results, all in sample order.
+def _run_chunk(config: ExperimentConfig, h_max: float, indices: Sequence[int]) -> tuple[list[SolveResult], tuple]:
+    """Protocol steps 1-5 for the samples ``indices`` of one ``h_max``, as one
+    block: their adaptive solves and ``_run_block``'s results, in sample order.
     """
     problem = problem_by_name(config.problem)
     seeds = [config.master_seed ^ i for i in indices]
     solved = _solve_adaptive_batch(problem, MeshConfig(h_max=h_max, rho=config.rho), seeds)
-    blocks = _layout(solved, config.levels, problem.m)
-    return solved, [_run_block(config, problem, seeds[b.start : b.stop], solved[b.start : b.stop]) for b in blocks]
+    return solved, _run_block(config, problem, seeds, solved)
 
 
 def _worker_count(workers: Optional[int]) -> int:
@@ -602,9 +657,9 @@ def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> C
     ``workers`` > 1 splits each ``h_max``'s samples into contiguous chunks,
     and each process runs its chunk end to end (the default comes from the
     ADAPTSDE_WORKERS environment variable, else 1); only then do the pool's
-    modules load.  Results are bit-identical for any worker count and block
-    layout: sample seeds and every march treat each sample on its own, and
-    the aggregation is ordered by sample index.
+    modules load.  Results are bit-identical for any worker count, which
+    sets the blocks: sample seeds and every march treat each sample on its
+    own, and the aggregation is ordered by sample index.
     """
     problem = problem_by_name(config.problem)
     nworkers = _worker_count(workers)
@@ -619,7 +674,7 @@ def run_experiment(config: ExperimentConfig, workers: Optional[int] = None) -> C
         for h_max in config.h_max_list:
             done = list(run(_run_chunk, repeat(config), repeat(h_max), chunks))
             solved = [r for rs, _ in done for r in rs]
-            results = [block for _, blocks in done for block in blocks]
+            results = [block for _, block in done]
             # A left-to-right fold over (h_max, sample): np.sum, math.fsum
             # and, from Python 3.12, sum() of floats all round differently.
             for dw_sum, normsq_sum in np.concatenate([mom_k for mom_k, _ in results]).tolist():

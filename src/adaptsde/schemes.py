@@ -94,7 +94,8 @@ def _hcol(h, y):
 
 def _vnorm(x: np.ndarray) -> np.ndarray:
     """Euclidean norm along the last axis; cheaper than np.linalg.norm in a loop."""
-    return np.sqrt(np.add.reduce(np.square(x), axis=-1))
+    sq = np.add.reduce(np.square(x), axis=-1)
+    return np.sqrt(sq, out=sq) if sq.ndim else np.sqrt(sq)  # a 1-D x reduces to a scalar
 
 
 @functools.cache
@@ -217,7 +218,8 @@ def _noise(problem: SdeProblem, amp: np.ndarray, dW, noise=None) -> np.ndarray:
 
 def _col_norms(problem: SdeProblem, amp: np.ndarray) -> np.ndarray:
     """Column norms ``||g_r(y)||`` of the diffusion matrix, shape (..., m)."""
-    return np.sqrt(np.vecmat(np.square(amp), problem.S2))
+    sq = np.vecmat(np.square(amp), problem.S2)
+    return np.sqrt(sq, out=sq)
 
 
 def step_semi_implicit(
@@ -245,11 +247,17 @@ def step_balanced(problem: SdeProblem, y: np.ndarray, h, dW: np.ndarray, noise=N
     D = problem.drift(y)
     amp = problem.g(y)
     dW = np.asarray(dW)
-    num = _hcol(h, y) * D + _noise(problem, amp, dW, noise)
+    num = _hcol(h, y) * D
+    num += _noise(problem, amp, dW, noise)
     # ||g_r dW_r|| = |dW_r| ||g_r||
     noise_norm = np.add.reduce(np.abs(dW) * _col_norms(problem, amp), axis=-1)
-    denom = 1.0 + np.asarray(h) * _vnorm(D) + noise_norm
-    return y + num / denom[..., None]
+    denom = _vnorm(D)
+    denom *= h
+    denom += 1.0
+    denom += noise_norm
+    num /= denom[..., None]
+    num += y
+    return num
 
 
 def step_increment_tamed(problem: SdeProblem, y: np.ndarray, h, dW: np.ndarray, noise=None) -> np.ndarray:

@@ -25,9 +25,8 @@ Storage.  Knots sit in sorted buffers with amortized-constant appends.
 times in vector passes by rank in their host interval (rank r is flanked by
 the rank r - 1 value, rank 0 by existing knots), extends past the end and
 merges once; ``_draw_many`` is that draw without the merge, for values read
-once.  ``refine_uniform`` on every knot over its span builds the fine
-store once, old knots at stride ``2**levels``, and fills each level into
-strided slices; other grids take one ``value_at_many`` per level.
+once, and ``_draw_at`` is the draw itself, on any sorted knots and any
+generator.  ``refine_uniform`` takes one ``value_at_many`` per level.
 """
 
 from __future__ import annotations
@@ -43,9 +42,10 @@ __all__ = ["WienerPath"]
 
 
 def _bridge_rows(t, ta, tb, wa, wb, z, out=None, work=None) -> np.ndarray:
-    """``WienerPath._bridge``'s arithmetic (IEEE + and * commute), one row
-    per time, into ``out``; ``z`` and the (3, len(t)) ``work`` are scratch."""
-    after, span, sd = np.empty((3, len(t))) if work is None else work
+    """``WienerPath._bridge``'s arithmetic (IEEE + and * commute) at times ``t``
+    of any shape, into ``out`` of shape ``t.shape + (m,)``; ``z`` and the
+    ``(3,) + t.shape`` ``work`` are scratch."""
+    after, span, sd = np.empty((3, *np.shape(t))) if work is None else work
     np.subtract(t, ta, out=after)
     np.subtract(tb, ta, out=span)
     np.subtract(tb, t, out=sd)
@@ -53,11 +53,47 @@ def _bridge_rows(t, ta, tb, wa, wb, z, out=None, work=None) -> np.ndarray:
     sd /= span
     after /= span
     out = np.subtract(wb, wa, out=out)
-    out *= after[:, None]
+    out *= after[..., None]
     out += wa
-    z *= np.sqrt(sd, out=sd)[:, None]
+    z *= np.sqrt(sd, out=sd)[..., None]
     out += z
     return out
+
+
+def _draw_at(normals, kt: np.ndarray, kw: np.ndarray, ts: np.ndarray, host=None) -> tuple:
+    """Values at the ascending times ``ts`` on knots ``kt`` with values
+    ``kw``: ``(values, times, host rows, new-time mask)``.  A time on a knot
+    takes its value (a repeated knot time has one value), one between knots
+    is bridged by rank in its interval, one past the last knot extends the
+    path.  ``normals(h)`` gives a row of m normals per new time with host
+    row ``h``: a generator's gives ``value_at``'s draws and bits on each
+    time in turn.  Where ``kt`` is sorted only piecewise, pass ``host``,
+    ``np.searchsorted`` within each time's piece."""
+    n, out = len(kt), np.empty((len(ts), kw.shape[1]))
+    host = np.searchsorted(kt, ts) if host is None else host
+    known = kt[np.minimum(host, n - 1)] == ts
+    out[known] = kw[host[known]]
+    inner = np.flatnonzero(~known & (host < n))
+    if len(inner):
+        t, h = ts[inner], host[inner]
+        # rank: new times before this one in its host interval
+        rank = np.arange(len(h)) - np.searchsorted(h, h, side="left")
+        z = normals(h)
+        vals = np.empty_like(z)
+        by_rank, ends = np.argsort(rank, kind="stable"), np.cumsum(np.bincount(rank)).tolist()
+        for r, (lo, hi) in enumerate(zip([0] + ends, ends)):
+            j = by_rank[lo:hi]
+            ta, wa = (t[j - 1], vals[j - 1]) if r else (kt[h[j] - 1], kw[h[j] - 1])
+            vals[j] = _bridge_rows(t[j], ta, kt[h[j]], wa, kw[h[j]], z[j])
+        out[inner] = vals
+    tail = host == n
+    if tail.any():
+        # Forward increments, cumulated from the last knot value so the
+        # additions associate as in repeated single-step extension.
+        dts = np.diff(np.concatenate((kt[n - 1 :], ts[tail])))
+        steps = np.sqrt(dts)[:, None] * normals(host[tail])
+        out[tail] = np.cumsum(np.vstack([kw[n - 1], steps]), axis=0)[1:]
+    return out, ts, host, ~known
 
 
 class WienerPath:
@@ -200,30 +236,8 @@ class WienerPath:
             raise ValueError("times must be finite and nonnegative")
         if not (ts[1:] > ts[:-1]).all():
             raise ValueError("times must be strictly ascending")
-        n, out = self._n, np.empty((len(ts), self.dim))
-        host = np.searchsorted(self._t[:n], ts, side="left")
-        known = self._t[np.minimum(host, n - 1)] == ts
-        out[known] = self._w[host[known]]
-        inner = np.flatnonzero(~known & (host < n))
-        if len(inner):
-            t, h = ts[inner], host[inner]
-            # rank: new times before this one in its host interval
-            rank = np.arange(len(h)) - np.searchsorted(h, h, side="left")
-            z = self.rng.standard_normal((len(t), self.dim))
-            vals = np.empty_like(z)
-            by_rank = np.argsort(rank, kind="stable")
-            for r, j in enumerate(np.split(by_rank, np.cumsum(np.bincount(rank))[:-1])):
-                ta, wa = (t[j - 1], vals[j - 1]) if r else (self._t[h[j] - 1], self._w[h[j] - 1])
-                vals[j] = _bridge_rows(t[j], ta, self._t[h[j]], wa, self._w[h[j]], z[j])
-            out[inner] = vals
-        tail = host == n
-        if tail.any():
-            # Forward increments, cumulated from the last knot value so the
-            # additions associate as in repeated single-step extension.
-            dts = np.diff(np.concatenate((self._t[n - 1 : n], ts[tail])))
-            steps = np.sqrt(dts)[:, None] * self.rng.standard_normal((len(dts), self.dim))
-            out[tail] = np.cumsum(np.vstack([self._w[n - 1], steps]), axis=0)[1:]
-        return out, ts, host, ~known
+        normals = lambda new: self.rng.standard_normal((len(new), self.dim))
+        return _draw_at(normals, self._t[: self._n], self._w[: self._n], ts)
 
     def _merge(self, host: np.ndarray, ts: np.ndarray, ws: np.ndarray) -> None:
         """Record new knots before their ascending store rows ``host``; those
@@ -247,31 +261,14 @@ class WienerPath:
         grid = np.asarray(times, dtype=float)
         if not len(grid):
             raise ValueError("times must hold at least one knot")
-        n, stride, pos = self._n, 1 << levels, self._knot_rows(grid)
+        self._knot_rows(grid)
+        stride = 1 << levels
         fine = np.empty((len(grid) - 1) * stride + 1)
         fine[::stride] = grid
-        strides = [stride >> i for i in range(levels)]
-        for s in strides:
+        for s in [stride >> i for i in range(levels)]:
             mid = np.add(fine[:-1:s], fine[s::s], out=fine[s // 2 :: s])
             mid *= 0.5
-        lo, hi = pos[0], pos[0] + len(grid)
-        if not (np.array_equal(pos, np.arange(lo, hi)) and (fine[1:] > fine[:-1]).all()):
-            # A subset of the knots, or midpoints that round onto a knot.
-            for s in strides:
-                self.value_at_many(np.unique(fine[s // 2 :: s]))
-            return fine
-        t = np.concatenate((self._t[:lo], fine, self._t[hi:n]))
-        w = np.empty((len(t), self.dim))
-        w[:lo], w[lo + len(fine) :] = self._w[:lo], self._w[hi:n]
-        fw = w[lo : lo + len(fine)]
-        fw[::stride] = self._w[lo:hi]
-        work, z = np.empty((3, len(fine) // 2)), np.empty((len(fine) // 2, self.dim))
-        for s in strides:  # scratch for the last level serves every level
-            k, mid = len(fine) // s, slice(s // 2, None, s)
-            self.rng.standard_normal(out=z[:k])
-            ends = fine[mid], fine[:-1:s], fine[s::s], fw[:-1:s], fw[s::s]
-            _bridge_rows(*ends, z[:k], fw[mid], work[:, :k])
-        self._t, self._w, self._n, self._cap = t, w, len(t), len(t)
+            self.value_at_many(np.unique(mid))
         return fine
 
     def values_on_grid(self, ts: Sequence[float]) -> np.ndarray:

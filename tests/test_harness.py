@@ -20,9 +20,8 @@ from adaptsde.harness import (
     ExperimentConfig,
     OrderFit,
     TableRow,
-    _layout,
     _march_batch,
-    _refined_chunks,
+    _RefinedChunks,
     _run_block,
     _solve_adaptive_batch,
     _worker_count,
@@ -279,89 +278,67 @@ class TestExperimentDeterminism:
         assert abs(mom.mean_normsq() - 1.0) < 0.5
 
 
-class TestBlockLayout:
-    @staticmethod
-    def meshes(steps):
-        return [SolveResult(np.zeros(1), np.full(n, 0.5 / n), 0, 0.0) for n in steps]
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(
-        steps=st.lists(st.integers(1, 400), min_size=1, max_size=30),
-        levels=st.integers(1, 6),
-        m=st.integers(1, 4),
-        data=st.data(),
-    )
-    def test_blocks_are_consecutive_and_fit_the_budget(self, steps, levels, m, data):
-        nbytes = lambda b: len(b) * max(steps[i] << levels for i in b) * (m + 1) * 8
-        budget = data.draw(st.integers(0, nbytes(range(len(steps)))))
-        with mock.patch.object(harness, "_BLOCK_BYTES", budget):
-            blocks = _layout(self.meshes(steps), levels, m)
-        assert [i for b in blocks for i in b] == list(range(len(steps)))
-        assert all(len(b) >= 1 for b in blocks)
-        for b in blocks:
-            assert len(b) == 1 or nbytes(b) <= budget
-        # greedy: each closed block would overflow with the next sample
-        for b, nxt in zip(blocks, blocks[1:]):
-            assert nbytes(range(b.start, nxt.start + 1)) > budget
-
-    def test_default_budget_holds_a_desk_sweep_in_one_block(self):
-        # 32 gl paths at h_max 0.00025 (4001 steps, 64x refined): 131 MB.
-        assert _layout(self.meshes([4001] * 32), 6, 1) == [range(32)]
-
-
-def one_sample_blocks_match_default(config):
-    default = run_experiment(config, workers=1)
-    with mock.patch.object(harness, "_BLOCK_BYTES", 0):
-        for workers in (1, 2):
-            assert_tables_match(default, run_experiment(config, workers=workers))
+def blocks_match_at_any_layout(config):
+    """The table is byte-equal at 1, 2 and 3 workers, whose chunks are the
+    blocks, and each sample's block of one gives its row of the whole block."""
+    tables = [run_experiment(config, workers=w) for w in (1, 2, 3)]
+    for other in tables[1:]:
+        assert_tables_match(tables[0], other)
+    indices = range(config.samples)
+    for h_max in config.h_max_list:
+        solved = adaptive_solves(config, h_max, indices)
+        moments, cols = run_block(config, indices, solved)
+        for i in indices:
+            moments_i, cols_i = run_block(config, [i], solved[i : i + 1])
+            assert moments_i.tobytes() == moments[i : i + 1].tobytes()
+            for scheme in config.schemes:
+                for alone, whole in zip(cols_i[scheme][:3], cols[scheme][:3]):
+                    assert alone.tobytes() == whole[i : i + 1].tobytes()
 
 
 class TestLayoutIndependence:
     """A table must not depend on how the samples are split into blocks."""
 
     def test_gbm(self):
-        one_sample_blocks_match_default(small_gbm_config())
+        blocks_match_at_any_layout(small_gbm_config())
 
     def test_gl(self):
-        one_sample_blocks_match_default(
+        blocks_match_at_any_layout(
             ExperimentConfig(problem="gl", h_max_list=(0.25, 0.025), samples=4, levels=3, master_seed=11)
         )
 
     def test_svol(self):
-        one_sample_blocks_match_default(
+        blocks_match_at_any_layout(
             ExperimentConfig(problem="svol", h_max_list=(0.25, 0.025), samples=4, levels=3, master_seed=5)
         )
 
     def test_fhn05(self):
-        one_sample_blocks_match_default(
+        blocks_match_at_any_layout(
             ExperimentConfig(problem="fhn05", h_max_list=(0.25, 0.025), samples=4, levels=3, master_seed=3)
         )
 
     def test_fhn01(self):
-        one_sample_blocks_match_default(
+        blocks_match_at_any_layout(
             ExperimentConfig(problem="fhn01", h_max_list=(0.25, 0.025), samples=6, levels=3, master_seed=13)
         )
 
     def test_spde(self):
-        one_sample_blocks_match_default(
+        blocks_match_at_any_layout(
             ExperimentConfig(problem="spde", h_max_list=(0.25, 0.05), samples=3, levels=2, master_seed=2)
         )
 
 
 @pytest.mark.parametrize("name,h_max", [("fhn01", 0.025), ("spde", 0.05)])
 def test_blocks_across_chunk_boundaries_give_the_same_table(name, h_max):
-    # A budget of under three of the finest level's longest samples makes
-    # blocks of two or three samples, which the chunks of two and three
-    # workers cut through.  The budget is patched before the pool forks, so
-    # every worker lays its chunk out with it.
+    # Each worker's chunk is one block: one, two and three workers march the
+    # seven samples in blocks of 7, 4 + 3 and 3 + 2 + 2.  Each block forms
+    # its reference in windows of the default size and of the smallest, a
+    # chunk of steps; the budget is patched before the pool forks, so every
+    # worker uses it.
     cfg = ExperimentConfig(problem=name, h_max_list=(0.25, h_max), samples=7, levels=2, master_seed=21)
-    m = problem_by_name(name).m
-    solved = adaptive_solves(cfg, h_max, range(cfg.samples))
-    budget = 3 * max(r.n_steps << cfg.levels for r in solved) * (m + 1) * 8 - 1
-    with mock.patch.object(harness, "_BLOCK_BYTES", budget):
-        blocks = _layout(solved, cfg.levels, m)
-        assert all(len(b) in (2, 3) for b in blocks[:-1]) and len(blocks) >= 3
-        tables = [run_experiment(cfg, workers=w) for w in (1, 2, 3)]
+    tables = [run_experiment(cfg, workers=w) for w in (1, 2, 3)]
+    with mock.patch.object(harness, "_FORM_BYTES", 0):
+        tables += [run_experiment(cfg, workers=w) for w in (1, 2, 3)]
     for other in tables[1:]:
         assert_tables_match(tables[0], other)
 
@@ -493,7 +470,7 @@ def test_solve_and_batched_march_step_alike(name, scheme):
     res = solve(p, scheme, path, h=2.0**-5)
     times = res.mesh_times()
     assert np.diff(times).tobytes() == res.mesh.tobytes()
-    y, diverged, n_fallback, _ = _march_batch(p, scheme, [times], [path.values_on_grid(times)], 0)
+    y, diverged, n_fallback, _ = _march_batch(p, scheme, _RefinedChunks([times], [path.values_on_grid(times)], 0))
     assert y[0].tobytes() == res.y_terminal.tobytes()
     assert diverged[0] == res.diverged
     assert n_fallback[0] == res.n_backstop
@@ -557,13 +534,13 @@ def test_each_row_of_a_ragged_block_marches_as_alone(name, scheme, data):
     times, values = uniform_rows(p, lengths, h, rng)
     bad = data.draw(st.integers(0, k - 1))
     plant_nan(values, bad, data.draw(st.integers(0, lengths[bad] - 1)))
-    y, diverged, n_fallback, _ = _march_batch(p, scheme, times, values, 0)
+    y, diverged, n_fallback, _ = _march_batch(p, scheme, _RefinedChunks(times, values, 0))
     assert diverged[bad]
     y_ref, div_ref, _ = march_by_index(p, scheme, times, values)
     assert y.tobytes() == y_ref.tobytes()
     assert diverged.tolist() == div_ref.tolist()
     for i in range(k):
-        yi, di, fi, _ = _march_batch(p, scheme, times[i : i + 1], values[i : i + 1], 0)
+        yi, di, fi, _ = _march_batch(p, scheme, _RefinedChunks(times[i : i + 1], values[i : i + 1], 0))
         assert (diverged[i], n_fallback[i]) == (di[0], fi[0])
         assert y[i].tobytes() == yi[0].tobytes()
 
@@ -589,11 +566,45 @@ def test_chunked_march_equals_a_per_step_march(name, scheme, data):
     if data.draw(st.booleans()):
         bad = data.draw(st.integers(0, k - 1))
         plant_nan(values, bad, data.draw(st.integers(0, lengths[bad] - 1)))
-    y, diverged, n_fallback, _ = _march_batch(p, scheme, times, values, 0)
+    y, diverged, n_fallback, _ = _march_batch(p, scheme, _RefinedChunks(times, values, 0))
     y_ref, div_ref, fall_ref = march_by_index(p, scheme, times, values)
     assert y.tobytes() == y_ref.tobytes()
     assert diverged.tolist() == div_ref.tolist()
     assert n_fallback.tolist() == fall_ref.tolist()
+
+
+def twin_refinement(m, seed, times, levels, grid):
+    """What the streamed source must reproduce, from a path that stores its
+    refinement: the fine grid, its values, the grid's values drawn after the
+    refinement, and the generator's state at the end."""
+    twin = WienerPath(m, seed=seed)
+    twin.value_at_many(times)
+    fine = twin.refine_uniform(times, levels) if levels else times
+    vals = twin.values_on_grid(fine)
+    return fine, vals, twin._draw_many(grid)[0], twin.rng.bit_generator.state
+
+
+def streamed(m, seed, times, levels, grid):
+    """A path's knot values at ``times`` and its generator, as the harness
+    hands them to the source."""
+    path = WienerPath(m, seed=seed)
+    return path.value_at_many(times), path.rng
+
+
+def assert_windows_match(source, fine, vals, stop=None):
+    """Ask ``source`` for its steps a chunk at a time, as the march does,
+    up to chunk ``stop``: each must be ``np.diff`` of the stored grid."""
+    last = int(source.lengths.max())
+    for n in list(range(0, last, harness._STEP_CHUNK))[:stop]:
+        hi = min(n + harness._STEP_CHUNK, last)
+        # A chunk holds until the next call: compare it before that.
+        hs, dws = source.chunk(n, hi)
+        assert hs.shape == (hi - n, len(fine)) and dws.shape == (hi - n, len(fine), vals[0].shape[1])
+        for i, (t, w) in enumerate(zip(fine, vals)):
+            end = min(hi, len(t) - 1)
+            if n < end:
+                assert hs[: end - n, i].tobytes() == np.diff(t)[n:end].tobytes()
+                assert dws[: end - n, i].tobytes() == np.diff(w, axis=0)[n:end].tobytes()
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -602,64 +613,118 @@ def test_chunked_march_equals_a_per_step_march(name, scheme, data):
     levels=st.integers(0, 10),
     meshes=st.lists(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=5), min_size=1, max_size=4),
     seed=st.integers(0, 2**32 - 1),
-    form_bytes=st.sampled_from([0, harness._FORM_BYTES]),
+    smallest=st.booleans(),
     data=st.data(),
 )
-def test_refined_chunks_equal_the_stored_grid(m, levels, meshes, seed, form_bytes, data):
+def test_refined_chunks_equal_the_stored_grid(m, levels, meshes, seed, smallest, data):
     # Random adaptive meshes with ragged step counts, refined up to 2**10
-    # times, so one coarse step can span several chunks, formed one chunk
-    # or many at a time: every chunk must hold np.diff of the refined grid
-    # and of its values, as bytes.  Depth 0 is the mesh itself, as the
-    # fixed-step marches use it.  A fresh source serves one more window at
-    # an arbitrary first step.
-    times, values, dt, dw = [], [], [], []
+    # times, streamed in windows of one coarse step or of the default size:
+    # every chunk must hold np.diff of a twin path's refine_uniform grid and
+    # values, as bytes.  Depth 0 is the mesh itself, as the fixed-step
+    # marches use it.  Each row's uniform grid holds fine knots, times two
+    # to one fine interval and times past its last knot, as a diverged
+    # solve's would; it must get the twin's values, drawn after the
+    # refinement, wherever the march stops asking for steps.
+    times, knot_values, rngs, grids, fine, vals, expected, states = [], [], [], [], [], [], [], []
     for i, h in enumerate(meshes):
-        path = WienerPath(m, seed=seed + i)
         t = mesh_times(np.array(h))
-        path.value_at_many(t[1:])
-        fine = path.refine_uniform(t, levels) if levels else t
-        vals = path.values_on_grid(fine)
-        times.append(t)
-        values.append(vals)
-        dt.append(np.diff(fine))
-        dw.append(np.diff(vals, axis=0))
-    lengths = [len(d) for d in dt]
-    last = max(lengths)
-    lo = data.draw(st.integers(0, last - 1))
-    odd = (lo, data.draw(st.integers(lo + 1, min(lo + CHUNK, last))))
-    with mock.patch.object(harness, "_FORM_BYTES", form_bytes):
-        chunk = _refined_chunks(times, values, levels)
-        windows = [(chunk, n, min(n + CHUNK, last)) for n in range(0, last, CHUNK)]
-        windows.append((_refined_chunks(times, values, levels), *odd))
-        for source, lo, hi in windows:
-            # A chunk holds until the next call: compare it before that.
-            hs, dws = source(lo, hi)
-            assert hs.shape == (hi - lo, len(meshes)) and dws.shape == (hi - lo, len(meshes), m)
-            for i, n in enumerate(lengths):
-                end = min(hi, n)
-                if lo < end:
-                    assert hs[: end - lo, i].tobytes() == dt[i][lo:end].tobytes()
-                    assert dws[: end - lo, i].tobytes() == dw[i][lo:end].tobytes()
+        fine_i = twin_refinement(m, seed + i, t, levels, t)[0]
+        pick = data.draw(st.lists(st.integers(0, len(fine_i) - 1), max_size=6))
+        gaps = np.flatnonzero(np.diff(fine_i) > 0)
+        j = gaps[data.draw(st.integers(0, len(gaps) - 1))]
+        inside = fine_i[j] + np.diff(fine_i)[j] * np.array([0.25, 0.5])
+        past = t[-1] * np.array([1.0, 1.5, 2.0])[: data.draw(st.integers(1, 3))]
+        grid = np.unique(np.concatenate(([0.0], fine_i[pick], inside, past)))
+        f, v, g, state = twin_refinement(m, seed + i, t, levels, grid)
+        w, rng = streamed(m, seed + i, t, levels, grid)
+        times.append(t), knot_values.append(w), rngs.append(rng), grids.append(grid)
+        fine.append(f), vals.append(v), expected.append(g), states.append(state)
+    budget = {"_FORM_BYTES": 0, "_STEP_CHUNK": 1} if smallest else {"_FORM_BYTES": harness._FORM_BYTES}
+    with mock.patch.multiple(harness, **budget):
+        source = _RefinedChunks(times, knot_values, levels, rngs, grids)
+        stop = data.draw(st.none() | st.integers(0, 3))
+        assert_windows_match(source, fine, vals, stop)
+        got = source.finish()
+    for i in range(len(meshes)):
+        assert got[i].tobytes() == expected[i].tobytes()
+        assert rngs[i].bit_generator.state == states[i]
 
 
-def test_a_block_holds_little_beyond_its_refined_values():
-    # The block keeps each sample's refined values.  Beside them it holds
-    # one path's refinement scratch (its time store, the fine grid, the
-    # bridge scratch and the normals: four samples' worth) and, while the
-    # reference marches, operands bounded by _FORM_BYTES, so 32 samples put
-    # the traced peak near 1.2 times the kept values.  Padded step-size and
-    # increment blocks alone would take twice them on gl.
-    cfg = ExperimentConfig(problem="gl", h_max_list=(0.0025,), samples=32, levels=6)
+def test_deep_refinement_keeps_a_midpoint_that_rounds_onto_an_end():
+    # gl at h_max 0.0025 ends in a 1e-14 step, so ten bisections round
+    # midpoints onto their ends: refine_uniform keeps those knots without a
+    # draw, and the source must too, in every window and in the generator.
+    p = problem_by_name("gl")
+    seeds = [0, 1]
+    solved = _solve_adaptive_batch(p, MeshConfig(h_max=0.0025), seeds)
+    times, knot_values, rngs, grids, fine, vals, expected, states = [], [], [], [], [], [], [], []
+    for seed, res in zip(seeds, solved):
+        t = res.mesh_times()
+        grid = np.linspace(0.0, p.t_end, 401)
+        f, v, g, state = twin_refinement(p.m, seed, t, 10, grid)
+        assert not (np.diff(f) > 0).all()
+        w, rng = streamed(p.m, seed, t, 10, grid)
+        times.append(t), knot_values.append(w), rngs.append(rng), grids.append(grid)
+        fine.append(f), vals.append(v), expected.append(g), states.append(state)
+    source = _RefinedChunks(times, knot_values, 10, rngs, grids)
+    assert_windows_match(source, fine, vals)
+    got = source.finish()
+    for i in range(len(seeds)):
+        assert got[i].tobytes() == expected[i].tobytes()
+        assert rngs[i].bit_generator.state == states[i]
+
+
+def test_grids_come_out_whole_when_every_reference_row_diverges_early():
+    # A reference march that stops after its first chunk, every row
+    # diverged, leaves the uniform grids' windows to finish(): the
+    # fixed-step marches must step over the same increments as when the
+    # reference runs to the end.
+    cfg = ExperimentConfig(problem="svol", h_max_list=(0.025,), samples=4, levels=6, master_seed=2)
+    indices = range(cfg.samples)
+    solved = adaptive_solves(cfg, 0.025, indices)
+    real = harness._march_batch
+
+    def run(stop_early):
+        marched = []
+
+        def march(problem, scheme, grid):
+            if stop_early and not marched:
+                grid.chunk(0, harness._STEP_CHUNK)
+                k = len(grid.lengths)
+                out = np.zeros((k, problem.d)), np.ones(k, dtype=bool), np.zeros(k, dtype=int), 0.0
+            else:
+                out = real(problem, scheme, grid)
+            marched.append(out[:3])
+            return out
+
+        with mock.patch.multiple(harness, _march_batch=march, _FORM_BYTES=0):
+            run_block(cfg, indices, solved)
+        return marched
+
+    whole, early = run(False), run(True)
+    assert early[0][1].all() and len(early) == len(whole) == len(cfg.schemes)
+    assert int(max(r.n_steps for r in solved)) << cfg.levels > 4 * harness._STEP_CHUNK
+    for a, b in zip(whole[1:], early[1:]):
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+def test_a_blocks_memory_does_not_grow_with_the_path():
+    # 32 gl samples at h_max 0.0025, 401 steps each refined 2**8 times, are
+    # 26 MB of refined values, which a block used to keep.  The block now
+    # holds a window of them at a time, and each sample's O(n) knots and
+    # uniform grid.
+    cfg = ExperimentConfig(problem="gl", h_max_list=(0.0025,), samples=32, levels=8)
     indices = range(cfg.samples)
     solved = adaptive_solves(cfg, 0.0025, indices)
-    kept = sum(((r.n_steps << cfg.levels) + 1) * 8 for r in solved)
+    refined = sum(((r.n_steps << cfg.levels) + 1) * 8 for r in solved)
+    assert refined > 26e6
     tracemalloc.start()
     try:
         run_block(cfg, indices, solved)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * kept
+    assert peak < refined / 10
 
 
 THR = DIVERGENCE_THRESHOLD
@@ -699,7 +764,7 @@ def test_divergence_verdicts_agree_alone_in_a_stack_and_in_solve(stack):
                    x0=np.zeros(d), t_end=1.0)
     # One step of size 1 from the value 0 to the planted state.
     values = [np.vstack([np.zeros(d), row]) for row in stack]
-    _, diverged, _, _ = _march_batch(p, "explicit_euler", [np.array([0.0, 1.0])] * k, values, 0)
+    _, diverged, _, _ = _march_batch(p, "explicit_euler", _RefinedChunks([np.array([0.0, 1.0])] * k, values, 0))
     assert diverged.tolist() == verdicts
     with np.errstate(all="ignore"):
         assert [solve(p, "explicit_euler", PlantedPath(row), h=1.0).diverged for row in stack] == verdicts
@@ -772,8 +837,9 @@ class TestReferenceQuality:
             # The harness's reference for sample i, rebuilt one path at a time.
             path = WienerPath(p.m, seed=cfg.master_seed ^ i)
             res = solve(p, "adaptive_semi_implicit", path, config=MeshConfig(h_max=0.025, rho=cfg.rho))
+            # Marched over the stored refinement, as a grid of depth 0.
             fine = path.refine_uniform(res.mesh_times(), cfg.levels)
-            ref, _, _, _ = _march_batch(p, "balanced", [res.mesh_times()], [path.values_on_grid(fine)], cfg.levels)
+            ref, _, _, _ = _march_batch(p, "balanced", _RefinedChunks([fine], [path.values_on_grid(fine)], 0))
             exact = gbm_exact_terminal(path.value_at(p.t_end)[0])
             ref_sq.append((ref[0, 0] - exact) ** 2)
             sch_sq.append((res.y_terminal[0] - exact) ** 2)
