@@ -17,7 +17,9 @@ step aside) are the backstop steps.  A zero drift response proposes
 :func:`propose_step` decides for one state, :func:`propose_steps` for a
 stack of them, row by row; the two give the same bits.  Both take norms as
 the square root of a dot product: a sum of squares rounds differently, and
-a different norm changes the mesh.
+a different norm changes the mesh.  :func:`propose_step` wraps
+:func:`_decide`, the rule ``solve`` calls itself with the state's squared
+norm it already has.
 
 Both raise ``FloatingPointError`` on a NaN or infinite entry of the state or
 the drift response.  Such an entry makes its squared norm non-finite, so the
@@ -54,22 +56,23 @@ def propose_step(y: np.ndarray, f_y: np.ndarray, config: MeshConfig) -> StepDeci
     """
     y = np.asarray(y, dtype=float)
     f_y = np.asarray(f_y, dtype=float)
-    ff = float(f_y @ f_y)
-    yy = float(y @ y)
+    return StepDecision(*_decide(y, f_y, np.vdot(y, y), config))
+
+
+def _decide(y: np.ndarray, f_y: np.ndarray, yy: float, config: MeshConfig) -> tuple[float, bool]:
+    """:func:`propose_step`'s ``(h, use_backstop)`` for float arrays ``y`` and
+    ``f_y``, given ``yy = np.vdot(y, y)``."""
+    ff = np.vdot(f_y, f_y)
     if not (math.isfinite(ff) and math.isfinite(yy)) and not (
         np.isfinite(y).all() and np.isfinite(f_y).all()
     ):
         raise FloatingPointError("non-finite state or drift passed to step controller")
-    norm_f = math.sqrt(ff)
-    h_max = config.h_max
-    h_min = config.h_min
-    if norm_f == 0.0:
-        return StepDecision(h=h_max, use_backstop=False)
-    norm_y = math.sqrt(yy)
-    raw = h_max * min(max(1.0, norm_y) / norm_f, 1.0)
-    if raw <= h_min:
-        return StepDecision(h=h_min, use_backstop=True)
-    return StepDecision(h=raw, use_backstop=False)
+    if ff == 0.0:
+        return config.h_max, False
+    raw = config.h_max * min(max(1.0, math.sqrt(yy)) / math.sqrt(ff), 1.0)
+    if raw <= config.h_min:
+        return config.h_min, True
+    return raw, False
 
 
 def propose_steps(

@@ -327,9 +327,10 @@ def _march(problem: SdeProblem, step, k: int, source) -> tuple:
                 n_fallback[rows] += fell
             y[rows] = yn
             n += 1
-            if done is None and np.vdot(yn, yn) <= _STACK_SQ:
+            yy = np.vdot(yn, yn)
+            if done is None and yy <= _STACK_SQ:
                 continue  # no row finishes, and _diverged would clear them all
-            bad = _diverged(yn)
+            bad = _diverged(yn, yy)
             drop = bad if done is None else bad | done
             if np.count_nonzero(drop):  # a third of .any()'s cost on a small mask
                 idx = np.arange(k)[rows]

@@ -122,7 +122,7 @@ def fhn(epsilon: float) -> SdeProblem:
         return out
 
     def g(x):
-        return np.ones(np.shape(x))
+        return np.ones_like(x)
 
     def df(x):
         x = np.asarray(x)

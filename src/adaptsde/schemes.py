@@ -23,7 +23,12 @@ marches a single sample path from 0 to T and records the realized mesh as
 an array of step sizes.  Fixed-step schemes take a uniform step ``h``; the
 adaptive schemes take a :class:`~adaptsde.core.MeshConfig` and consult the
 controller each step, falling back to one balanced step of length
-``h_min`` whenever the raw proposal reaches the floor.
+``h_min`` whenever the raw proposal reaches the floor.  Each step ``solve``
+evaluates the drift response once, for the controller and the step, and
+takes the new state's squared norm ``np.vdot(y, y)`` once: the divergence
+test reads it, and so does the next step's decision.  That decision is
+:func:`~adaptsde.control.propose_step`'s rule, called without its
+:class:`~adaptsde.control.StepDecision` wrapper.
 
 ``solve`` keeps its own scalar loop, not the harness's march with a batch
 of one, because it accepts a ``WienerPath`` that may already hold knots
@@ -39,7 +44,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .control import propose_step
+from .control import _decide
 from .core import END_SNAP, MeshConfig, SdeProblem, SolveResult, infer_structure, last_step
 from .wiener import WienerPath
 
@@ -123,7 +128,8 @@ class LinearSolver:
         self.structure = infer_structure(self.A)
         self.d = problem.d
         if self.structure == "diagonal":
-            self._diag = np.diagonal(self.A).copy()
+            # A 1x1 factor is a float, so a float-h solve is one division.
+            self._diag = np.diagonal(self.A).copy() if self.d > 1 else self.A.item()
         elif self.structure == "tridiagonal":
             self._dl = np.diagonal(self.A, -1).copy()
             self._dia = np.diagonal(self.A).copy()
@@ -421,11 +427,12 @@ def step_map(problem: SdeProblem, scheme: str) -> Callable[..., tuple[np.ndarray
 # -- single-path driver ------------------------------------------------------
 
 
-def _diverged(y: np.ndarray):
+def _diverged(y: np.ndarray, yy=None):
     """Whether a state ``(d,)``, or each row of a stack ``(k, d)``, is diverged.
 
     ``not ||y||^2 <= DIVERGENCE_THRESHOLD^2`` is true for NaN and inf too,
-    and a row gets the same verdict alone as in a stack.
+    and a row gets the same verdict alone as in a stack.  ``yy`` is
+    ``np.vdot(y, y)`` if the caller has it.
 
     One reduction settles a state or a stack in the common case: the sum of
     all its squared entries, which bounds every row's squared norm up to
@@ -434,8 +441,8 @@ def _diverged(y: np.ndarray):
     every row at once.  Only what fails it, by a NaN, an inf or a norm near
     or past the threshold, takes the exact per-row sums of squares.
     """
-    if np.vdot(y, y) <= _STACK_SQ:
-        return np.zeros(y.shape[:-1], dtype=bool)
+    if (np.vdot(y, y) if yy is None else yy) <= _STACK_SQ:
+        return np.zeros(y.shape[:-1], dtype=bool) if y.ndim > 1 else False
     return ~(np.add.reduce(np.square(y), axis=-1) <= _THRESHOLD_SQ)
 
 
@@ -450,8 +457,9 @@ def solve(
 ) -> SolveResult:
     """March one sample path of ``problem`` from 0 to T with ``scheme``.
 
-    Adaptive schemes require ``config``; fixed-step schemes require ``h``,
-    and the truncated scheme a problem with a ``truncation`` envelope.
+    Adaptive schemes require ``config`` and fixed-step schemes ``h``; each
+    raises ValueError on the other's argument.  The truncated scheme needs
+    a problem with a ``truncation`` envelope.
     The final step is truncated to land exactly on T.  A non-finite state or
     one with norm beyond ``DIVERGENCE_THRESHOLD`` aborts the run with the
     ``diverged`` flag set (expected for explicit Euler on stiff problems).
@@ -460,16 +468,22 @@ def solve(
     if path.dim != problem.m:
         raise ValueError(f"path has {path.dim} components, problem needs m={problem.m}")
     adaptive = scheme in ADAPTIVE_SCHEMES
-    if adaptive and config is None:
-        raise ValueError(f"scheme {scheme!r} needs a MeshConfig")
-    if not adaptive:
+    if adaptive:
+        if config is None:
+            raise ValueError(f"scheme {scheme!r} needs a MeshConfig")
+        if h is not None:
+            raise ValueError(f"adaptive scheme {scheme!r} takes config, not a step size h")
+    else:
         if h is None:
             raise ValueError(f"fixed-step scheme {scheme!r} needs a step size h")
+        if config is not None:
+            raise ValueError(f"fixed-step scheme {scheme!r} takes a step size h, not config")
         if not 0 < h <= problem.t_end:
             raise ValueError("step size must satisfy 0 < h <= t_end")
 
     T = problem.t_end
     y = problem.x0.copy()
+    yy = np.vdot(y, y)
     t = 0.0
     mesh: list[float] = []
     trajectory = [y.copy()] if record_trajectory else None
@@ -481,29 +495,27 @@ def solve(
     while t < t_stop:
         if adaptive:
             f_y = problem.drift(y) if scheme == "adaptive_explicit" else problem.f(y)
-            decision = propose_step(y, f_y, config)
-            h_n = decision.h
+            h_n, use_backstop = _decide(y, f_y, yy, config)
         else:
-            h_n = h
+            h_n, use_backstop = h, False
 
         final_step = t + h_n >= t_stop
         if final_step:
             h_n = last_step(t, T)
-        use_backstop = adaptive and decision.use_backstop and not final_step
         t_next = T if final_step else t + h_n
         dW = path.increment(t, t_next)
-        if use_backstop:
-            y_next, fell_back = step_balanced(problem, y, h_n, dW), True
+        if use_backstop and not final_step:
+            y, fell_back = step_balanced(problem, y, h_n, dW), True
         else:
-            y_next, fell_back = step(y, h_n, dW, f_y) if adaptive else step(y, h_n, dW)
+            y, fell_back = step(y, h_n, dW, f_y) if adaptive else step(y, h_n, dW)
         n_backstop += bool(fell_back)
 
         mesh.append(h_n)
-        y = np.asarray(y_next, dtype=float)
         t = t_next
         if record_trajectory:
             trajectory.append(y.copy())
-        if _diverged(y):
+        yy = np.vdot(y, y)
+        if _diverged(y, yy):
             diverged = True
             break
     wall = time.perf_counter() - t0

@@ -197,10 +197,11 @@ class WienerPath:
         """Draw W(t) past the last knot, a forward increment N(0, (t-t_L) I),
         and append it in place."""
         n = self._n
-        z = self.rng.standard_normal(self.dim)
+        val = self.rng.standard_normal(self.dim)
         if n == self._cap:
             self._grow_to(n + 1)
-        val = self._w[n - 1] + math.sqrt(t - self._t[n - 1]) * z
+        val *= math.sqrt(t - self._t[n - 1])
+        val += self._w[n - 1]
         self._t[n] = t
         self._w[n] = val
         self._n = n + 1

@@ -11,7 +11,8 @@ import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adaptsde.core import MeshConfig, SdeProblem
+from adaptsde.control import propose_step
+from adaptsde.core import END_SNAP, MeshConfig, SdeProblem, last_step
 from adaptsde.problems import (
     PROBLEM_NAMES,
     gbm,
@@ -31,10 +32,11 @@ from adaptsde.schemes import (
     step_explicit_euler,
     step_fully_tamed,
     step_increment_tamed,
+    step_map,
     step_semi_implicit,
     step_truncated,
 )
-from adaptsde.schemes import _col_norms, _mix
+from adaptsde.schemes import _col_norms, _diverged, _mix
 from adaptsde.wiener import WienerPath
 
 
@@ -338,6 +340,20 @@ class TestLinearSolver:
             assert xb[i].tobytes() == solver.solve(float(h[i]), b[i]).tobytes()
             assert xs[i].tobytes() == solver.solve(0.05, b[i]).tobytes()
 
+    @pytest.mark.parametrize("name", ["gbm", "gl"])
+    def test_one_by_one_solve_gives_the_bytes_of_the_array_formula(self, name):
+        # A 1x1 A is kept as a float: dividing by 1 - h * A[0, 0] must give
+        # what dividing by 1 - h * diag(A), an array, gives.
+        p = problem_by_name(name)
+        solver = LinearSolver(p)
+        rng = np.random.default_rng(5)
+        diag = np.diagonal(p.A)
+        for h in rng.uniform(0.0, 0.3, 20).tolist():
+            b = rng.normal(size=1)
+            assert solver.solve(h, b).tobytes() == (b / (1.0 - h * diag)).tobytes()
+        hs, bs = rng.uniform(0.0, 0.3, 32), rng.normal(size=(32, 1))
+        assert solver.solve(hs, bs).tobytes() == (bs / (1.0 - hs[:, None] * diag)).tobytes()
+
     @pytest.mark.parametrize("name", ["fhn01", "spde"])
     @pytest.mark.parametrize("k", [1, 5, 30])
     def test_stacked_tridiagonal_solve_equals_row_solves(self, name, k):
@@ -559,6 +575,123 @@ class TestSolveDriver:
             solve(dataclasses.replace(p, truncation=None), "truncated", path, h=0.1)
         with pytest.raises(ValueError, match="components"):
             solve(stoch_vol_32(), "balanced", WienerPath(1, seed=0), h=0.1)
+
+    def test_a_stray_step_argument_is_rejected(self):
+        # Each scheme takes one of config and h, and rejects the other.
+        p = gbm()
+        with pytest.raises(ValueError, match="'adaptive_semi_implicit'.*not a step size h"):
+            solve(p, "adaptive_semi_implicit", WienerPath(1, seed=0), config=MeshConfig(0.25), h=0.5)
+        with pytest.raises(ValueError, match="'balanced'.*not config"):
+            solve(p, "balanced", WienerPath(1, seed=0), config=MeshConfig(0.25), h=0.5)
+
+
+class StandInPath:
+    """A path whose n-th increment is ``dws[n]``, and zero past the list."""
+
+    def __init__(self, dws):
+        self.dim, self.dws, self.calls = 2, dws, 0
+
+    def increment(self, t_a, t_b):
+        self.calls += 1
+        return self.dws[self.calls - 1].copy() if self.calls <= len(self.dws) else np.zeros(2)
+
+
+def public_loop(problem, scheme, path, config):
+    """``solve()``'s adaptive march from public pieces: ``propose_step``,
+    ``step_map``, ``step_balanced`` and ``_diverged``, each state's norm
+    taken anew.  Returns ``(y, mesh, n_backstop, diverged)``."""
+    step = step_map(problem, scheme)
+    T = problem.t_end
+    y, t, mesh, n_backstop = problem.x0.copy(), 0.0, [], 0
+    while t < T - END_SNAP * T:
+        f_y = problem.drift(y) if scheme == "adaptive_explicit" else problem.f(y)
+        decision = propose_step(y, f_y, config)
+        h = decision.h
+        final = t + h >= T - END_SNAP * T
+        if final:
+            h = last_step(t, T)
+        t_next = T if final else t + h
+        dW = path.increment(t, t_next)
+        if decision.use_backstop and not final:
+            y, n_backstop = step_balanced(problem, y, h, dW), n_backstop + 1
+        else:
+            y, _ = step(y, h, dW, f_y)
+        mesh.append(h)
+        t = t_next
+        if _diverged(y):
+            return y, mesh, n_backstop, True
+    return y, mesh, n_backstop, False
+
+
+THR = DIVERGENCE_THRESHOLD
+#: Planted state components: the threshold and one ulp either side, the same
+#: for a norm spread over both components, NaN, +-inf, an entry whose square
+#: overflows, and 5e11, under the threshold but past the stand-in's
+#: ``POISON``, where its drift is NaN.
+EDGES = [0.0, THR, -THR, np.nextafter(THR, 0.0), np.nextafter(THR, np.inf), THR / math.sqrt(2.0),
+         np.nextafter(THR / math.sqrt(2.0), 0.0), np.nextafter(THR / math.sqrt(2.0), np.inf),
+         np.nan, np.inf, -np.inf, 1e200, 5e11]
+POISON = 1e11
+
+
+def planted_outcomes(scheme, c, h_max, rho, targets):
+    """Run ``solve()`` and ``public_loop`` on a stand-in problem and path.
+
+    The problem has ``A = 0``, ``g = 1``, ``S = I`` and drift ``c``, NaN
+    where a component passes ``POISON``.  With ``c = 0`` a step adds its
+    increment to the state exactly, so the path plants ``targets`` one per
+    step: each edge state after a zero one, which the increment
+    ``0 - y`` gives exactly.  Returns each side's outcome: the result, or
+    FloatingPointError, with the increments drawn.
+    """
+    drift = np.array([c, -0.5 * c])
+    p = SdeProblem(d=2, m=2, A=np.zeros((2, 2)), f=lambda y: drift + np.where(np.abs(y) <= POISON, 0.0, np.nan),
+                   g=np.ones_like, S=np.eye(2), x0=np.zeros(2), t_end=1.0)
+    config = MeshConfig(h_max, rho)
+    dws = [np.subtract(b, a) for a, b in zip([np.zeros(2)] + targets, targets)]
+
+    def by_solve(path):
+        res = solve(p, scheme, path, config=config)
+        return res.y_terminal, res.mesh, res.n_backstop, res.diverged
+
+    outcomes = []
+    for run in (by_solve, lambda path: public_loop(p, scheme, path, config)):
+        path = StandInPath(dws)
+        try:
+            y, mesh, n_backstop, diverged = run(path)
+        except FloatingPointError:
+            outcomes.append(("FloatingPointError", path.calls))
+            continue
+        outcomes.append((y.tobytes(), np.asarray(mesh, dtype=float).tobytes(), n_backstop, bool(diverged), path.calls))
+    return outcomes
+
+
+moderate = st.tuples(st.floats(-300.0, 300.0), st.floats(-300.0, 300.0)).map(lambda y: [np.array(y)])
+edge = st.one_of(st.tuples(st.sampled_from(EDGES), st.just(0.0)), st.tuples(st.sampled_from(EDGES), st.sampled_from(EDGES)))
+edge = edge.map(lambda e: [np.zeros(2), np.array(e)])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    scheme=st.sampled_from(ADAPTIVE_SCHEMES),
+    c=st.sampled_from([0.0, 0.0, 20.0, 3e3]),
+    h_max=st.sampled_from([0.25, 0.1]),
+    rho=st.sampled_from([4.0, 100.0]),
+    blocks=st.lists(st.one_of(moderate, edge), max_size=5),
+)
+@example(scheme="adaptive_semi_implicit", c=0.0, h_max=0.25, rho=100.0,
+         blocks=[[np.array([3.0, 4.0])], [np.zeros(2), np.array([np.nextafter(THR, np.inf), 0.0])]])
+@example(scheme="adaptive_explicit", c=0.0, h_max=0.25, rho=100.0, blocks=[[np.zeros(2), np.array([1e200, 0.0])]])
+@example(scheme="adaptive_explicit", c=0.0, h_max=0.25, rho=100.0, blocks=[[np.zeros(2), np.array([5e11, 0.0])]])
+def test_solve_and_a_loop_of_public_pieces_agree_at_the_norms_edges(scheme, c, h_max, rho, blocks):
+    # solve() takes each state's squared norm once, for the divergence test
+    # and the next step's controller; the loop takes it anew in each.  The
+    # verdict, the mesh, the backstops and the step count must agree, and a
+    # NaN drift must raise at the same step.
+    targets = [y for block in blocks for y in block]
+    with np.errstate(all="ignore"):
+        got, want = planted_outcomes(scheme, c, h_max, rho, targets)
+    assert got == want
 
 
 class TestSmallStepAgreement:
