@@ -7,25 +7,28 @@ The measurement protocol, per ``h_max`` and per chunk of samples
    scheme, on the path a fresh :class:`~adaptsde.wiener.WienerPath` would
    draw (seed = master seed XOR sample index), as one march; each result
    equals ``solve()``'s on that path, bit for bit,
-2. rebuild each sample's path from its seed and the knot times of its mesh,
-   then skip through the draws of its bridge refinement: draw each level's
-   normals and throw them away, keeping a generator where the level begins,
+2. replay each sample's path from its seed at its mesh's knot times, one
+   sample at a time, for the moment sums, then skip through the draws of its
+   bridge refinement: draw each level's normals and throw them away, keeping
+   a generator where the level begins,
 3. bisect every adaptive step ``levels`` times with Brownian bridges and
    march the balanced method over the fine grid: that is the reference
    solution for this sample.  The chunk is one block, whose fine steps are
-   formed from those generators a window of whole adaptive steps at a time
-   and dropped once marched, so its memory does not grow with the path,
+   formed a window of whole adaptive steps at a time, knot values drawn
+   afresh from the seeds, and dropped once marched, so its memory does not
+   grow with the path,
 4. set the uniform step ``h_u = T / round(T / h_bar)`` from the sample's own
    mean adaptive step ``h_bar`` and run every fixed-step scheme on that grid,
-   with increments bridged from the same path, in the same windows,
+   with increments bridged from the same path, in the same windows, into
+   the block's one stored copy of path values, which each march reads,
 5. record, per scheme and in sample order, squared terminal errors against
    the reference, divergence flags, fallback counts and wall times.
 
-Rebuilding a path in step 2 reproduces it exactly: the adaptive march only
-draws forward, from each sample's own generator, and ``value_at_many`` at
-the solve's knot times consumes the generator the same way.  Steps 2-4 draw
-exactly the normals ``WienerPath.refine_uniform`` and then a grid query
-would, so every value is the one a stored refinement gives.
+Replaying a path reproduces it exactly: the adaptive march only draws
+forward, from each sample's own generator, and ``value_at_many`` at the
+solve's knot times, like a window's forward draws, consumes it the same way.
+Steps 2-4 draw exactly the normals ``WienerPath.refine_uniform`` and then a
+grid query would, so every value is the one a stored refinement gives.
 
 Root-mean-square errors aggregate over samples with NaN exclusion (diverged
 runs are counted, not averaged).  Everything is deterministic given the
@@ -288,7 +291,8 @@ _DRAW_CHUNK = 256
 _STEP_CHUNK = 256
 
 #: Bytes of step sizes and increments one window of a refinement forms at
-#: once; its fine times, values and bridge scratch take about as much again.
+#: once, but at least one ``_STEP_CHUNK``: about 1 MB on 5 ``spde`` rows
+#: (m = 101).  Its fine times, values and bridge scratch take as much again.
 _FORM_BYTES = 3 << 17
 
 #: Normals a skip pass draws and throws away per generator call.
@@ -388,40 +392,47 @@ class _RefinedChunks:
     """The steps of the grids ``refine_uniform(times[i], levels)``, formed a
     window at a time, in time order, as the march asks for them.
 
-    ``values[i]`` are row i's Brownian values at ``times[i]`` and
-    ``rngs[i]`` its generator where ``refine_uniform`` would begin to draw.
-    A skip pass counts each level's draws from the bisected times and gives
+    Row i's values at ``times[i]`` are read in place from ``values``, a
+    (k, n, m) store with each row padded by its last value, or else drawn
+    each window from a fresh generator seeded ``seeds[i]``, forward and
+    cumulated as ``_draw_at`` extends a path: the values
+    ``WienerPath(m, seeds[i]).value_at_many(times[i])`` gives.  ``rngs[i]``
+    is row i's generator where ``refine_uniform`` would begin to draw.  A
+    skip pass counts each level's draws from the bisected times and gives
     each (row, level) a generator where they begin; ``refine_uniform`` draws
     level by level, left to right, so each serves its level's windows in
     order.  A window is whole coarse steps and whole ``_STEP_CHUNK`` chunks
     of about ``_FORM_BYTES``, stacked over rows.  A midpoint equal to an end
     of its interval (deep levels, or a row's padding) takes that end's value
     and draws nothing, as ``refine_uniform`` keeps a knot.  So each window
-    is ``np.diff`` of the refined grid and values, bit for bit, and
-    ``grids[i]`` gets the values ``WienerPath._draw_many`` would draw after
-    the refinement (:meth:`finish`).  At ``levels`` 0 the grids are the
-    times themselves.
+    is ``np.diff`` of the refined grid and values, bit for bit, and the
+    times ``grids[i]`` get the values ``WienerPath._draw_many`` would draw
+    after the refinement, in one padded store (:meth:`finish`).  At
+    ``levels`` 0 the grids are the times themselves.
     """
 
-    def __init__(self, times, values, levels: int, rngs=(), grids=()):
-        k, m, n = len(times), values[0].shape[1], max(map(len, times))
-        # Coarse knots and values, row-major; a row's last knot pads it, so
-        # its padding bisects into steps of 0.
-        self.knots, self.coarse = np.empty((k, n)), np.empty((k, n, m))
-        for i, (t, w) in enumerate(zip(times, values)):
-            self.knots[i], self.coarse[i] = t[-1], w[-1]
-            self.knots[i, : len(t)], self.coarse[i, : len(t)] = t, w
-        self.levels, self.lengths = levels, np.array([len(t) - 1 for t in times]) << levels
+    def __init__(self, times, m: int, levels: int, values=None, seeds=(), rngs=(), grids=()):
+        k, n = len(times), max(map(len, times))
+        # A row's last knot pads it, so its padding bisects into steps of 0.
+        self.knots = np.empty((k, n))
+        for i, t in enumerate(times):
+            self.knots[i], self.knots[i, : len(t)] = t[-1], t
+        self.steps = np.array([len(t) - 1 for t in times])
+        self.levels, self.lengths = levels, self.steps << levels
         unit = max(_STEP_CHUNK, 1 << levels)  # both powers of two
         span = unit * max(1, _FORM_BYTES // (unit * k * (m + 1) * 8))
         self.hs, self.dws = np.empty((span, k)), np.empty((span, k, m))
         # Every window reuses one set of buffers: the last two levels' times
         # and values, and the last level's normals and bridge scratch.
-        self.times = [np.empty((k, span + 1)), np.empty((k, span // 2 + 1))]
-        self.values = [np.empty((k, span + 1, m)), np.empty((k, span // 2 + 1, m))]
-        self.z, self.work = np.empty((k * span // 2, m)), np.empty((3, k, span // 2))
+        room = span if levels else 0  # depth 0 bisects nothing
+        self.times = [np.empty((k, room + 1)), np.empty((k, room // 2 + 1))]
+        self.values = [np.empty((k, room + 1, m)), np.empty((k, room // 2 + 1, m))]
+        self.z, self.work = np.empty((k * room // 2, m)), np.empty((3, k, room // 2))
         self.span = span >> levels  # coarse steps per window
         self.end = self.base = 0  # coarse steps formed: the window is base..end - 1
+        self.coarse, self.knot_rngs = values, [np.random.default_rng(s) for s in seeds]
+        self.w = np.empty((k, self.span + 1, m)) if values is None else None  # a window's knot values
+        self.last = np.zeros((k, m))  # each row's value at the end of the last window
         counts = np.zeros((k, levels), dtype=int)
         for c in range(0, n - 1, self.span):
             for l, fine in enumerate(_bisections(self.knots[:, c : c + self.span + 1], levels, self.times)):
@@ -433,7 +444,7 @@ class _RefinedChunks:
                 for lo in range(0, c, _SKIP_DRAWS):  # drawn and thrown away
                     rng.standard_normal(out=scratch[: min(_SKIP_DRAWS, c - lo)])
         self.rngs, self.grids, self.served = rngs, grids, [0] * len(grids)  # grid times valued so far
-        self.grid_values = [np.empty((len(g), m)) for g in grids]
+        self.grid_values = np.empty((k, max(map(len, grids), default=0), m))
 
     @staticmethod
     def _drawn(fine):
@@ -476,14 +487,28 @@ class _RefinedChunks:
         vals = _draw_at(normals, t.ravel(), w.reshape(-1, m), np.concatenate(new), host)[0]
         ends = np.cumsum([len(g) for g in new]).tolist()
         for i, lo, hi in zip(range(k), [0] + ends, ends):
-            self.grid_values[i][self.served[i] : his[i]] = vals[lo:hi]
+            self.grid_values[i, self.served[i] : his[i]] = vals[lo:hi]
         self.served = his
+
+    def _draw_knots(self, t) -> np.ndarray:
+        """The window's knot values at its times ``t``, from the last window's
+        end: each row's forward draws from its own generator, cumulated."""
+        w = self.w[:, : t.shape[1]]
+        w[:, 0] = self.last
+        dt, z = np.diff(t, axis=1), w[:, 1:]
+        for rng, zi, n in zip(self.knot_rngs, z, np.clip(self.steps - self.end, 0, len(dt[0])).tolist()):
+            rng.standard_normal(out=zi[:n])
+            zi[n:] = 0.0  # past the row's last knot
+        z *= np.sqrt(dt)[..., None]
+        return np.cumsum(w, axis=1, out=w)
 
     def _form(self) -> None:
         """The next window's step-major sizes and increments, and its grid values."""
         c0 = self.end
         c1 = min(c0 + self.span, self.knots.shape[1] - 1)
-        t, w = self.knots[:, c0 : c1 + 1], self.coarse[:, c0 : c1 + 1]
+        t = self.knots[:, c0 : c1 + 1]
+        w = self._draw_knots(t) if self.coarse is None else self.coarse[:, c0 : c1 + 1]
+        self.last[:] = w[:, -1]
         for l, t in enumerate(_bisections(t, self.levels, self.times)):
             w = self._bisect_values(l, t, w)
         if self.grids:
@@ -501,15 +526,19 @@ class _RefinedChunks:
         lo, hi = lo - (self.base << self.levels), hi - (self.base << self.levels)
         return self.hs[lo:hi], self.dws[lo:hi]
 
-    def finish(self) -> list[np.ndarray]:
-        """The grids' values, once every window is formed; times past a row's
-        last knot (a diverged adaptive solve's) extend its path forward."""
+    def finish(self) -> np.ndarray:
+        """The grids' values as a (k, n, m) store, each row padded with its
+        last value, once every window is formed; times past a row's last
+        knot (a diverged adaptive solve's) extend its path forward."""
         while self.end < self.knots.shape[1] - 1:
             self._form()
+        m = self.last.shape[1]
         for i, (g, rng, lo) in enumerate(zip(self.grids, self.rngs, self.served)):
+            row = self.grid_values[i, : len(g)]
             if lo < len(g):
-                normals = lambda h: rng.standard_normal((len(h), self.coarse.shape[2]))
-                self.grid_values[i][lo:] = _draw_at(normals, self.knots[i, -1:], self.coarse[i, -1:], g[lo:])[0]
+                normals = lambda h: rng.standard_normal((len(h), m))
+                row[lo:] = _draw_at(normals, self.knots[i, -1:], self.last[i : i + 1], g[lo:])[0]
+            self.grid_values[i, len(g) :] = row[-1]
         return self.grid_values
 
 
@@ -580,12 +609,12 @@ def _run_block(
 
     ``seeds`` are the samples' path seeds.  The adaptive march only draws
     forward, so querying a fresh path with the same seed at the solve's knot
-    times replays its draws exactly; its generator then stands where
-    ``refine_uniform`` would begin.  The reference march forms its steps
-    from those knot values and generators a window at a time
-    (:class:`_RefinedChunks`), and the same windows give the uniform grids'
-    values.  Each fixed-step march forms its steps from those the same way,
-    as a refinement of depth 0.
+    times replays its draws exactly, for the moment sums; its generator then
+    stands where ``refine_uniform`` would begin.  The reference march forms
+    its steps from the seeds and those generators a window at a time
+    (:class:`_RefinedChunks`), and the same windows value the uniform grids
+    into one store, from which each fixed-step march forms its steps in
+    place, as a refinement of depth 0.
 
     Returns each sample's two :class:`MomentStats` sums as a (k, 2) array
     and, per scheme, four columns in sample order: squared terminal errors
@@ -594,19 +623,19 @@ def _run_block(
     """
     T, m, k = problem.t_end, problem.m, len(seeds)
     moments = np.empty((k, 2))
-    knots, knot_values, rngs, grids = [], [], [], []
+    knots, rngs, grids = [], [], []
     for j, (seed, adaptive) in enumerate(zip(seeds, solved)):
         path = WienerPath(m, seed=seed)
         knots.append(adaptive.mesh_times())
-        knot_values.append(path.value_at_many(knots[-1]))
+        # Conditional-moment accumulators for the adaptive mesh.
+        dws, hs = np.diff(path.value_at_many(knots[-1]), axis=0), adaptive.mesh
+        moments[j] = (dws / np.sqrt(hs)[:, None]).sum(), ((dws**2).sum(axis=1) / hs).sum()
         rngs.append(path.rng)
         grids.append(np.linspace(0.0, T, max(1, int(round(T / adaptive.mean_h))) + 1))
-        # Conditional-moment accumulators for the adaptive mesh.
-        dws, hs = np.diff(knot_values[-1], axis=0), adaptive.mesh
-        moments[j] = (dws / np.sqrt(hs)[:, None]).sum(), ((dws**2).sum(axis=1) / hs).sum()
+        del path, dws  # before the next sample's, and before the marches
 
-    reference = _RefinedChunks(knots, knot_values, config.levels, rngs, grids)
-    del knots, knot_values
+    reference = _RefinedChunks(knots, m, config.levels, seeds=seeds, rngs=rngs, grids=grids)
+    del knots
     ref_y, ref_div, _, _ = _march_batch(problem, "balanced", reference)
     grid_values = reference.finish()
     del reference
@@ -619,7 +648,7 @@ def _run_block(
             fall = np.array([r.n_backstop for r in solved])
             wall = np.array([r.wall_time for r in solved])
         else:
-            y, div, fall, elapsed = _march_batch(problem, scheme, _RefinedChunks(grids, grid_values, 0))
+            y, div, fall, elapsed = _march_batch(problem, scheme, _RefinedChunks(grids, m, 0, grid_values))
             wall = np.full(k, elapsed / k)
         diff = y - ref_y
         with np.errstate(over="ignore", invalid="ignore"):

@@ -453,6 +453,15 @@ class TestAdaptiveBatch:
         assert batch[0].wall_time > 0
 
 
+def stored(times, values):
+    """A depth-0 source over each row's stored values, in a (k, n, m) store
+    padded with each row's last value, as the harness keeps its grid values."""
+    store = np.empty((len(times), max(map(len, times)), values[0].shape[1]))
+    for i, w in enumerate(values):
+        store[i], store[i, : len(w)] = w[-1], w
+    return _RefinedChunks(times, store.shape[2], 0, store)
+
+
 FIXED_PAIRS = [
     (n, s) for n in PROBLEM_NAMES for s in SCHEME_IDS
     if s not in ADAPTIVE_SCHEMES and (s != "truncated" or problem_by_name(n).truncation is not None)
@@ -470,7 +479,7 @@ def test_solve_and_batched_march_step_alike(name, scheme):
     res = solve(p, scheme, path, h=2.0**-5)
     times = res.mesh_times()
     assert np.diff(times).tobytes() == res.mesh.tobytes()
-    y, diverged, n_fallback, _ = _march_batch(p, scheme, _RefinedChunks([times], [path.values_on_grid(times)], 0))
+    y, diverged, n_fallback, _ = _march_batch(p, scheme, stored([times], [path.values_on_grid(times)]))
     assert y[0].tobytes() == res.y_terminal.tobytes()
     assert diverged[0] == res.diverged
     assert n_fallback[0] == res.n_backstop
@@ -534,13 +543,13 @@ def test_each_row_of_a_ragged_block_marches_as_alone(name, scheme, data):
     times, values = uniform_rows(p, lengths, h, rng)
     bad = data.draw(st.integers(0, k - 1))
     plant_nan(values, bad, data.draw(st.integers(0, lengths[bad] - 1)))
-    y, diverged, n_fallback, _ = _march_batch(p, scheme, _RefinedChunks(times, values, 0))
+    y, diverged, n_fallback, _ = _march_batch(p, scheme, stored(times, values))
     assert diverged[bad]
     y_ref, div_ref, _ = march_by_index(p, scheme, times, values)
     assert y.tobytes() == y_ref.tobytes()
     assert diverged.tolist() == div_ref.tolist()
     for i in range(k):
-        yi, di, fi, _ = _march_batch(p, scheme, _RefinedChunks(times[i : i + 1], values[i : i + 1], 0))
+        yi, di, fi, _ = _march_batch(p, scheme, stored(times[i : i + 1], values[i : i + 1]))
         assert (diverged[i], n_fallback[i]) == (di[0], fi[0])
         assert y[i].tobytes() == yi[0].tobytes()
 
@@ -566,7 +575,7 @@ def test_chunked_march_equals_a_per_step_march(name, scheme, data):
     if data.draw(st.booleans()):
         bad = data.draw(st.integers(0, k - 1))
         plant_nan(values, bad, data.draw(st.integers(0, lengths[bad] - 1)))
-    y, diverged, n_fallback, _ = _march_batch(p, scheme, _RefinedChunks(times, values, 0))
+    y, diverged, n_fallback, _ = _march_batch(p, scheme, stored(times, values))
     y_ref, div_ref, fall_ref = march_by_index(p, scheme, times, values)
     assert y.tobytes() == y_ref.tobytes()
     assert diverged.tolist() == div_ref.tolist()
@@ -584,11 +593,12 @@ def twin_refinement(m, seed, times, levels, grid):
     return fine, vals, twin._draw_many(grid)[0], twin.rng.bit_generator.state
 
 
-def streamed(m, seed, times, levels, grid):
-    """A path's knot values at ``times`` and its generator, as the harness
-    hands them to the source."""
+def streamed(m, seed, times):
+    """The generator the harness hands the source for a path, past the draws
+    of its knot values at ``times``, and that generator's state there."""
     path = WienerPath(m, seed=seed)
-    return path.value_at_many(times), path.rng
+    path.value_at_many(times)
+    return path.rng, path.rng.bit_generator.state
 
 
 def assert_windows_match(source, fine, vals, stop=None):
@@ -607,6 +617,19 @@ def assert_windows_match(source, fine, vals, stop=None):
                 assert dws[: end - n, i].tobytes() == np.diff(w, axis=0)[n:end].tobytes()
 
 
+def assert_finish_matches(source, expected, knot_states, rngs, states):
+    """The grid store holds each twin's grid values, padded with the last;
+    each knot generator drew exactly its knots' normals, and each refinement
+    generator stands where its twin's does after the grid query."""
+    got = source.finish()
+    assert got.shape == (len(expected), max(map(len, expected)), expected[0].shape[1])
+    for i, g in enumerate(expected):
+        assert got[i, : len(g)].tobytes() == g.tobytes()
+        assert (got[i, len(g) :] == g[-1]).all()
+        assert source.knot_rngs[i].bit_generator.state == knot_states[i]
+        assert rngs[i].bit_generator.state == states[i]
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     m=st.sampled_from([1, 2]),
@@ -618,14 +641,16 @@ def assert_windows_match(source, fine, vals, stop=None):
 )
 def test_refined_chunks_equal_the_stored_grid(m, levels, meshes, seed, smallest, data):
     # Random adaptive meshes with ragged step counts, refined up to 2**10
-    # times, streamed in windows of one coarse step or of the default size:
-    # every chunk must hold np.diff of a twin path's refine_uniform grid and
-    # values, as bytes.  Depth 0 is the mesh itself, as the fixed-step
-    # marches use it.  Each row's uniform grid holds fine knots, times two
-    # to one fine interval and times past its last knot, as a diverged
-    # solve's would; it must get the twin's values, drawn after the
-    # refinement, wherever the march stops asking for steps.
-    times, knot_values, rngs, grids, fine, vals, expected, states = [], [], [], [], [], [], [], []
+    # times, streamed in windows of one coarse step or of the default size.
+    # The source gets what the harness hands it: each row's seed, from which
+    # it draws the knot values a window at a time, and a generator past
+    # those draws.  Every chunk must hold np.diff of a twin path's
+    # refine_uniform grid and values, as bytes; depth 0 is the mesh itself.
+    # Each row's uniform grid holds fine knots, times two to one fine
+    # interval and times past its last knot, as a diverged solve's would; it
+    # must get the twin's values, drawn after the refinement, wherever the
+    # march stops asking for steps.
+    times, seeds, rngs, grids, fine, vals, expected, knot_states, states = [], [], [], [], [], [], [], [], []
     for i, h in enumerate(meshes):
         t = mesh_times(np.array(h))
         fine_i = twin_refinement(m, seed + i, t, levels, t)[0]
@@ -636,18 +661,15 @@ def test_refined_chunks_equal_the_stored_grid(m, levels, meshes, seed, smallest,
         past = t[-1] * np.array([1.0, 1.5, 2.0])[: data.draw(st.integers(1, 3))]
         grid = np.unique(np.concatenate(([0.0], fine_i[pick], inside, past)))
         f, v, g, state = twin_refinement(m, seed + i, t, levels, grid)
-        w, rng = streamed(m, seed + i, t, levels, grid)
-        times.append(t), knot_values.append(w), rngs.append(rng), grids.append(grid)
-        fine.append(f), vals.append(v), expected.append(g), states.append(state)
+        rng, knot_state = streamed(m, seed + i, t)
+        times.append(t), seeds.append(seed + i), rngs.append(rng), grids.append(grid)
+        fine.append(f), vals.append(v), expected.append(g), knot_states.append(knot_state), states.append(state)
     budget = {"_FORM_BYTES": 0, "_STEP_CHUNK": 1} if smallest else {"_FORM_BYTES": harness._FORM_BYTES}
     with mock.patch.multiple(harness, **budget):
-        source = _RefinedChunks(times, knot_values, levels, rngs, grids)
+        source = _RefinedChunks(times, m, levels, seeds=seeds, rngs=rngs, grids=grids)
         stop = data.draw(st.none() | st.integers(0, 3))
         assert_windows_match(source, fine, vals, stop)
-        got = source.finish()
-    for i in range(len(meshes)):
-        assert got[i].tobytes() == expected[i].tobytes()
-        assert rngs[i].bit_generator.state == states[i]
+        assert_finish_matches(source, expected, knot_states, rngs, states)
 
 
 def test_deep_refinement_keeps_a_midpoint_that_rounds_onto_an_end():
@@ -657,21 +679,18 @@ def test_deep_refinement_keeps_a_midpoint_that_rounds_onto_an_end():
     p = problem_by_name("gl")
     seeds = [0, 1]
     solved = _solve_adaptive_batch(p, MeshConfig(h_max=0.0025), seeds)
-    times, knot_values, rngs, grids, fine, vals, expected, states = [], [], [], [], [], [], [], []
+    times, rngs, grids, fine, vals, expected, knot_states, states = [], [], [], [], [], [], [], []
     for seed, res in zip(seeds, solved):
         t = res.mesh_times()
         grid = np.linspace(0.0, p.t_end, 401)
         f, v, g, state = twin_refinement(p.m, seed, t, 10, grid)
         assert not (np.diff(f) > 0).all()
-        w, rng = streamed(p.m, seed, t, 10, grid)
-        times.append(t), knot_values.append(w), rngs.append(rng), grids.append(grid)
-        fine.append(f), vals.append(v), expected.append(g), states.append(state)
-    source = _RefinedChunks(times, knot_values, 10, rngs, grids)
+        rng, knot_state = streamed(p.m, seed, t)
+        times.append(t), rngs.append(rng), grids.append(grid)
+        fine.append(f), vals.append(v), expected.append(g), knot_states.append(knot_state), states.append(state)
+    source = _RefinedChunks(times, p.m, 10, seeds=seeds, rngs=rngs, grids=grids)
     assert_windows_match(source, fine, vals)
-    got = source.finish()
-    for i in range(len(seeds)):
-        assert got[i].tobytes() == expected[i].tobytes()
-        assert rngs[i].bit_generator.state == states[i]
+    assert_finish_matches(source, expected, knot_states, rngs, states)
 
 
 def test_grids_come_out_whole_when_every_reference_row_diverges_early():
@@ -708,23 +727,45 @@ def test_grids_come_out_whole_when_every_reference_row_diverges_early():
         assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
+def block_peak(cfg, solved):
+    """tracemalloc's peak over ``_run_block`` on the block of ``cfg``'s
+    samples whose adaptive solves are ``solved``, which it leaves out."""
+    tracemalloc.start()
+    try:
+        run_block(cfg, range(cfg.samples), solved)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_a_blocks_memory_does_not_grow_with_the_path():
     # 32 gl samples at h_max 0.0025, 401 steps each refined 2**8 times, are
     # 26 MB of refined values, which a block used to keep.  The block now
-    # holds a window of them at a time, and each sample's O(n) knots and
-    # uniform grid.
+    # holds a window of them at a time, and its uniform grids' values once.
     cfg = ExperimentConfig(problem="gl", h_max_list=(0.0025,), samples=32, levels=8)
-    indices = range(cfg.samples)
-    solved = adaptive_solves(cfg, 0.0025, indices)
+    solved = adaptive_solves(cfg, 0.0025, range(cfg.samples))
     refined = sum(((r.n_steps << cfg.levels) + 1) * 8 for r in solved)
     assert refined > 26e6
-    tracemalloc.start()
-    try:
-        run_block(cfg, indices, solved)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < refined / 10
+    assert block_peak(cfg, solved) < refined / 10
+
+
+def test_an_spde_block_keeps_one_path_length_copy_of_its_brownian_values():
+    # spde-desk's finest block: 5 samples of about 2,000 adaptive steps with
+    # m = 101, whose uniform grids' values take 8 MB.  The block stores them
+    # once, and every fixed-step march reads that store in place; the
+    # reference draws its knot values a window at a time.  Beyond the store
+    # it holds one window: its step sizes and increments (256 fine steps at
+    # least, the unit below), its last two levels' fine values and its
+    # normals, about three units, and the march's S dW for a chunk, old and
+    # new while the next is formed, two more.  A second path-length copy of
+    # the values, as each sample's stored knot values were, does not fit.
+    cfg = ExperimentConfig(problem="spde", h_max_list=(0.005,), samples=5, levels=4)
+    p = problem_by_name(cfg.problem)
+    solved = adaptive_solves(cfg, 0.005, range(cfg.samples))
+    grid = sum((round(p.t_end / r.mean_h) + 1) * p.m * 8 for r in solved)
+    unit = harness._STEP_CHUNK * cfg.samples * (p.m + 1) * 8
+    assert grid > 7.5 * unit
+    assert block_peak(cfg, solved) < grid + 6 * unit
 
 
 THR = DIVERGENCE_THRESHOLD
@@ -764,7 +805,7 @@ def test_divergence_verdicts_agree_alone_in_a_stack_and_in_solve(stack):
                    x0=np.zeros(d), t_end=1.0)
     # One step of size 1 from the value 0 to the planted state.
     values = [np.vstack([np.zeros(d), row]) for row in stack]
-    _, diverged, _, _ = _march_batch(p, "explicit_euler", _RefinedChunks([np.array([0.0, 1.0])] * k, values, 0))
+    _, diverged, _, _ = _march_batch(p, "explicit_euler", stored([np.array([0.0, 1.0])] * k, values))
     assert diverged.tolist() == verdicts
     with np.errstate(all="ignore"):
         assert [solve(p, "explicit_euler", PlantedPath(row), h=1.0).diverged for row in stack] == verdicts
@@ -839,7 +880,7 @@ class TestReferenceQuality:
             res = solve(p, "adaptive_semi_implicit", path, config=MeshConfig(h_max=0.025, rho=cfg.rho))
             # Marched over the stored refinement, as a grid of depth 0.
             fine = path.refine_uniform(res.mesh_times(), cfg.levels)
-            ref, _, _, _ = _march_batch(p, "balanced", _RefinedChunks([fine], [path.values_on_grid(fine)], 0))
+            ref, _, _, _ = _march_batch(p, "balanced", stored([fine], [path.values_on_grid(fine)]))
             exact = gbm_exact_terminal(path.value_at(p.t_end)[0])
             ref_sq.append((ref[0, 0] - exact) ** 2)
             sch_sq.append((res.y_terminal[0] - exact) ** 2)
