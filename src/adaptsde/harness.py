@@ -8,9 +8,9 @@ The measurement protocol, per ``h_max`` and per chunk of samples
    draw (seed = master seed XOR sample index), as one march; each result
    equals ``solve()``'s on that path, bit for bit,
 2. replay each sample's path from its seed at its mesh's knot times, one
-   sample at a time, for the moment sums, then skip through the draws of its
-   bridge refinement: draw each level's normals and throw them away, keeping
-   a generator where the level begins,
+   sample at a time and without storing it, for the moment sums, then skip
+   through the draws of its bridge refinement: draw each level's normals and
+   throw them away, keeping a generator where the level begins,
 3. bisect every adaptive step ``levels`` times with Brownian bridges and
    march the balanced method over the fine grid: that is the reference
    solution for this sample.  The chunk is one block, whose fine steps are
@@ -19,14 +19,16 @@ The measurement protocol, per ``h_max`` and per chunk of samples
    grow with the path,
 4. set the uniform step ``h_u = T / round(T / h_bar)`` from the sample's own
    mean adaptive step ``h_bar`` and run every fixed-step scheme on that grid,
-   with increments bridged from the same path, in the same windows, into
-   the block's one stored copy of path values, which each march reads,
+   with increments bridged from the same path in the same windows: each
+   window values the grid times up to its end, and every fixed-step march
+   takes those steps and carries its states on before the next window is
+   formed, so the block stores no path values,
 5. record, per scheme and in sample order, squared terminal errors against
    the reference, divergence flags, fallback counts and wall times.
 
 Replaying a path reproduces it exactly: the adaptive march only draws
-forward, from each sample's own generator, and ``value_at_many`` at the
-solve's knot times, like a window's forward draws, consumes it the same way.
+forward, from each sample's own generator, and a fresh path's draws at the
+solve's knot times, like a window's forward draws, consume it the same way.
 Steps 2-4 draw exactly the normals ``WienerPath.refine_uniform`` and then a
 grid query would, so every value is the one a stored refinement gives.
 
@@ -38,12 +40,14 @@ the worker count, which sets the contiguous chunks, or the window size.
 
 ``mean_cputime_s`` is wall time (``time.perf_counter``), not CPU time: for
 every scheme, the wall time of its march's loop divided by its number of
-rows, with path generation left out.  A fixed-step scheme's grid values
-are drawn before its march, so its figure moves with the block size; forming
-the step sizes, increments and mixed increments ``S dW`` from them happens
-inside the timed loop, a chunk of steps at a time, and counts as the
-scheme's own work, as when each step formed its noise itself.  The adaptive
-march draws its normals as it steps, so it subtracts the time spent drawing.
+rows, with path generation left out.  A fixed-step scheme's march runs a
+window at a time, and its figure is the sum of its loop times over the
+windows; the grid values are drawn outside those loops, and the figure
+moves with the block size.  Forming the mixed increments ``S dW`` (and
+the balanced step's ``|dW|``) from the window's increments happens inside
+the timed loop, a chunk of steps at a time, and counts as the scheme's own
+work, as when each step formed its noise itself.  The adaptive march draws
+its normals as it steps, so it subtracts the time spent drawing.
 """
 
 from __future__ import annotations
@@ -299,31 +303,33 @@ _FORM_BYTES = 3 << 17
 _SKIP_DRAWS = 1 << 13
 
 
-def _march(problem: SdeProblem, step, k: int, source) -> tuple:
-    """The one batched march: k rows from ``x0`` until each finishes or diverges.
+def _march(problem: SdeProblem, step, y: np.ndarray, source, rows=slice(None)) -> tuple:
+    """The one batched march: the ``rows`` of the states ``y``, (k, d), each
+    until it finishes or diverges; ``y`` is updated in place.
 
     At step n, ``source(n, rows, y)`` takes the active rows and their states
-    and returns ``(h, dW, done, balanced, f_y, noise)`` for them: step
-    sizes, increments, the rows that finish with this step and the rows that
-    take a balanced step instead of ``step``'s (each None if no row does),
-    the drift response an adaptive step reuses (None for fixed steps) and
-    the mixed increments ``S dW`` a fixed step reuses (None for adaptive).
-    ``rows`` is ``slice(None)`` while every row is active, so rows are
-    views; after the first row drops, an index array.  Balanced rows take
-    one stacked balanced step and count as fallbacks.  Returns the states,
-    diverged mask, fallback counts, steps per row and the loop's wall time.
+    and returns ``(h, dW, done, balanced, operands)`` for them: step sizes,
+    increments, the rows that finish with this step and the rows that take
+    a balanced step instead of ``step``'s (each None if no row does), and
+    the operands that follow ``dW`` in the call to ``step``: the drift
+    response an adaptive step reuses, or a fixed step's mixed increments
+    ``S dW`` (and ``|dW|`` for the balanced step).  ``rows`` is
+    ``slice(None)`` while every row is active, so rows are views; after the
+    first row drops, an index array.  Balanced rows take one stacked
+    balanced step and count as fallbacks.  Returns the diverged mask,
+    fallback counts, steps per row and the loop's wall time.
     """
-    y = np.broadcast_to(problem.x0, (k, problem.d)).copy()
+    k = len(y)
     diverged = np.zeros(k, dtype=bool)
     n_fallback = np.zeros(k, dtype=int)
     n_steps = np.zeros(k, dtype=int)
-    rows, n = slice(None), 0
+    n = 0
     t0 = time.perf_counter()
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         while True:
             ya = y[rows]
-            h, dW, done, balanced, f_y, noise = source(n, rows, ya)
-            yn, fell = step(ya, h, dW, noise=noise) if f_y is None else step(ya, h, dW, f_y)
+            h, dW, done, balanced, operands = source(n, rows, ya)
+            yn, fell = step(ya, h, dW, *operands)
             if balanced is not None and balanced.any():
                 yn[balanced] = step_balanced(problem, ya[balanced], h[balanced], dW[balanced])
                 fell = balanced if fell is None else fell | balanced
@@ -343,37 +349,166 @@ def _march(problem: SdeProblem, step, k: int, source) -> tuple:
                 rows = idx[~drop]
                 if not rows.size:
                     break
-    return y, diverged, n_fallback, n_steps, time.perf_counter() - t0
+    return diverged, n_fallback, n_steps, time.perf_counter() - t0
 
 
-def _march_batch(problem: SdeProblem, scheme: str, grid: _RefinedChunks) -> tuple:
+def _march_batch(problem: SdeProblem, scheme: str, grid, y=None, rows=slice(None)) -> tuple:
     """March a batch of samples with one fixed-step scheme over ``grid``.
 
-    Row i takes ``grid.lengths[i]`` steps, at least one.  The steps come
-    from ``grid.chunk`` ``_STEP_CHUNK`` at a time, step-major, with their
-    ``S dW`` formed in one stacked product, so each step reads contiguous
-    views and its step map skips that product; once rows drop, each step
-    gathers its rows from the chunk.  Returns (terminal states, diverged
-    mask, fallback counts, wall time).
+    Row i takes ``grid.lengths[i]`` steps, at least one, from its state in
+    ``y`` (``x0`` if None), which the march updates in place; only ``rows``
+    march.  The steps come from ``grid.chunk`` ``_STEP_CHUNK`` at a time,
+    step-major, with their ``S dW`` formed in one stacked product, and for
+    the balanced scheme their ``|dW|`` too, so each step reads contiguous
+    views and its step map skips that work; once rows drop, each step
+    gathers its rows from the chunk.  Returns (states, diverged mask,
+    fallback counts, wall time).
     """
     step = step_map(problem, scheme)
     lengths = grid.lengths
+    if y is None:
+        y = np.broadcast_to(problem.x0, (len(lengths), problem.d)).copy()
     # Which rows finish is worked out only at the steps where some row does.
-    ends = set(lengths.tolist())
-    last = int(lengths.max())
-    hs = dws = noises = None
+    ends = set(lengths[rows].tolist())
+    last = max(ends)
+    absolute = scheme == "balanced"
+    hs = dws = noises = abs_dws = buffers = None
 
     def source(n, rows, y):
-        nonlocal hs, dws, noises
+        nonlocal hs, dws, noises, abs_dws, buffers
         j = n % _STEP_CHUNK
         if j == 0:
             hs, dws = grid.chunk(n, min(n + _STEP_CHUNK, last))
-            noises = _mix(problem, dws)
+            if buffers is None:  # the first chunk is the longest; the others reuse its buffers
+                buffers = np.empty((*dws.shape[:2], problem.d)), np.empty(dws.shape) if absolute else None
+            noises = _mix(problem, dws, out=buffers[0][: len(dws)])
+            abs_dws = np.abs(dws, out=buffers[1][: len(dws)]) if absolute else None
         done = lengths[rows] == n + 1 if n + 1 in ends else None
-        return hs[j, rows], dws[j, rows], done, None, None, noises[j, rows]
+        if absolute:
+            return hs[j, rows], dws[j, rows], done, None, (noises[j, rows], abs_dws[j, rows])
+        return hs[j, rows], dws[j, rows], done, None, (noises[j, rows],)
 
-    y, diverged, n_fallback, _, elapsed = _march(problem, step, len(lengths), source)
+    diverged, n_fallback, _, elapsed = _march(problem, step, y, source, rows)
     return y, diverged, n_fallback, elapsed
+
+
+class _GridMarch:
+    """One fixed-step scheme's march over a block's uniform grids, resumed
+    window by window: its states, divergence flags, fallback counts and
+    loop time carry over from one window to the next."""
+
+    def __init__(self, problem: SdeProblem, scheme: str, k: int):
+        self.problem, self.scheme = problem, scheme
+        self.y = np.broadcast_to(problem.x0, (k, problem.d)).copy()
+        self.diverged = np.zeros(k, dtype=bool)
+        self.n_fallback = np.zeros(k, dtype=int)
+        self.elapsed = 0.0
+
+    def take(self, grid) -> None:
+        """March each row that has not diverged over its ``grid.lengths[i]`` steps."""
+        rows = np.flatnonzero((grid.lengths > 0) & ~self.diverged)
+        if len(rows):
+            _, diverged, n_fallback, elapsed = _march_batch(
+                self.problem, self.scheme, grid, self.y, rows if len(rows) < len(self.y) else slice(None)
+            )
+            self.diverged |= diverged
+            self.n_fallback += n_fallback
+            self.elapsed += elapsed
+
+
+def _grid_times(T: float, n: int, lo: int, hi: int) -> np.ndarray:
+    """Times ``lo..hi - 1`` of ``np.linspace(0.0, T, n + 1)``, bit for bit."""
+    g = np.arange(lo, hi) * (T / n)
+    if lo < hi == n + 1:
+        g[-1] = T
+    return g
+
+
+class _GridWindows:
+    """The uniform grids ``np.linspace(0, T, n[i] + 1)``, valued a window at
+    a time and marched by every fixed-step scheme as soon as they are valued.
+
+    :meth:`serve` values each row's grid times up to the end of one of the
+    reference's windows, from that window's fine times and values: a time
+    inside a fine interval is bridged, drawing from ``rngs[i]``, the
+    generator past row i's refinement, as ``WienerPath._draw_many`` would
+    draw after ``refine_uniform``.  :meth:`finish` draws the times past a
+    row's last knot (a diverged adaptive solve's) forward, ``_STEP_CHUNK`` at
+    a time.  Either way the steps whose right end was valued go to each of
+    ``marches`` (``take(self)``): this object is then a depth-0 source in
+    which row i has ``lengths[i]`` steps, differenced as ``np.diff`` of the
+    grid and its values would be.  Between windows it keeps each row's last
+    grid time and value, and buffers as long as the longest window's steps.
+    """
+
+    def __init__(self, T: float, n: Sequence[int], rngs, m: int, marches):
+        k = len(n)
+        self.T, self.n, self.rngs, self.marches = T, list(n), rngs, marches
+        self.served = [1] * k  # grid times valued so far; time 0 is W = 0
+        self.t, self.w = np.zeros(k), np.zeros((k, m))  # each row's last grid time and value
+        self.lengths = np.zeros(k, dtype=int)
+        self.hs, self.dws = np.zeros((0, k)), np.zeros((0, k, m))
+
+    def chunk(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        """This window's steps ``lo..hi - 1``: (step sizes (n, k), increments (n, k, m))."""
+        return self.hs[lo:hi], self.dws[lo:hi]
+
+    def serve(self, t, w) -> None:
+        """Value the grid times up to each row's end of the window with fine
+        times ``t`` (k, P) and values ``w`` (k, P, m), and march them."""
+        k, P, m = w.shape
+        new, host = [], []
+        for i, (n, lo) in enumerate(zip(self.n, self.served)):
+            end = t[i, -1]
+            g = _grid_times(self.T, n, lo, min(n + 1, int(end / (self.T / n)) + 2))
+            new.append(g[: np.searchsorted(g, end, side="right")])
+            host.append(np.searchsorted(t[i], new[-1]) + i * P)
+
+        def normals(h, out):
+            ends = np.cumsum(np.bincount(h // P, minlength=k)).tolist()
+            for rng, lo, hi in zip(self.rngs, [0] + ends, ends):
+                rng.standard_normal(out=out[lo:hi])
+
+        ts = np.concatenate(new)
+        self._take(ts, _draw_at(normals, t.ravel(), w.reshape(-1, m), ts, np.concatenate(host))[0], new)
+
+    def finish(self, t, w) -> None:
+        """Value and march the grid times past each row's last knot, at time
+        ``t[i]`` with value ``w[i]``, drawn forward from there."""
+        t, w = t.copy(), w.copy()  # where each row's next draws start
+        while any(lo <= n for n, lo in zip(self.n, self.served)):
+            new, vals = [], []
+            for i, (n, lo, rng) in enumerate(zip(self.n, self.served, self.rngs)):
+                new.append(_grid_times(self.T, n, lo, min(n + 1, lo + _STEP_CHUNK)))
+                if len(new[-1]):
+                    normals = lambda h, out: rng.standard_normal(out=out)
+                    vals.append(_draw_at(normals, t[i : i + 1], w[i : i + 1], new[-1])[0])
+                    t[i], w[i] = new[-1][-1], vals[-1][-1]
+            self._take(np.concatenate(new), np.concatenate(vals), new)
+
+    def _take(self, ts, vals, new) -> None:
+        """Hand every march the steps to the grid times ``ts`` with values
+        ``vals``, row by row, ``len(new[i])`` of them in row i."""
+        self.lengths = counts = np.array([len(g) for g in new])
+        if not len(ts):
+            return
+        starts = np.cumsum(counts) - counts
+        has = np.flatnonzero(counts)
+        first, last = starts[has], starts[has] + counts[has] - 1
+        n = counts.max()
+        if n > len(self.hs):
+            self.hs, self.dws = np.zeros((n, *self.hs.shape[1:])), np.zeros((n, *self.dws.shape[1:]))
+        rows = np.repeat(np.arange(len(counts)), counts)
+        cols = np.arange(len(ts)) - starts[rows]
+        dt, dw = np.empty_like(ts), np.empty_like(vals)
+        np.subtract(ts[1:], ts[:-1], out=dt[1:])
+        np.subtract(vals[1:], vals[:-1], out=dw[1:])
+        dt[first], dw[first] = ts[first] - self.t[has], vals[first] - self.w[has]
+        self.hs[cols, rows], self.dws[cols, rows] = dt, dw
+        self.t[has], self.w[has] = ts[last], vals[last]
+        self.served = [lo + c for lo, c in zip(self.served, counts.tolist())]
+        for march in self.marches:
+            march.take(self)
 
 
 def _bisections(knots: np.ndarray, levels: int, out: list):
@@ -392,26 +527,25 @@ class _RefinedChunks:
     """The steps of the grids ``refine_uniform(times[i], levels)``, formed a
     window at a time, in time order, as the march asks for them.
 
-    Row i's values at ``times[i]`` are read in place from ``values``, a
-    (k, n, m) store with each row padded by its last value, or else drawn
-    each window from a fresh generator seeded ``seeds[i]``, forward and
-    cumulated as ``_draw_at`` extends a path: the values
-    ``WienerPath(m, seeds[i]).value_at_many(times[i])`` gives.  ``rngs[i]``
-    is row i's generator where ``refine_uniform`` would begin to draw.  A
-    skip pass counts each level's draws from the bisected times and gives
-    each (row, level) a generator where they begin; ``refine_uniform`` draws
-    level by level, left to right, so each serves its level's windows in
-    order.  A window is whole coarse steps and whole ``_STEP_CHUNK`` chunks
-    of about ``_FORM_BYTES``, stacked over rows.  A midpoint equal to an end
-    of its interval (deep levels, or a row's padding) takes that end's value
-    and draws nothing, as ``refine_uniform`` keeps a knot.  So each window
-    is ``np.diff`` of the refined grid and values, bit for bit, and the
-    times ``grids[i]`` get the values ``WienerPath._draw_many`` would draw
-    after the refinement, in one padded store (:meth:`finish`).  At
+    Row i's values at ``times[i]`` are drawn each window from a fresh
+    generator seeded ``seeds[i]``, forward and cumulated as ``_draw_at``
+    extends a path: the values ``WienerPath(m, seeds[i]).value_at_many(times[i])``
+    gives.  ``rngs[i]`` is row i's generator where ``refine_uniform`` would
+    begin to draw.  A skip pass counts each level's draws from the bisected
+    times and gives each (row, level) a generator where they begin;
+    ``refine_uniform`` draws level by level, left to right, so each serves
+    its level's windows in order.  A window is whole coarse steps and whole
+    ``_STEP_CHUNK`` chunks of about ``_FORM_BYTES``, stacked over rows.  A
+    midpoint equal to an end of its interval (deep levels, or a row's
+    padding) takes that end's value and draws nothing, as ``refine_uniform``
+    keeps a knot.  So each window is ``np.diff`` of the refined grid and
+    values, bit for bit.  Each formed window's fine times and values go to
+    ``grids``, a :class:`_GridWindows`, and :meth:`finish` forms
+    the windows the march did not ask for and then finishes ``grids``.  At
     ``levels`` 0 the grids are the times themselves.
     """
 
-    def __init__(self, times, m: int, levels: int, values=None, seeds=(), rngs=(), grids=()):
+    def __init__(self, times, m: int, levels: int, seeds, rngs, grids):
         k, n = len(times), max(map(len, times))
         # A row's last knot pads it, so its padding bisects into steps of 0.
         self.knots = np.empty((k, n))
@@ -424,14 +558,13 @@ class _RefinedChunks:
         self.hs, self.dws = np.empty((span, k)), np.empty((span, k, m))
         # Every window reuses one set of buffers: the last two levels' times
         # and values, and the last level's normals and bridge scratch.
-        room = span if levels else 0  # depth 0 bisects nothing
-        self.times = [np.empty((k, room + 1)), np.empty((k, room // 2 + 1))]
-        self.values = [np.empty((k, room + 1, m)), np.empty((k, room // 2 + 1, m))]
-        self.z, self.work = np.empty((k * room // 2, m)), np.empty((3, k, room // 2))
+        self.times = [np.empty((k, span + 1)), np.empty((k, span // 2 + 1))]
+        self.values = [np.empty((k, span + 1, m)), np.empty((k, span // 2 + 1, m))]
+        self.z, self.work = np.empty((k * span // 2, m)), np.empty((3, k, span // 2))
         self.span = span >> levels  # coarse steps per window
         self.end = self.base = 0  # coarse steps formed: the window is base..end - 1
-        self.coarse, self.knot_rngs = values, [np.random.default_rng(s) for s in seeds]
-        self.w = np.empty((k, self.span + 1, m)) if values is None else None  # a window's knot values
+        self.knot_rngs = [np.random.default_rng(s) for s in seeds]
+        self.w = np.empty((k, self.span + 1, m))  # a window's knot values
         self.last = np.zeros((k, m))  # each row's value at the end of the last window
         counts = np.zeros((k, levels), dtype=int)
         for c in range(0, n - 1, self.span):
@@ -443,8 +576,7 @@ class _RefinedChunks:
                 cursors.append(np.random.Generator(copy.copy(rng.bit_generator)))
                 for lo in range(0, c, _SKIP_DRAWS):  # drawn and thrown away
                     rng.standard_normal(out=scratch[: min(_SKIP_DRAWS, c - lo)])
-        self.rngs, self.grids, self.served = rngs, grids, [0] * len(grids)  # grid times valued so far
-        self.grid_values = np.empty((k, max(map(len, grids), default=0), m))
+        self.grids = grids
 
     @staticmethod
     def _drawn(fine):
@@ -475,21 +607,6 @@ class _RefinedChunks:
             np.copyto(wm, np.where(at_a[..., None], wa, wb), where=~drawn[..., None])
         return out
 
-    def _serve_grids(self, t, w) -> None:
-        """Value the grid times up to the window's end, from its times ``t``
-        and values ``w`` and each row's own generator."""
-        k, P, m = w.shape
-        his = [np.searchsorted(g, t[i, -1], side="right") for i, g in enumerate(self.grids)]
-        new = [g[lo:hi] for g, lo, hi in zip(self.grids, self.served, his)]
-        host = np.concatenate([np.searchsorted(t[i], g) + i * P for i, g in enumerate(new)])
-        normals = lambda h: np.concatenate(
-            [rng.standard_normal((n, m)) for rng, n in zip(self.rngs, np.bincount(h // P, minlength=k))])
-        vals = _draw_at(normals, t.ravel(), w.reshape(-1, m), np.concatenate(new), host)[0]
-        ends = np.cumsum([len(g) for g in new]).tolist()
-        for i, lo, hi in zip(range(k), [0] + ends, ends):
-            self.grid_values[i, self.served[i] : his[i]] = vals[lo:hi]
-        self.served = his
-
     def _draw_knots(self, t) -> np.ndarray:
         """The window's knot values at its times ``t``, from the last window's
         end: each row's forward draws from its own generator, cumulated."""
@@ -503,16 +620,16 @@ class _RefinedChunks:
         return np.cumsum(w, axis=1, out=w)
 
     def _form(self) -> None:
-        """The next window's step-major sizes and increments, and its grid values."""
+        """The next window's step-major sizes and increments; its fine times
+        and values go to the uniform grids."""
         c0 = self.end
         c1 = min(c0 + self.span, self.knots.shape[1] - 1)
         t = self.knots[:, c0 : c1 + 1]
-        w = self._draw_knots(t) if self.coarse is None else self.coarse[:, c0 : c1 + 1]
+        w = self._draw_knots(t)
         self.last[:] = w[:, -1]
         for l, t in enumerate(_bisections(t, self.levels, self.times)):
             w = self._bisect_values(l, t, w)
-        if self.grids:
-            self._serve_grids(t, w)
+        self.grids.serve(t, w)
         n = t.shape[1] - 1
         np.subtract(t[:, 1:], t[:, :-1], out=self.hs[:n].T)
         np.subtract(w[:, 1:], w[:, :-1], out=self.dws[:n].transpose(1, 0, 2))
@@ -526,20 +643,12 @@ class _RefinedChunks:
         lo, hi = lo - (self.base << self.levels), hi - (self.base << self.levels)
         return self.hs[lo:hi], self.dws[lo:hi]
 
-    def finish(self) -> np.ndarray:
-        """The grids' values as a (k, n, m) store, each row padded with its
-        last value, once every window is formed; times past a row's last
-        knot (a diverged adaptive solve's) extend its path forward."""
+    def finish(self) -> None:
+        """Form the windows the march did not ask for, then finish the
+        uniform grids past each row's last knot."""
         while self.end < self.knots.shape[1] - 1:
             self._form()
-        m = self.last.shape[1]
-        for i, (g, rng, lo) in enumerate(zip(self.grids, self.rngs, self.served)):
-            row = self.grid_values[i, : len(g)]
-            if lo < len(g):
-                normals = lambda h: rng.standard_normal((len(h), m))
-                row[lo:] = _draw_at(normals, self.knots[i, -1:], self.last[i : i + 1], g[lo:])[0]
-            self.grid_values[i, len(g) :] = row[-1]
-        return self.grid_values
+        self.grids.finish(self.knots[:, -1], self.last)
 
 
 def _solve_adaptive_batch(
@@ -591,10 +700,11 @@ def _solve_adaptive_batch(
         # Formed before w is written: while rows is a slice, wa is a view.
         dW = wn - wa
         t[rows], w[rows], mesh[n, rows] = t_next, wn, h
-        return h, dW, final, backstop, f_y, None
+        return h, dW, final, backstop, (f_y,)
 
     step = step_map(problem, "adaptive_semi_implicit")
-    y, diverged, n_backstop, n_steps, elapsed = _march(problem, step, k, source)
+    y = np.broadcast_to(problem.x0, (k, problem.d)).copy()
+    diverged, n_backstop, n_steps, elapsed = _march(problem, step, y, source)
     wall = (elapsed - draw_s) / k
     return [
         SolveResult(y[i].copy(), mesh[: n_steps[i], i].copy(), int(n_backstop[i]), wall, bool(diverged[i]))
@@ -608,13 +718,17 @@ def _run_block(
     """Protocol steps 2-5 for a block of samples whose adaptive solves are done.
 
     ``seeds`` are the samples' path seeds.  The adaptive march only draws
-    forward, so querying a fresh path with the same seed at the solve's knot
+    forward, so drawing a fresh path with the same seed at the solve's knot
     times replays its draws exactly, for the moment sums; its generator then
-    stands where ``refine_uniform`` would begin.  The reference march forms
-    its steps from the seeds and those generators a window at a time
-    (:class:`_RefinedChunks`), and the same windows value the uniform grids
-    into one store, from which each fixed-step march forms its steps in
-    place, as a refinement of depth 0.
+    stands where ``refine_uniform`` would begin.  The replay takes one
+    sample at a time, draws its values without merging them into the path
+    and turns them into increments in place.  The reference march forms its
+    steps from the seeds and those generators a window at a time
+    (:class:`_RefinedChunks`); each window values the uniform grids up to
+    its end (:class:`_GridWindows`), and every fixed-step march
+    (:class:`_GridMarch`) takes those steps before the next window is
+    formed.  Between windows the block keeps its knot times and arrays
+    that do not grow with the path.
 
     Returns each sample's two :class:`MomentStats` sums as a (k, 2) array
     and, per scheme, four columns in sample order: squared terminal errors
@@ -623,22 +737,32 @@ def _run_block(
     """
     T, m, k = problem.t_end, problem.m, len(seeds)
     moments = np.empty((k, 2))
-    knots, rngs, grids = [], [], []
+    knots, rngs, steps = [], [], []
     for j, (seed, adaptive) in enumerate(zip(seeds, solved)):
         path = WienerPath(m, seed=seed)
         knots.append(adaptive.mesh_times())
-        # Conditional-moment accumulators for the adaptive mesh.
-        dws, hs = np.diff(path.value_at_many(knots[-1]), axis=0), adaptive.mesh
-        moments[j] = (dws / np.sqrt(hs)[:, None]).sum(), ((dws**2).sum(axis=1) / hs).sum()
+        # Conditional-moment accumulators for the adaptive mesh, from the
+        # increments, formed in place of the values from the end back.
+        w, hs = path._draw_many(knots[-1])[0], adaptive.mesh
+        normsq = np.empty(len(hs))
+        for hi in range(len(hs), 0, -_STEP_CHUNK):
+            lo = max(hi - _STEP_CHUNK, 0)
+            dws = np.subtract(w[lo + 1 : hi + 1], w[lo:hi], out=w[lo + 1 : hi + 1])
+            normsq[lo:hi] = np.square(dws).sum(axis=1)
+        dws = w[1:]
+        moments[j, 1] = (normsq / hs).sum()
+        moments[j, 0] = np.divide(dws, np.sqrt(hs)[:, None], out=dws).sum()
         rngs.append(path.rng)
-        grids.append(np.linspace(0.0, T, max(1, int(round(T / adaptive.mean_h))) + 1))
-        del path, dws  # before the next sample's, and before the marches
+        steps.append(max(1, int(round(T / adaptive.mean_h))))
+        del path, w, dws  # before the next sample's, and before the marches
 
-    reference = _RefinedChunks(knots, m, config.levels, seeds=seeds, rngs=rngs, grids=grids)
+    marches = {s: _GridMarch(problem, s, k) for s in config.schemes if s != "adaptive_semi_implicit"}
+    grids = _GridWindows(T, steps, rngs, m, list(marches.values()))
+    reference = _RefinedChunks(knots, m, config.levels, seeds, rngs, grids)
     del knots
     ref_y, ref_div, _, _ = _march_batch(problem, "balanced", reference)
-    grid_values = reference.finish()
-    del reference
+    reference.finish()
+    del reference, grids
 
     columns = {}
     for scheme in config.schemes:
@@ -648,8 +772,8 @@ def _run_block(
             fall = np.array([r.n_backstop for r in solved])
             wall = np.array([r.wall_time for r in solved])
         else:
-            y, div, fall, elapsed = _march_batch(problem, scheme, _RefinedChunks(grids, m, 0, grid_values))
-            wall = np.full(k, elapsed / k)
+            march = marches[scheme]
+            y, div, fall, wall = march.y, march.diverged, march.n_fallback, np.full(k, march.elapsed / k)
         diff = y - ref_y
         with np.errstate(over="ignore", invalid="ignore"):
             sq_err = np.vecdot(diff, diff)

@@ -13,8 +13,10 @@ Every ``step_*`` function also takes ``noise=None``: the mixed increment
 ``S dW`` of shape ``(..., d)``, formed by :func:`_mix`, when the caller
 already has it.  Like ``f_y`` and ``D`` it only carries a value and selects
 no behaviour: the step then skips that product and gives the same bits.
-The harness's fixed-step marches form it a chunk of steps at a time;
-``solve`` and the adaptive march pass nothing.
+``step_balanced`` also takes ``abs_dw=None``, the ``|dW|`` its
+denominator reads, on the same terms.  The harness's fixed-step marches
+form both a chunk of steps at a time; ``solve`` and the adaptive march
+pass nothing.
 
 ``step_map`` turns a scheme id into one ``(y, h, dW, noise=None) ->
 (y_next, fell_back)`` function and :func:`_diverged` is the one divergence test;
@@ -209,9 +211,9 @@ class LinearSolver:
 # -- one-step maps ----------------------------------------------------------
 
 
-def _mix(problem: SdeProblem, dW) -> np.ndarray:
+def _mix(problem: SdeProblem, dW, out=None) -> np.ndarray:
     """The mixed increment ``S dW``, shape (..., d), for increments (..., m)."""
-    return np.vecmat(dW, problem.S.T)
+    return np.vecmat(dW, problem.S.T, out=out)
 
 
 def _noise(problem: SdeProblem, amp: np.ndarray, dW, noise=None) -> np.ndarray:
@@ -244,11 +246,13 @@ def step_semi_implicit(
     return solver.solve(h, rhs)
 
 
-def step_balanced(problem: SdeProblem, y: np.ndarray, h, dW: np.ndarray, noise=None) -> np.ndarray:
+def step_balanced(problem: SdeProblem, y: np.ndarray, h, dW: np.ndarray, noise=None, abs_dw=None) -> np.ndarray:
     """Balanced step: increment divided by ``1 + h ||D|| + sum_r ||g_r dW_r||``.
 
     ``D = A y + f(y)`` is the full drift.  The denominator is at least 1, so
-    the state moves by no more than the raw Euler increment.
+    the state moves by no more than the raw Euler increment.  ``abs_dw`` is
+    ``|dW|`` if the caller has formed it; like ``noise`` it only carries a
+    value.
     """
     D = problem.drift(y)
     amp = problem.g(y)
@@ -256,7 +260,7 @@ def step_balanced(problem: SdeProblem, y: np.ndarray, h, dW: np.ndarray, noise=N
     num = _hcol(h, y) * D
     num += _noise(problem, amp, dW, noise)
     # ||g_r dW_r|| = |dW_r| ||g_r||
-    noise_norm = np.add.reduce(np.abs(dW) * _col_norms(problem, amp), axis=-1)
+    noise_norm = np.add.reduce((np.abs(dW) if abs_dw is None else abs_dw) * _col_norms(problem, amp), axis=-1)
     denom = _vnorm(D)
     denom *= h
     denom += 1.0
@@ -391,9 +395,10 @@ def _newton_updates(J: np.ndarray, F: np.ndarray) -> np.ndarray:
 def step_map(problem: SdeProblem, scheme: str) -> Callable[..., tuple[np.ndarray, object]]:
     """The one-step map of ``scheme`` as ``fn(y, h, dW, noise=None) -> (y_next, fell_back)``.
 
-    ``noise`` is the mixed increment ``S dW`` if the caller has it.
-    ``fell_back`` is the drift-implicit scheme's Newton-fallback mask and
-    None for every other scheme.  An adaptive scheme maps to its main step,
+    ``noise`` is the mixed increment ``S dW`` if the caller has it, and
+    the balanced map also takes ``abs_dw``, ``|dW|``.  ``fell_back`` is
+    the drift-implicit scheme's Newton-fallback mask and None for every
+    other scheme.  An adaptive scheme maps to its main step,
     ``fn(y, h, dW, f_y)``, where ``f_y`` is the response its controller
     read: ``f(y)`` for the semi-implicit scheme, the full drift for the
     explicit one.  The controller and the backstop stay with the caller.
@@ -406,12 +411,14 @@ def step_map(problem: SdeProblem, scheme: str) -> Callable[..., tuple[np.ndarray
     if scheme == "adaptive_semi_implicit":
         solver = LinearSolver(problem)
         return lambda y, h, dW, f_y: (step_semi_implicit(problem, y, h, dW, solver, f_y), None)
-    if scheme in ("adaptive_explicit", "explicit_euler"):
-        return lambda y, h, dW, D=None, noise=None: (step_explicit_euler(problem, y, h, dW, D, noise), None)
+    if scheme == "adaptive_explicit":
+        return lambda y, h, dW, D: (step_explicit_euler(problem, y, h, dW, D), None)
+    if scheme == "explicit_euler":
+        return lambda y, h, dW, noise=None: (step_explicit_euler(problem, y, h, dW, None, noise), None)
     if scheme == "drift_implicit":
         return lambda y, h, dW, noise=None: step_drift_implicit_batch(problem, y, h, dW, noise)
     if scheme == "balanced":
-        return lambda y, h, dW, noise=None: (step_balanced(problem, y, h, dW, noise), None)
+        return lambda y, h, dW, noise=None, abs_dw=None: (step_balanced(problem, y, h, dW, noise, abs_dw), None)
     if scheme == "increment_tamed":
         return lambda y, h, dW, noise=None: (step_increment_tamed(problem, y, h, dW, noise), None)
     if scheme == "fully_tamed":

@@ -65,10 +65,12 @@ def _draw_at(normals, kt: np.ndarray, kw: np.ndarray, ts: np.ndarray, host=None)
     ``kw``: ``(values, times, host rows, new-time mask)``.  A time on a knot
     takes its value (a repeated knot time has one value), one between knots
     is bridged by rank in its interval, one past the last knot extends the
-    path.  ``normals(h)`` gives a row of m normals per new time with host
-    row ``h``: a generator's gives ``value_at``'s draws and bits on each
-    time in turn.  Where ``kt`` is sorted only piecewise, pass ``host``,
-    ``np.searchsorted`` within each time's piece."""
+    path.  ``normals(h, out)`` fills ``out`` with a row of m normals per new
+    time with host row ``h``: a generator's gives ``value_at``'s draws and
+    bits on each time in turn.  Where ``kt`` is sorted only piecewise, pass
+    ``host``, ``np.searchsorted`` within each time's piece.  Times past the
+    last knot draw their normals into ``values`` and are cumulated there,
+    so a forward draw allocates no other array of its size."""
     n, out = len(kt), np.empty((len(ts), kw.shape[1]))
     host = np.searchsorted(kt, ts) if host is None else host
     known = kt[np.minimum(host, n - 1)] == ts
@@ -78,7 +80,8 @@ def _draw_at(normals, kt: np.ndarray, kw: np.ndarray, ts: np.ndarray, host=None)
         t, h = ts[inner], host[inner]
         # rank: new times before this one in its host interval
         rank = np.arange(len(h)) - np.searchsorted(h, h, side="left")
-        z = normals(h)
+        z = np.empty((len(h), kw.shape[1]))
+        normals(h, z)
         vals = np.empty_like(z)
         by_rank, ends = np.argsort(rank, kind="stable"), np.cumsum(np.bincount(rank)).tolist()
         for r, (lo, hi) in enumerate(zip([0] + ends, ends)):
@@ -86,13 +89,15 @@ def _draw_at(normals, kt: np.ndarray, kw: np.ndarray, ts: np.ndarray, host=None)
             ta, wa = (t[j - 1], vals[j - 1]) if r else (kt[h[j] - 1], kw[h[j] - 1])
             vals[j] = _bridge_rows(t[j], ta, kt[h[j]], wa, kw[h[j]], z[j])
         out[inner] = vals
-    tail = host == n
-    if tail.any():
+    cut = len(ts) - np.count_nonzero(host == n)  # times past the last knot, a suffix
+    if cut < len(ts):
         # Forward increments, cumulated from the last knot value so the
         # additions associate as in repeated single-step extension.
-        dts = np.diff(np.concatenate((kt[n - 1 :], ts[tail])))
-        steps = np.sqrt(dts)[:, None] * normals(host[tail])
-        out[tail] = np.cumsum(np.vstack([kw[n - 1], steps]), axis=0)[1:]
+        steps = out[cut:]
+        normals(host[cut:], steps)
+        steps *= np.sqrt(np.diff(np.concatenate((kt[n - 1 :], ts[cut:]))))[:, None]
+        steps[0] += kw[n - 1]
+        np.cumsum(steps, axis=0, out=steps)
     return out, ts, host, ~known
 
 
@@ -237,7 +242,7 @@ class WienerPath:
             raise ValueError("times must be finite and nonnegative")
         if not (ts[1:] > ts[:-1]).all():
             raise ValueError("times must be strictly ascending")
-        normals = lambda new: self.rng.standard_normal((len(new), self.dim))
+        normals = lambda new, out: self.rng.standard_normal(out=out)
         return _draw_at(normals, self._t[: self._n], self._w[: self._n], ts)
 
     def _merge(self, host: np.ndarray, ts: np.ndarray, ws: np.ndarray) -> None:

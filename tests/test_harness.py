@@ -21,6 +21,7 @@ from adaptsde.harness import (
     OrderFit,
     TableRow,
     _march_batch,
+    _GridWindows,
     _RefinedChunks,
     _run_block,
     _solve_adaptive_batch,
@@ -453,13 +454,17 @@ class TestAdaptiveBatch:
         assert batch[0].wall_time > 0
 
 
-def stored(times, values):
-    """A depth-0 source over each row's stored values, in a (k, n, m) store
-    padded with each row's last value, as the harness keeps its grid values."""
-    store = np.empty((len(times), max(map(len, times)), values[0].shape[1]))
-    for i, w in enumerate(values):
-        store[i], store[i, : len(w)] = w[-1], w
-    return _RefinedChunks(times, store.shape[2], 0, store)
+class stored:
+    """A depth-0 source over each row's stored times and values, as
+    ``_march_batch`` reads a grid: row i has ``len(times[i]) - 1`` steps,
+    ``np.diff`` of its times and values, handed over step-major."""
+
+    def __init__(self, times, values):
+        dt, dw, self.lengths = padded(times, values)
+        self.hs, self.dws = dt.T.copy(), dw.transpose(1, 0, 2).copy()
+
+    def chunk(self, lo, hi):
+        return self.hs[lo:hi], self.dws[lo:hi]
 
 
 FIXED_PAIRS = [
@@ -617,24 +622,40 @@ def assert_windows_match(source, fine, vals, stop=None):
                 assert dws[: end - n, i].tobytes() == np.diff(w, axis=0)[n:end].tobytes()
 
 
-def assert_finish_matches(source, expected, knot_states, rngs, states):
-    """The grid store holds each twin's grid values, padded with the last;
-    each knot generator drew exactly its knots' normals, and each refinement
-    generator stands where its twin's does after the grid query."""
-    got = source.finish()
-    assert got.shape == (len(expected), max(map(len, expected)), expected[0].shape[1])
-    for i, g in enumerate(expected):
-        assert got[i, : len(g)].tobytes() == g.tobytes()
-        assert (got[i, len(g) :] == g[-1]).all()
+class Recorder:
+    """A march that keeps each row's steps as a grid hands them over."""
+
+    def __init__(self, k):
+        self.hs, self.dws = [[] for _ in range(k)], [[] for _ in range(k)]
+
+    def take(self, grid):
+        hs, dws = grid.chunk(0, int(grid.lengths.max()))
+        for i, c in enumerate(grid.lengths.tolist()):
+            self.hs[i].append(hs[:c, i].copy())
+            self.dws[i].append(dws[:c, i].copy())
+
+
+def assert_grids_match(source, recorder, grids, expected, knot_states, rngs, states):
+    """Finish ``source``: each row's uniform-grid steps must be ``np.diff`` of
+    its grid and its twin's values there; each knot generator drew exactly
+    its knots' normals, and each refinement generator stands where its
+    twin's does after the grid query."""
+    source.finish()
+    for i, (g, w) in enumerate(zip(grids, expected)):
+        assert np.concatenate(recorder.hs[i]).tobytes() == np.diff(g).tobytes()
+        assert np.concatenate(recorder.dws[i]).tobytes() == np.diff(w, axis=0).tobytes()
         assert source.knot_rngs[i].bit_generator.state == knot_states[i]
         assert rngs[i].bit_generator.state == states[i]
+
+
+DYADIC = st.lists(st.sampled_from([0.125, 0.25, 0.375, 0.5]), min_size=1, max_size=5)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     m=st.sampled_from([1, 2]),
     levels=st.integers(0, 10),
-    meshes=st.lists(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=5), min_size=1, max_size=4),
+    meshes=st.lists(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=5) | DYADIC, min_size=1, max_size=4),
     seed=st.integers(0, 2**32 - 1),
     smallest=st.booleans(),
     data=st.data(),
@@ -646,30 +667,29 @@ def test_refined_chunks_equal_the_stored_grid(m, levels, meshes, seed, smallest,
     # it draws the knot values a window at a time, and a generator past
     # those draws.  Every chunk must hold np.diff of a twin path's
     # refine_uniform grid and values, as bytes; depth 0 is the mesh itself.
-    # Each row's uniform grid holds fine knots, times two to one fine
-    # interval and times past its last knot, as a diverged solve's would; it
-    # must get the twin's values, drawn after the refinement, wherever the
-    # march stops asking for steps.
-    times, seeds, rngs, grids, fine, vals, expected, knot_states, states = [], [], [], [], [], [], [], [], []
-    for i, h in enumerate(meshes):
-        t = mesh_times(np.array(h))
-        fine_i = twin_refinement(m, seed + i, t, levels, t)[0]
-        pick = data.draw(st.lists(st.integers(0, len(fine_i) - 1), max_size=6))
-        gaps = np.flatnonzero(np.diff(fine_i) > 0)
-        j = gaps[data.draw(st.integers(0, len(gaps) - 1))]
-        inside = fine_i[j] + np.diff(fine_i)[j] * np.array([0.25, 0.5])
-        past = t[-1] * np.array([1.0, 1.5, 2.0])[: data.draw(st.integers(1, 3))]
-        grid = np.unique(np.concatenate(([0.0], fine_i[pick], inside, past)))
+    # Each row's uniform grid runs to one T for all rows, past the last
+    # knot of every row that ends sooner, as a diverged solve's does; it
+    # has times inside fine intervals, often two to one, and on dyadic
+    # meshes times on fine knots.  It must get the twin's values, drawn
+    # after the refinement, wherever the march stops asking for steps.
+    times = [mesh_times(np.array(h)) for h in meshes]
+    T = max(t[-1] for t in times) * data.draw(st.sampled_from([1.0, 1.5, 2.0]))
+    ns = data.draw(st.lists(st.integers(1, 40) | st.sampled_from([4, 8, 16, 32]),
+                            min_size=len(times), max_size=len(times)))
+    seeds, rngs, grids, fine, vals, expected, knot_states, states = [], [], [], [], [], [], [], []
+    for i, (t, n) in enumerate(zip(times, ns)):
+        grid = np.linspace(0.0, T, n + 1)
         f, v, g, state = twin_refinement(m, seed + i, t, levels, grid)
         rng, knot_state = streamed(m, seed + i, t)
-        times.append(t), seeds.append(seed + i), rngs.append(rng), grids.append(grid)
+        seeds.append(seed + i), rngs.append(rng), grids.append(grid)
         fine.append(f), vals.append(v), expected.append(g), knot_states.append(knot_state), states.append(state)
     budget = {"_FORM_BYTES": 0, "_STEP_CHUNK": 1} if smallest else {"_FORM_BYTES": harness._FORM_BYTES}
     with mock.patch.multiple(harness, **budget):
-        source = _RefinedChunks(times, m, levels, seeds=seeds, rngs=rngs, grids=grids)
+        recorder = Recorder(len(times))
+        source = _RefinedChunks(times, m, levels, seeds, rngs, _GridWindows(T, ns, rngs, m, [recorder]))
         stop = data.draw(st.none() | st.integers(0, 3))
         assert_windows_match(source, fine, vals, stop)
-        assert_finish_matches(source, expected, knot_states, rngs, states)
+        assert_grids_match(source, recorder, grids, expected, knot_states, rngs, states)
 
 
 def test_deep_refinement_keeps_a_midpoint_that_rounds_onto_an_end():
@@ -688,9 +708,83 @@ def test_deep_refinement_keeps_a_midpoint_that_rounds_onto_an_end():
         rng, knot_state = streamed(p.m, seed, t)
         times.append(t), rngs.append(rng), grids.append(grid)
         fine.append(f), vals.append(v), expected.append(g), knot_states.append(knot_state), states.append(state)
-    source = _RefinedChunks(times, p.m, 10, seeds=seeds, rngs=rngs, grids=grids)
+    recorder = Recorder(len(seeds))
+    source = _RefinedChunks(times, p.m, 10, seeds, rngs, _GridWindows(p.t_end, [400] * 2, rngs, p.m, [recorder]))
     assert_windows_match(source, fine, vals)
-    assert_finish_matches(source, expected, knot_states, rngs, states)
+    assert_grids_match(source, recorder, grids, expected, knot_states, rngs, states)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(T=st.floats(1e-3, 1e3), n=st.integers(1, 5000), data=st.data())
+def test_grid_times_are_linspaces_bits(T, n, data):
+    lo = data.draw(st.integers(0, n + 1))
+    hi = data.draw(st.integers(lo, n + 1))
+    assert harness._grid_times(T, n, lo, hi).tobytes() == np.linspace(0.0, T, n + 1)[lo:hi].tobytes()
+
+
+def keeping(kept):
+    """A stand-in for ``_GridMarch`` that files each march under its scheme in ``kept``."""
+    march = harness._GridMarch
+
+    def make(problem, scheme, k):
+        kept[scheme] = march(problem, scheme, k)
+        return kept[scheme]
+
+    return make
+
+
+BLOWUP = SdeProblem(d=1, m=1, A=np.zeros((1, 1)), f=np.zeros_like, g=lambda x: 30.0 * x, S=np.ones((1, 1)),
+                    x0=np.ones(1), t_end=1.0)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(data=st.data(), smallest=st.booleans(), stop=st.sampled_from([None, 1]), seed=st.integers(0, 2**32 - 1))
+@pytest.mark.parametrize("name", ["gl", "svol", "blowup"])
+def test_window_driven_marches_give_each_row_its_march_alone(name, data, smallest, stop, seed):
+    # The fixed-step marches take each window's grid steps as the reference
+    # forms it, and carry their states on.  Every row must get the bytes,
+    # divergence verdict and fallback count it gets when marched alone over
+    # its stored grid values.  Uniform grids are ragged, the longest 3.7
+    # times the shortest, as svol's 4,700 to 17,100 steps at h_max 0.00025;
+    # a row may end early, as a diverged solve's mesh does, so its grid runs
+    # past its last knot; the reference may stop after its first chunk, as
+    # when every row diverges; windows are one coarse step or the default
+    # size.  On blowup (dW = 30 x dW) explicit Euler diverges mid-path.
+    p = BLOWUP if name == "blowup" else problem_by_name(name)
+    schemes = [s for n, s in FIXED_PAIRS if n == name] if name != "blowup" else [
+        "explicit_euler", "balanced", "increment_tamed", "fully_tamed"]
+    k = data.draw(st.integers(2, 4))
+    levels = data.draw(st.integers(0, 3))
+    rng = np.random.default_rng(seed)
+    times = []
+    for _ in range(k):
+        inner = np.unique(rng.uniform(0.0, p.t_end, data.draw(st.integers(1, 30))))
+        times.append(np.concatenate(([0.0], inner[inner > 0.0], [p.t_end])))
+    early = data.draw(st.integers(0, k - 1))
+    times[early] = times[early][: data.draw(st.integers(2, len(times[early])))]
+    shortest = data.draw(st.integers(4, 24))
+    ns = [shortest, round(3.7 * shortest)] + data.draw(
+        st.lists(st.integers(shortest, round(3.7 * shortest)), min_size=k - 2, max_size=k - 2))
+    seeds = [seed + i for i in range(k)]
+    rngs, grids, values = [], [], []
+    for s, t, n in zip(seeds, times, ns):
+        grids.append(np.linspace(0.0, p.t_end, n + 1))
+        values.append(twin_refinement(p.m, s, t, levels, grids[-1])[2])
+        rngs.append(streamed(p.m, s, t)[0])
+    budget = {"_FORM_BYTES": 0, "_STEP_CHUNK": 1} if smallest else {"_FORM_BYTES": harness._FORM_BYTES}
+    with mock.patch.multiple(harness, **budget):
+        marches = [harness._GridMarch(p, s, k) for s in schemes]
+        source = _RefinedChunks(times, p.m, levels, seeds, rngs, _GridWindows(p.t_end, ns, rngs, p.m, marches))
+        if stop is None:
+            _march_batch(p, "balanced", source)
+        else:
+            source.chunk(0, min(harness._STEP_CHUNK, int(source.lengths.max())))
+        source.finish()
+    for march in marches:
+        for i in range(k):
+            y, diverged, n_fallback, _ = _march_batch(p, march.scheme, stored(grids[i : i + 1], values[i : i + 1]))
+            assert march.y[i].tobytes() == y[0].tobytes()
+            assert (march.diverged[i], march.n_fallback[i]) == (diverged[0], n_fallback[0])
 
 
 def test_grids_come_out_whole_when_every_reference_row_diverges_early():
@@ -704,35 +798,41 @@ def test_grids_come_out_whole_when_every_reference_row_diverges_early():
     real = harness._march_batch
 
     def run(stop_early):
-        marched = []
-
-        def march(problem, scheme, grid):
-            if stop_early and not marched:
+        def march(problem, scheme, grid, *args):
+            if stop_early and isinstance(grid, _RefinedChunks):
                 grid.chunk(0, harness._STEP_CHUNK)
                 k = len(grid.lengths)
-                out = np.zeros((k, problem.d)), np.ones(k, dtype=bool), np.zeros(k, dtype=int), 0.0
-            else:
-                out = real(problem, scheme, grid)
-            marched.append(out[:3])
-            return out
+                return np.zeros((k, problem.d)), np.ones(k, dtype=bool), np.zeros(k, dtype=int), 0.0
+            return real(problem, scheme, grid, *args)
 
-        with mock.patch.multiple(harness, _march_batch=march, _FORM_BYTES=0):
-            run_block(cfg, indices, solved)
-        return marched
+        kept = {}
+        with mock.patch.multiple(harness, _march_batch=march, _FORM_BYTES=0, _GridMarch=keeping(kept)):
+            _, cols = run_block(cfg, indices, solved)
+        return cols, {s: (m.y, m.diverged, m.n_fallback) for s, m in kept.items()}
 
-    whole, early = run(False), run(True)
-    assert early[0][1].all() and len(early) == len(whole) == len(cfg.schemes)
+    (whole_cols, whole), (early_cols, early) = run(False), run(True)
+    assert np.isnan(early_cols["balanced"][0]).all() and np.isfinite(whole_cols["balanced"][0]).all()
     assert int(max(r.n_steps for r in solved)) << cfg.levels > 4 * harness._STEP_CHUNK
-    for a, b in zip(whole[1:], early[1:]):
-        assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+    assert whole.keys() == early.keys() == set(cfg.schemes) - {"adaptive_semi_implicit"}
+    for scheme in whole:
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(whole[scheme], early[scheme]))
 
 
-def block_peak(cfg, solved):
+def block_peak(cfg, solved, currents=None):
     """tracemalloc's peak over ``_run_block`` on the block of ``cfg``'s
-    samples whose adaptive solves are ``solved``, which it leaves out."""
+    samples whose adaptive solves are ``solved``, which it leaves out.  The
+    traced memory in use as each window is served goes to ``currents``."""
+    serve = _GridWindows.serve
+
+    def serving(self, t, w):
+        if currents is not None:
+            currents.append(tracemalloc.get_traced_memory()[0])
+        return serve(self, t, w)
+
     tracemalloc.start()
     try:
-        run_block(cfg, range(cfg.samples), solved)
+        with mock.patch.object(_GridWindows, "serve", serving):
+            run_block(cfg, range(cfg.samples), solved)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -741,7 +841,7 @@ def block_peak(cfg, solved):
 def test_a_blocks_memory_does_not_grow_with_the_path():
     # 32 gl samples at h_max 0.0025, 401 steps each refined 2**8 times, are
     # 26 MB of refined values, which a block used to keep.  The block now
-    # holds a window of them at a time, and its uniform grids' values once.
+    # holds a window of them at a time.
     cfg = ExperimentConfig(problem="gl", h_max_list=(0.0025,), samples=32, levels=8)
     solved = adaptive_solves(cfg, 0.0025, range(cfg.samples))
     refined = sum(((r.n_steps << cfg.levels) + 1) * 8 for r in solved)
@@ -749,23 +849,63 @@ def test_a_blocks_memory_does_not_grow_with_the_path():
     assert block_peak(cfg, solved) < refined / 10
 
 
-def test_an_spde_block_keeps_one_path_length_copy_of_its_brownian_values():
+def window_unit(cfg, p):
+    """Bytes of one chunk of step sizes and increments over the block's rows."""
+    return harness._STEP_CHUNK * cfg.samples * (p.m + 1) * 8
+
+
+def test_an_spde_block_keeps_no_path_length_store_of_brownian_values():
     # spde-desk's finest block: 5 samples of about 2,000 adaptive steps with
-    # m = 101, whose uniform grids' values take 8 MB.  The block stores them
-    # once, and every fixed-step march reads that store in place; the
-    # reference draws its knot values a window at a time.  Beyond the store
-    # it holds one window: its step sizes and increments (256 fine steps at
-    # least, the unit below), its last two levels' fine values and its
-    # normals, about three units, and the march's S dW for a chunk, old and
-    # new while the next is formed, two more.  A second path-length copy of
-    # the values, as each sample's stored knot values were, does not fit.
+    # m = 101, whose uniform grids' values would take 8 MB.  The block keeps
+    # none of them: it replays one sample at a time for the moment sums, and
+    # then holds one window.  A window is its step sizes and increments
+    # (256 fine steps at least, the unit below), its last two levels' fine
+    # values and its normals, about three units, and the reference march's
+    # S dW and |dW| for a chunk, two more; a fixed-step step's scratch comes
+    # on top.  One sample's replayed values and six units are less than the
+    # grid values alone.  Between windows the traced memory must not grow
+    # with the path: from the second window on, once the reference march
+    # holds its chunk buffers, the block holds its knot times and arrays
+    # that a window sizes.
     cfg = ExperimentConfig(problem="spde", h_max_list=(0.005,), samples=5, levels=4)
     p = problem_by_name(cfg.problem)
     solved = adaptive_solves(cfg, 0.005, range(cfg.samples))
     grid = sum((round(p.t_end / r.mean_h) + 1) * p.m * 8 for r in solved)
-    unit = harness._STEP_CHUNK * cfg.samples * (p.m + 1) * 8
-    assert grid > 7.5 * unit
-    assert block_peak(cfg, solved) < grid + 6 * unit
+    replay = max(r.n_steps + 1 for r in solved) * p.m * 8
+    unit = window_unit(cfg, p)
+    assert replay + 6 * unit < grid
+    currents = []
+    assert block_peak(cfg, solved, currents) < replay + 6 * unit
+    assert len(currents) > 100
+    assert max(currents[1:]) - currents[1] < unit / 4
+
+
+def test_a_samples_replay_holds_at_most_two_path_length_arrays():
+    # One spde sample at h_max 0.005: about 2,000 adaptive steps, 1.6 MB of
+    # values at its knots, and windows a fifth of spde-desk's.  Replaying
+    # the sample for its moment sums used to hold about four path-length
+    # arrays of it (6.4 MB); two at most, and the windows, must fit.
+    cfg = ExperimentConfig(problem="spde", h_max_list=(0.005,), samples=1, levels=4)
+    p = problem_by_name(cfg.problem)
+    solved = adaptive_solves(cfg, 0.005, range(cfg.samples))
+    replay = (solved[0].n_steps + 1) * p.m * 8
+    assert block_peak(cfg, solved) < 2 * replay + 6 * window_unit(cfg, p)
+
+
+def test_a_paper_scale_spde_block_peaks_well_under_its_grid_values():
+    # The catalog's finest spde h_max, 0.0005: about 20,000 adaptive steps,
+    # 16 MB of values per sample.  Two samples' uniform grids would hold
+    # 32 MB of values; the block peaks at one sample's replay and a few
+    # windows, about half of that.
+    cfg = ExperimentConfig(problem="spde", schemes=("adaptive_semi_implicit", "balanced"), h_max_list=(0.0005,),
+                           samples=2, levels=1)
+    p = problem_by_name(cfg.problem)
+    solved = adaptive_solves(cfg, 0.0005, range(cfg.samples))
+    grid = sum((round(p.t_end / r.mean_h) + 1) * p.m * 8 for r in solved)
+    replay = max(r.n_steps + 1 for r in solved) * p.m * 8
+    bound = replay + 4 * window_unit(cfg, p)
+    assert bound < 0.6 * grid
+    assert block_peak(cfg, solved) < bound
 
 
 THR = DIVERGENCE_THRESHOLD
@@ -907,14 +1047,16 @@ def test_squared_errors_round_as_per_row_dot_products(name, h_max, schemes):
     marched = {"adaptive_semi_implicit": (np.array([r.y_terminal for r in solved]), [r.diverged for r in solved])}
     real = harness._march_batch
 
-    def recording(problem, scheme, *args, **kw):
-        out = real(problem, scheme, *args, **kw)
-        # the reference march comes first, and is also a balanced march
-        marched["reference" if "reference" not in marched else scheme] = out[:2]
+    def recording(problem, scheme, grid, *args):
+        out = real(problem, scheme, grid, *args)
+        if isinstance(grid, _RefinedChunks):  # the reference march, a balanced one
+            marched["reference"] = out[:2]
         return out
 
-    with mock.patch.object(harness, "_march_batch", recording):
+    kept = {}
+    with mock.patch.multiple(harness, _march_batch=recording, _GridMarch=keeping(kept)):
         _, cols = run_block(cfg, indices, solved)
+    marched.update({s: (m.y, m.diverged) for s, m in kept.items()})
     ref, ref_div = marched["reference"]
     for scheme in schemes:
         y, diverged = marched[scheme]
