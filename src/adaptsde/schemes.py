@@ -16,7 +16,9 @@ no behaviour: the step then skips that product and gives the same bits.
 ``step_balanced`` also takes ``abs_dw=None``, the ``|dW|`` its
 denominator reads, on the same terms.  The harness's fixed-step marches
 form both a chunk of steps at a time; ``solve`` and the adaptive march
-pass nothing.
+pass nothing.  ``step_drift_implicit_batch``'s ``work=None`` likewise only
+carries the buffers its Newton iteration writes into, which its
+``step_map`` closure keeps from step to step.
 
 ``step_map`` turns a scheme id into one ``(y, h, dW, noise=None) ->
 (y_next, fell_back)`` function and :func:`_diverged` is the one divergence test;
@@ -321,12 +323,29 @@ def step_explicit_euler(
     return y + _hcol(h, y) * D + _noise(problem, problem.g(y), dW, noise)
 
 
+class _NewtonWork:
+    """Buffers a drift-implicit march reuses from step to step: ``np.eye(d)``
+    and one (k, d, d) stack the Newton iteration writes its Jacobians into,
+    grown only when a call brings more live rows than it holds."""
+
+    def __init__(self, d: int):
+        self.eye = np.eye(d)
+        self._jacobians = np.empty((0, d, d))
+
+    def jacobians(self, n: int) -> np.ndarray:
+        """The first ``n`` matrices of the stack, a view the caller overwrites."""
+        if len(self._jacobians) < n:
+            self._jacobians = np.empty((n,) + self.eye.shape)
+        return self._jacobians[:n]
+
+
 def step_drift_implicit_batch(
     problem: SdeProblem,
     y: np.ndarray,
     h,
     dW: np.ndarray,
     noise: Optional[np.ndarray] = None,
+    work: Optional[_NewtonWork] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fully drift-implicit step: solve ``x = y + h (A x + f(x)) + g(y) dW``.
 
@@ -337,6 +356,13 @@ def step_drift_implicit_batch(
     state takes one balanced step over the same ``h`` instead, and the
     other states of the batch are not affected.  Returns
     ``(y_next, used_fallback)``, the mask of shape ``y.shape[:-1]``.
+
+    ``work`` is a :class:`_NewtonWork` for ``problem.d`` that the caller
+    keeps across steps; without one the step builds its own.  Like
+    ``noise`` it only carries buffers and gives the same bits either way.
+    The step overwrites the workspace's Jacobian stack on every Newton
+    iteration, only reads the array ``problem.df`` returns, and returns
+    states that share no memory with the workspace.
     """
     if problem.df is None:
         raise ValueError("drift-implicit scheme needs problem.df (Jacobian of f)")
@@ -348,7 +374,7 @@ def step_drift_implicit_batch(
     k = y.shape[0]
     hv = np.broadcast_to(np.asarray(h, dtype=float), lead).reshape(k)
     x = y.copy()
-    eye = np.eye(d)
+    work = _NewtonWork(d) if work is None else work
     converged = np.zeros(k, dtype=bool)
     failed = np.zeros(k, dtype=bool)
     for _ in range(_NEWTON_MAX_ITER + 1):
@@ -363,10 +389,10 @@ def step_drift_implicit_batch(
         live = idx[~ok]
         if live.size == 0:
             continue
-        # I - h (A + Df) in one buffer; the array df returns is only read.
-        J = np.add(problem.df(x[live]), problem.A)
+        # I - h (A + Df) in the workspace; the array df returns is only read.
+        J = np.add(problem.df(x[live]), problem.A, out=work.jacobians(live.size))
         J *= hv[live, None, None]
-        np.subtract(eye, J, out=J)
+        np.subtract(work.eye, J, out=J)
         xn = x[live] - _newton_updates(J, F[~ok])
         bad = ~np.all(np.isfinite(xn), axis=-1)
         x[live] = np.where(bad[:, None], x[live], xn)
@@ -406,7 +432,10 @@ def step_map(problem: SdeProblem, scheme: str) -> Callable[..., tuple[np.ndarray
     ``problem.truncation`` and raises ValueError for a problem without one.
     Each closure looks its ``step_*`` function up as a module global when
     it is called, so a rebinding of that name (a tracer's wrapper, say)
-    reaches every caller.
+    reaches every caller.  The drift-implicit closure owns one
+    :class:`_NewtonWork` and hands it to every step it takes, so a march
+    writes its Newton Jacobians into one buffer, not a fresh (k, d, d)
+    array per iteration; a closure is therefore not for two threads at once.
     """
     if scheme == "adaptive_semi_implicit":
         solver = LinearSolver(problem)
@@ -416,7 +445,8 @@ def step_map(problem: SdeProblem, scheme: str) -> Callable[..., tuple[np.ndarray
     if scheme == "explicit_euler":
         return lambda y, h, dW, noise=None: (step_explicit_euler(problem, y, h, dW, None, noise), None)
     if scheme == "drift_implicit":
-        return lambda y, h, dW, noise=None: step_drift_implicit_batch(problem, y, h, dW, noise)
+        work = _NewtonWork(problem.d)
+        return lambda y, h, dW, noise=None: step_drift_implicit_batch(problem, y, h, dW, noise, work)
     if scheme == "balanced":
         return lambda y, h, dW, noise=None, abs_dw=None: (step_balanced(problem, y, h, dW, noise, abs_dw), None)
     if scheme == "increment_tamed":

@@ -11,6 +11,7 @@ import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adaptsde import schemes
 from adaptsde.control import propose_step
 from adaptsde.core import END_SNAP, MeshConfig, SdeProblem, last_step
 from adaptsde.problems import (
@@ -1065,3 +1066,105 @@ def test_newton_step_only_reads_the_jacobian(name, data):
     out, fell = step_drift_implicit_batch(p, y, h, dW)
     ro_out, ro_fell = step_drift_implicit_batch(read_only_jacobian(p), y, h, dW)
     assert ro_out.tobytes() == out.tobytes() and ro_fell.tobytes() == fell.tobytes()
+
+
+def faulty_jacobian(p):
+    """``p`` whose ``df`` is wrong on rows marked by their first component.
+
+    Past 30 every entry is NaN, so the Newton iterate leaves the finite
+    numbers.  Past 10 every entry is 1e30, which swamps ``I`` and ``A``, so
+    ``I - h (A + Df)`` is one constant in every entry: exactly singular for
+    d >= 2, and for d = 1 an iteration that stalls until it runs out of
+    updates.  Either way the marked row falls back.
+    """
+
+    def df(x):
+        mark = x[..., :1, None]
+        return np.where(mark > 30.0, np.nan, np.where(mark > 10.0, 1e30, p.df(x)))
+
+    return dataclasses.replace(p, df=df)
+
+
+@pytest.mark.parametrize("name", ["gl", "svol", "spde"])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_a_reused_newton_workspace_gives_each_call_a_fresh_calls_bytes(name, data):
+    # step_map's drift-implicit closure keeps one workspace over a march
+    # whose live rows grow and shrink; every call must come out as a call
+    # with a workspace of its own, fallbacks and their mask included.
+    p = faulty_jacobian(CATALOG[name])
+    step = step_map(p, "drift_implicit")
+    # Any order of these sizes both grows and shrinks the stack.
+    sizes = data.draw(st.permutations([None, 1, 2, 4, 7])) + [3]
+    for k in sizes:
+        y, h, dW = data.draw(step_inputs(p, rows=st.just(k)))
+        n = k or 1
+        marks = np.array(data.draw(st.lists(st.sampled_from([0.0, 20.0, 40.0]), min_size=n, max_size=n)))
+        y[..., 0] += marks if k else marks[0]
+        out, fell = step(y, h, dW)
+        fresh, fresh_fell = step_drift_implicit_batch(p, y, h, dW)
+        assert out.tobytes() == fresh.tobytes() and fell.tobytes() == fresh_fell.tobytes()
+        assert fell.reshape(-1)[marks > 0].all()
+
+
+def test_a_drift_implicit_march_writes_every_jacobian_into_one_buffer(monkeypatch):
+    # A fresh (k, d, d) Jacobian per Newton iteration is 400 KB on spde at
+    # k = 5, which glibc can trim off the heap and fault back in every step.
+    p = CATALOG["spde"]
+    newton, buffers = schemes._newton_updates, []
+
+    def recording(J, F):
+        buffers.append(J if J.base is None else J.base)
+        return newton(J, F)
+
+    monkeypatch.setattr(schemes, "_newton_updates", recording)
+    step = step_map(p, "drift_implicit")
+    rng = np.random.default_rng(0)
+    y = np.broadcast_to(p.x0, (5, p.d)).copy()
+    for _ in range(30):
+        y, _ = step(y, 0.005, np.sqrt(0.005) * rng.standard_normal((5, p.m)))
+        assert not np.shares_memory(y, buffers[-1])
+    assert len(buffers) > 30
+    assert all(b is buffers[0] for b in buffers)
+    assert buffers[0].shape == (5, p.d, p.d)
+
+
+#: The module-global step function each scheme's step_map closure calls.
+STEP_FUNCTIONS = {
+    "adaptive_semi_implicit": "step_semi_implicit",
+    "adaptive_explicit": "step_explicit_euler",
+    "drift_implicit": "step_drift_implicit_batch",
+    "balanced": "step_balanced",
+    "increment_tamed": "step_increment_tamed",
+    "fully_tamed": "step_fully_tamed",
+    "truncated": "step_truncated",
+    "explicit_euler": "step_explicit_euler",
+}
+
+
+@pytest.mark.parametrize("scheme", SCHEME_IDS)
+def test_step_map_closures_reach_a_rebound_step_function(scheme, monkeypatch):
+    # The benchmark's tracer times each scheme by rebinding schemes.step_*;
+    # a closure that held on to the function it was built with would make
+    # those spans read 0.
+    p = CATALOG["gl"]
+    step = step_map(p, scheme)
+    name = STEP_FUNCTIONS[scheme]
+    fn, calls = getattr(schemes, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(schemes, name, counting)
+    rng = np.random.default_rng(1)
+    y = np.broadcast_to(p.x0, (3, p.d)).copy()
+    for n in range(4):
+        dW = 0.1 * rng.standard_normal((3, p.m))
+        if scheme in ADAPTIVE_SCHEMES:
+            f_y = p.f(y) if scheme == "adaptive_semi_implicit" else p.drift(y)
+            out, _ = step(y, 0.01, dW, f_y)
+        else:
+            out, _ = step(y, 0.01, dW)
+        assert len(calls) == n + 1 and calls[-1] is y
+        y = out
